@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from .linalg import mat_mul
 from .rootsystem import (
-    inner_product,
     longest_subsystem_word,
     minus_w0_permutation,
+    opposition,
     pairing,
     positive_roots,
     root_set,
@@ -68,8 +68,7 @@ class Involution:
 
 
 def apply_matrix(mat, v):
-    n = len(mat)
-    return tuple(sum(mat[i][j] * v[j] for j in range(n)) for i in range(n))
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in mat)
 
 
 def sigma_root(inv, v):
@@ -94,44 +93,16 @@ def _check_satake(sd):
             _fail("diagram involution moves a black node")
 
 
-def _black_components(rs, black):
-    black = sorted(black)
-    seen = set()
-    comps = []
-    for start in black:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in black:
-                if j not in seen and rs.cartan[i][j] != 0:
-                    seen.add(j)
-                    comp.append(j)
-                    queue.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _complete_tau(sd):
-    """Extend the arrow matching by -w_0 of each black component."""
+    """Extend the arrow matching by -w_0 of the black nodes, which acts on
+    each black component separately."""
     rs = sd.root_system
     tau = list(sd.diagram_involution)
-    for comp in _black_components(rs, sd.black_nodes):
-        word = longest_subsystem_word(rs, comp)
-        for i in comp:
-            e = tuple(1 if k == i else 0 for k in range(rs.rank))
-            img = e
-            for s in word:
-                p = pairing(rs, s, img)
-                img = tuple(x - p if k == s else x for k, x in enumerate(img))
-            img = tuple(-x for x in img)
-            targets = [k for k, x in enumerate(img) if x == 1]
-            if sum(img) != 1 or len(targets) != 1 or targets[0] not in comp:
-                _fail("black opposition does not permute black nodes")
-            tau[i] = targets[0]
+    try:
+        for i, j in opposition(rs, sd.black_nodes).items():
+            tau[i] = j
+    except ValueError:
+        _fail("black opposition does not permute black nodes")
     tau = tuple(tau)
     for i in range(rs.rank):
         if tau[tau[i]] != i:
@@ -160,13 +131,9 @@ def build_involution(sd):
     for beta in positive_roots(rs):
         if apply_matrix(sigma, beta) not in roots:
             _fail("sigma does not preserve the root system")
-    for i in range(n):
-        for j in range(n):
-            gij = rs.lengths[i] * rs.cartan[i][j]
-            img_i = apply_matrix(sigma, tuple(1 if k == i else 0 for k in range(n)))
-            img_j = apply_matrix(sigma, tuple(1 if k == j else 0 for k in range(n)))
-            if inner_product(rs, img_i, img_j) != gij:
-                _fail("sigma does not preserve the inner product")
+    sigma_t = [list(col) for col in zip(*sigma)]
+    if mat_mul(mat_mul(sigma_t, rs.gram6), sigma) != [list(row) for row in rs.gram6]:
+        _fail("sigma does not preserve the inner product")
     black = set(sd.black_nodes)
     delta1 = sd.white_nodes
     sigma_bar = {}

@@ -1,44 +1,45 @@
-"""Exact linear algebra over the rationals for small dense systems."""
+"""Exact linear algebra for small dense integer and rational systems."""
 
 from fractions import Fraction
-
-
-def identity_matrix(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+from math import gcd, lcm
 
 
 def mat_mul(a, b):
+    """Matrix product; integer matrices give an integer product."""
     n, m, p = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p)]
+    return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)]
             for i in range(n)]
 
 
-def mat_vec(a, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
-
-
-def invert(a):
-    """Gauss-Jordan inverse; raises ValueError on a singular matrix."""
+def solve_scaled(a, b):
+    """Integer x and d != 0 with a x = d b, for a square integer matrix a
+    and an integer matrix b, by fraction-free (Bareiss) Gauss-Jordan
+    elimination; every division is exact.  Raises ValueError on a
+    singular matrix."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise ValueError("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
+        p_row = aug[col]
+        p = p_row[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], p_row)]
+        prev = p
+    return [row[n:] for row in aug], prev
 
 
-def solve(a, b):
-    """Solve a x = b exactly for square invertible a."""
-    return mat_vec(invert(a), b)
+def invert(a):
+    """Exact inverse of a square integer matrix; raises ValueError on a
+    singular matrix."""
+    n = len(a)
+    x, d = solve_scaled(a, [[int(i == j) for j in range(n)] for i in range(n)])
+    return [[Fraction(v, d) for v in row] for row in x]
 
 
 def nullspace_line(a):
@@ -71,20 +72,10 @@ def nullspace_line(a):
     vec[fc] = Fraction(1)
     for r, pc in enumerate(pivots):
         vec[pc] = -m[r][fc]
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in vec))
     ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = _gcd(g, abs(x))
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     if sum(ints) < 0:
         ints = [-x for x in ints]
     return ints
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

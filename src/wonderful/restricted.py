@@ -8,8 +8,9 @@ restriction is its metric coroot 2v/(v,v) in ambient coroot coordinates.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .linalg import solve
+from .linalg import solve_scaled
 from .involution import NONREDUCED, REAL, classify_simple, sigma_root
 from .rootsystem import (
     coroot,
@@ -46,18 +47,35 @@ def restrict_root(inv, v):
     return tuple(a - b for a, b in zip(v, img))
 
 
+def _left_inverse(basis):
+    """(m, d): an integer matrix m and an integer d != 0 such that m / d,
+    the pseudo-inverse (B B^T)^-1 B of the basis rows B, is a left inverse
+    of B on its span.  Raises ValueError if the basis is dependent."""
+    scale = lcm(*(x.denominator for row in basis for x in row))
+    ints = [[int(x * scale) for x in row] for row in basis]
+    m, d = solve_scaled([[sum(a * b for a, b in zip(x, y)) for y in ints] for x in ints],
+                        ints)
+    return [[x * scale for x in row] for row in m], d
+
+
+def _coefficients(basis, left, v):
+    """Coefficients of v over the basis with left = _left_inverse(basis),
+    or None if v is zero or outside the span."""
+    if not any(v):
+        return None
+    m, d = left
+    scaled = [sum(a * b for a, b in zip(row, v)) for row in m]
+    for k, x in enumerate(v):
+        if sum(c * y[k] for c, y in zip(scaled, basis)) != d * x:
+            return None
+    return [Fraction(c, d) for c in scaled]
+
+
 def expand(basis, v):
     """Coefficients of v over a linearly independent basis, or None."""
-    if all(x == 0 for x in v):
+    if not any(v):
         return None
-    gram = [[sum(Fraction(a) * Fraction(b) for a, b in zip(x, y)) for y in basis]
-            for x in basis]
-    rhs = [sum(Fraction(a) * Fraction(b) for a, b in zip(x, v)) for x in basis]
-    coeffs = solve(gram, rhs)
-    recon = [sum(c * Fraction(x[k]) for c, x in zip(coeffs, basis)) for k in range(len(v))]
-    if recon != [Fraction(x) for x in v]:
-        return None
-    return coeffs
+    return _coefficients(basis, _left_inverse(basis), v)
 
 
 def build_restricted(inv):
@@ -80,8 +98,9 @@ def build_restricted(inv):
         if any(v) and v not in seen:
             seen.add(v)
             rbar_pos.append(v)
-    for v in rbar_pos:
-        coeffs = expand(dbar, v)
+    left = _left_inverse(dbar)
+    expansion = {v: _coefficients(dbar, left, v) for v in rbar_pos}
+    for coeffs in expansion.values():
         if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
             raise ValueError("restricted root outside the nonnegative span "
                              "of the restricted simple roots")
@@ -113,13 +132,9 @@ def build_restricted(inv):
     else:
         type_label = f"{letter}{rank}"
 
-    heights = {}
+    theta_bar = max(rbar_pos, key=lambda v: sum(expansion[v]))
     for v in rbar_pos:
-        coeffs = expand(dbar, v)
-        heights[v] = sum(coeffs)
-    theta_bar = max(rbar_pos, key=lambda v: heights[v])
-    for v in rbar_pos:
-        diff = expand(dbar, tuple(a - b for a, b in zip(theta_bar, v)))
+        diff = _coefficients(dbar, left, tuple(a - b for a, b in zip(theta_bar, v)))
         if diff is not None and any(c < 0 for c in diff):
             raise ValueError("no dominance-maximal restricted root")
     theta = highest_roots(rs, 0)[0]

@@ -6,11 +6,11 @@ Coweights are tuples of coordinates over the simple coroots.  All node
 indices in this package are 0-based.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import invert, mat_vec
+from .linalg import invert
 
 VALID_RANKS = {
     "A": lambda n: n >= 1,
@@ -86,6 +86,8 @@ class RootSystem:
     cartan: tuple
     lengths: tuple
     node_component: tuple
+    # integer symmetrised form 6 * d_i * a_ij, i.e. six times (alpha_i, alpha_j)
+    gram6: tuple = field(compare=False, repr=False)
 
     @property
     def rank(self):
@@ -116,21 +118,24 @@ def build_root_system(components):
         lengths.extend(_lengths(typ, n))
         node_component.extend([ci] * n)
         offset += n
+    gram6 = tuple(tuple(int(6 * lengths[i]) * cartan[i][j] for j in range(total))
+                  for i in range(total))
     for i in range(total):
         for j in range(total):
-            if lengths[i] * cartan[i][j] != lengths[j] * cartan[j][i]:
+            if gram6[i][j] != gram6[j][i]:
                 raise ValueError("asymmetric inner product")
     return RootSystem(
         components=tuple(components),
         cartan=tuple(tuple(row) for row in cartan),
         lengths=tuple(lengths),
         node_component=tuple(node_component),
+        gram6=gram6,
     )
 
 
 def pairing(rs, i, w):
     """<alpha_i^vee, w> for w in simple-root coordinates."""
-    return sum(rs.cartan[i][j] * w[j] for j in range(rs.rank))
+    return sum(a * x for a, x in zip(rs.cartan[i], w))
 
 
 def pair_coweight(rs, cw, w):
@@ -146,15 +151,18 @@ def reflect(rs, i, w):
     return tuple(out)
 
 
+def _form6(rs, v, w):
+    """6 (v, w); an integer for integer v and w."""
+    total = 0
+    for vi, row in zip(v, rs.gram6):
+        if vi:
+            total += vi * sum(g * wj for g, wj in zip(row, w) if wj)
+    return total
+
+
 def inner_product(rs, v, w):
     """(v, w) with long roots normalized to squared length 2 per component."""
-    total = Fraction(0)
-    for i in range(rs.rank):
-        if v[i]:
-            for j in range(rs.rank):
-                if w[j]:
-                    total += v[i] * w[j] * rs.lengths[i] * rs.cartan[i][j]
-    return total
+    return Fraction(_form6(rs, v, w), 6)
 
 
 def length_sq(rs, v):
@@ -163,8 +171,9 @@ def length_sq(rs, v):
 
 def coroot(rs, root):
     """Coroot 2*root/(root,root) in simple-coroot coordinates."""
-    sq = length_sq(rs, root)
-    return tuple(Fraction(2 * b * rs.lengths[j], 1) / sq for j, b in enumerate(root))
+    # 2 b_j d_j / (root, root) = b_j * gram6[j][j] / (6 (root, root))
+    sq6 = _form6(rs, root, root)
+    return tuple(Fraction(b * rs.gram6[j][j], sq6) for j, b in enumerate(root))
 
 
 @lru_cache(maxsize=None)
@@ -210,9 +219,9 @@ def highest_roots(rs, component=0):
     roots = [b for b in positive_roots(rs)
              if all(b[j] == 0 or j in nodes for j in range(rs.rank))]
     dominant = [b for b in roots if all(pairing(rs, i, b) >= 0 for i in nodes)]
-    min_sq = min(length_sq(rs, b) for b in roots)
-    long_dom = [b for b in dominant if length_sq(rs, b) == 2]
-    short_dom = [b for b in dominant if length_sq(rs, b) == min_sq]
+    min_sq6 = min(_form6(rs, b, b) for b in roots)
+    long_dom = [b for b in dominant if _form6(rs, b, b) == 6 * 2]
+    short_dom = [b for b in dominant if _form6(rs, b, b) == min_sq6]
     if len(long_dom) != 1 or len(short_dom) != 1:
         raise ValueError("component is not irreducible")
     theta, theta_short = long_dom[0], short_dom[0]
@@ -287,19 +296,27 @@ def word_matrix(rs, word):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-@lru_cache(maxsize=None)
-def minus_w0_permutation(rs):
-    """The permutation i -> j with -w_0(alpha_i) = alpha_j."""
-    word = longest_subsystem_word(rs, range(rs.rank))
-    perm = []
-    for i in range(rs.rank):
+def opposition(rs, nodes):
+    """{i: j} on the given nodes with -w_0(alpha_i) = alpha_j, where w_0 is
+    the longest element of their parabolic subgroup."""
+    nodes = sorted(set(nodes))
+    word = longest_subsystem_word(rs, nodes)
+    perm = {}
+    for i in nodes:
         e = tuple(1 if k == i else 0 for k in range(rs.rank))
         img = tuple(-x for x in word_action(rs, word, e))
         ones = [k for k, x in enumerate(img) if x == 1]
-        if sum(img) != 1 or len(ones) != 1:
+        if sum(img) != 1 or len(ones) != 1 or ones[0] not in nodes:
             raise ValueError("-w_0 does not permute the simple roots")
-        perm.append(ones[0])
-    return tuple(perm)
+        perm[i] = ones[0]
+    return perm
+
+
+@lru_cache(maxsize=None)
+def minus_w0_permutation(rs):
+    """The permutation i -> j with -w_0(alpha_i) = alpha_j."""
+    perm = opposition(rs, range(rs.rank))
+    return tuple(perm[i] for i in range(rs.rank))
 
 
 def _node_signature(mat, i):

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
+import pytest
 import yaml
 from importlib import resources
 
@@ -194,6 +195,50 @@ def test_restricted_root_suite():
                        for a in basis), label
 
 
+def test_sigma_matrix_is_integral():
+    for record in _all_records():
+        sigma = record.involution.sigma_matrix
+        assert all(type(x) is int for row in sigma for x in row), record.label
+
+
+def _solve_by_elimination(basis, v):
+    """Coefficients c with sum_i c_i basis_i = v by Gauss-Jordan elimination
+    over Fractions on the columns of the basis, or None if v is outside
+    their span; the basis must be linearly independent."""
+    r = len(basis)
+    rows = [[Fraction(b[k]) for b in basis] + [Fraction(v[k])]
+            for k in range(len(v))]
+    for col in range(r):
+        pivot = next(i for i in range(col, len(rows)) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(len(rows)):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    if any(row[r] != 0 for row in rows[r:]):
+        return None
+    return [row[r] for row in rows[:r]]
+
+
+def test_expand_matches_direct_solve():
+    for record in _all_records():
+        rrs = record.restricted
+        rank = rrs.root_system.rank
+        basis = rrs.restricted_simple
+        black = [tuple(1 if k == b else 0 for k in range(rank))
+                 for b in record.involution.satake.black_nodes]
+        for v in rrs.restricted_positive + tuple(black):
+            coeffs = expand(basis, v)
+            assert coeffs == _solve_by_elimination(basis, v), record.label
+            assert (coeffs is None) == (v in black), record.label
+            assert coeffs is None or all(isinstance(c, Fraction)
+                                         for c in coeffs), record.label
+        coroots = [ahat for _, ahat in rrs.coroots]
+        assert expand(coroots, rrs.theta_bar_covector) == \
+            _solve_by_elimination(coroots, rrs.theta_bar_covector), record.label
+
+
 def test_curve_class_suite():
     for record in _all_records():
         rrs = record.restricted
@@ -236,6 +281,14 @@ def test_anchor_rank_one_group():
     record = instantiate(CAT, "GroupA1", {})
     assert dimensions(record.restricted) == (2, 2, 4, 1)
     assert build_colors(record.involution).picard_rank == 1
+
+
+@pytest.mark.parametrize("label, rank", [("GroupE6", 12), ("GroupE7", 14),
+                                         ("GroupE8", 16)])
+def test_exceptional_group_cases_validate_clean(label, rank):
+    record = instantiate(CAT, label, {})
+    assert record.root_system.rank == rank
+    assert validate(record) == []
 
 
 def test_negative_control_satake_bit():

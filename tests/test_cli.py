@@ -1,5 +1,6 @@
 """Command line interface behavior."""
 
+import hashlib
 import json
 
 import pytest
@@ -126,3 +127,21 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "wonderful" in capsys.readouterr().out
+
+
+# SHA-256 of stdout as produced by the engine before its root-lattice
+# arithmetic moved from Fraction to int; a speed-up must not change a byte
+# (a value that turns from Fraction to int, or back, would).
+OUTPUT_DIGESTS = {
+    ("table", "--max-rank", "8", "--format", "json"):
+        "b4cb5daf15fe4e333686dcc047a5a51405caba3c9f63aa3dded0f75918c1a79c",
+    ("check", "--max-rank", "8"):
+        "d18c706ea29bbf016bb7e20f2ae36d34e900fe35916fcda21d4fc047c8e739c5",
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS), ids=["table", "check"])
+def test_output_is_byte_identical(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_DIGESTS[argv]

@@ -107,6 +107,20 @@ def test_inner_product_normalization():
     assert coroot(b3, (1, 1, 2)) == (1, 1, 1)
 
 
+@pytest.mark.parametrize("typ, n", [("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                     ("F", 4), ("G", 2)])
+def test_inner_product_matches_fraction_formula(typ, n):
+    rs = build_root_system(((typ, n),))
+    pos = positive_roots(rs)
+    for v in pos:
+        for w in pos:
+            want = sum((v[i] * w[j] * rs.lengths[i] * rs.cartan[i][j]
+                        for i in range(n) for j in range(n)), Fraction(0))
+            got = inner_product(rs, v, w)
+            assert isinstance(got, Fraction)
+            assert got == want, (v, w)
+
+
 def test_fundamental_weights_and_rho():
     rs = build_root_system((("A", 2),))
     w1 = fundamental_weight(rs, 0)
