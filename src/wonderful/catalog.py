@@ -37,6 +37,7 @@ from .rootsystem import (
     build_root_system,
     coroot,
     highest_roots,
+    memoised,
     pair_coweight,
     two_rho,
 )
@@ -117,6 +118,27 @@ class Catalog:
             raise ValueError("duplicate family labels in catalog data")
 
 
+# required family fields and their types; the optional ones may be null
+_REQUIRED = {"label": str, "ambient": str, "black": str, "arrows": str, "gh": str,
+             "restricted": str, "kac": str, "hc": list, "emb": list,
+             "sigma_theta": bool, "fano": bool}
+_OPTIONAL = {"params": list, "constraints": list, "vmrt": list, "hermitian": str}
+
+
+def _check_family(index, entry):
+    """Raise ValueError naming the family and field of a schema violation."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"catalog families[{index}] is not a mapping")
+    label = entry.get("label")
+    where = f"family {label!r}" if isinstance(label, str) else f"families[{index}]"
+    for key, typ in {**_REQUIRED, **_OPTIONAL}.items():
+        value = entry.get(key)
+        if value is None and key in _REQUIRED:
+            raise ValueError(f"catalog {where}: missing field {key!r}")
+        if value is not None and not isinstance(value, typ):
+            raise ValueError(f"catalog {where}: field {key!r} must be a {typ.__name__}")
+
+
 def load_catalog(path=None):
     if path is None:
         text = (resources.files("wonderful") / "data" / "catalog.yaml") \
@@ -124,9 +146,17 @@ def load_catalog(path=None):
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    raw = yaml.safe_load(text)
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"catalog is not valid YAML: {exc}") from None
+    if not isinstance(raw, dict) or "version" not in raw \
+            or not isinstance(raw.get("families"), list):
+        raise ValueError("catalog must be a mapping with a 'version' and a "
+                         "'families' list")
     templates = []
-    for entry in raw["families"]:
+    for index, entry in enumerate(raw["families"]):
+        _check_family(index, entry)
         templates.append(FamilyTemplate(
             label=entry["label"],
             params=tuple(entry.get("params") or ()),
@@ -198,6 +228,7 @@ def instantiate(catalog, label, params=None):
     return SymmetricSpaceRecord(label, params, inv, rrs, kd, stored)
 
 
+@memoised
 def build_report(record):
     """VmrtReport for a record, assembled from all engine layers."""
     rrs = record.restricted
@@ -244,17 +275,6 @@ def validate(record):
     rrs = record.restricted
     rs = inv.root_system
     stored = record.stored
-    cache = {}
-
-    def colors():
-        if "colors" not in cache:
-            cache["colors"] = build_colors(inv)
-        return cache["colors"]
-
-    def dims():
-        if "dims" not in cache:
-            cache["dims"] = dimensions(rrs)
-        return cache["dims"]
 
     def exceptional():
         return is_exceptional(rrs)[0]
@@ -282,7 +302,7 @@ def validate(record):
             raise ValueError(f"computed {got}, stored {stored.fano}")
 
     def check_boundary_degree():
-        s = dims()[0]
+        s = dimensions(rrs)[0]
         letter = _norm_type(rrs.type_label).rstrip("0123456789")
         if (s == 2) != (letter == "A"):
             raise ValueError(f"boundary degree {s} vs restricted letter "
@@ -290,12 +310,12 @@ def validate(record):
 
     def check_picard_rank():
         want = rrs.rank + (1 if exceptional() else 0)
-        got = colors().picard_rank
-        if got != want or len(colors().colors) != want:
+        got = build_colors(inv).picard_rank
+        if got != want or len(build_colors(inv).colors) != want:
             raise ValueError(f"Picard rank {got}, expected {want}")
 
     def check_dim_identities():
-        s, dim_family, dim_orbit, dim_hc = dims()
+        s, dim_family, dim_orbit, dim_hc = dimensions(rrs)
         if dim_family != dim_hc + s - 1:
             raise ValueError("dim_family != dim_hc + boundary_degree - 1")
         if dim_orbit != 2 * (dim_hc + 1) or dim_orbit % 2:
@@ -303,8 +323,8 @@ def validate(record):
 
     def check_nilpotent_oracle():
         want = nilpotent_orbit_dimension(inv)
-        if dims()[2] != want:
-            raise ValueError(f"2<theta_bar_covector, kappa> = {dims()[2]} "
+        if dimensions(rrs)[2] != want:
+            raise ValueError(f"2<theta_bar_covector, kappa> = {dimensions(rrs)[2]} "
                              f"but independent count = {want}")
 
     def check_strong_orth():
@@ -342,14 +362,14 @@ def validate(record):
             raise ValueError("no simple restricted root pairs to 1")
 
     def check_minimal_classes():
-        classes = minimal_covering_classes(rrs, colors())
+        colors = build_colors(inv)
+        classes = minimal_covering_classes(rrs, colors)
         if exceptional():
             if len(classes) != 2:
                 raise ValueError(f"{len(classes)} classes, expected 2")
             _, (i, j) = is_exceptional(rrs)
-            members = [c for c in colors().colors]
-            idx_i = members.index((i,))
-            idx_j = members.index((j,))
+            idx_i = colors.colors.index((i,))
+            idx_j = colors.colors.index((j,))
             pattern = {(c[idx_i], c[idx_j]) for c in classes}
             if pattern != {(1, 0), (0, 1)}:
                 raise ValueError("exceptional classes lack the (1,0)/(0,1) "
@@ -358,14 +378,14 @@ def validate(record):
             raise ValueError(f"{len(classes)} classes, expected 1")
 
     def check_pushforward():
-        pushforward_class(rrs, colors())
+        pushforward_class(rrs, build_colors(inv))
 
     def check_kappa_identity():
         if sigma_theta_is_minus_theta(inv):
             return
         t = pair_coweight(rs, rrs.theta_bar_covector,
                           [x for x in two_rho(rs)])
-        if 2 * t != dims()[2]:
+        if 2 * t != dimensions(rrs)[2]:
             raise ValueError("<theta_bar_covector, kappa> != "
                              "<theta_bar_covector, 2 rho>")
 
@@ -380,7 +400,7 @@ def validate(record):
 
     def check_kac_descriptors():
         descs = marked_diagrams(record.kac)
-        dim_hc = dims()[3]
+        dim_hc = dimensions(rrs)[3]
         for d in descs:
             if d.dim != dim_hc:
                 raise ValueError(f"descriptor {d.name} has dimension "

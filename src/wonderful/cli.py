@@ -45,6 +45,11 @@ def _params_str(params):
     return " ".join(f"{k}={v}" for k, v in params.items())
 
 
+def _family_head(record):
+    """The family label followed by its parameters, e.g. 'AIII n=7 r=2'."""
+    return " ".join([record.label, _params_str(record.params)]).rstrip()
+
+
 def _yesno(flag):
     return "yes" if flag else "no"
 
@@ -122,10 +127,7 @@ def _print_json(doc, out):
 
 def _render_report(record, rep, out, ascii_only):
     descs = marked_diagrams(record.kac)
-    head = record.label
-    if record.params:
-        head += " " + _params_str(record.params)
-    out.write(f"family: {head}\n")
+    out.write(f"family: {_family_head(record)}\n")
     out.write(f"space: {record.stored.gh}\n")
     ambient = " x ".join(f"{t}{n}" for t, n in record.root_system.components)
     out.write(f"ambient type: {ambient}\n")
@@ -164,10 +166,7 @@ def cmd_report(args, out):
 def cmd_table(args, out):
     catalog = load_catalog(args.catalog)
     records = enumerate_records(catalog, args.max_rank)
-    rows = []
-    for record in records:
-        rep = build_report(record)
-        rows.append((record, rep))
+    rows = [(record, build_report(record)) for record in records]
     if args.format == "json":
         doc = [_report_document(rec, rep, catalog.version)
                for rec, rep in rows]
@@ -213,10 +212,8 @@ def cmd_check(args, out):
         return 0
     out.write(f"{len(details)} failures:\n")
     for record, failure in details:
-        head = record.label
-        if record.params:
-            head += " " + _params_str(record.params)
-        out.write(f"  {head}: {failure.name}: {failure.detail}\n")
+        out.write(f"  {_family_head(record)}: {failure.name}: "
+                  f"{failure.detail}\n")
     return 1
 
 
@@ -243,10 +240,7 @@ def cmd_roots(args, out):
     if args.format == "json":
         _print_json(doc, out)
         return 0
-    head = record.label
-    if record.params:
-        head += " " + _params_str(record.params)
-    out.write(f"family: {head}\n")
+    out.write(f"family: {_family_head(record)}\n")
     out.write(f"ambient type: {' x '.join(doc['ambient'])}\n")
     black = " ".join(str(i) for i in doc["black_nodes"]) or "(none)"
     out.write(f"black nodes: {black}\n")

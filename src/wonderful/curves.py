@@ -15,7 +15,9 @@ from .restricted import fiber_index, is_exceptional, theta_bar_expansion
 from .rootsystem import (
     _cartan_inverse,
     longest_subsystem_word,
+    memoised,
     pair_coweight,
+    unit_vector,
     word_matrix,
 )
 
@@ -26,6 +28,7 @@ class ColorSet:
     picard_rank: int
 
 
+@memoised
 def build_colors(inv):
     """Colors: white nodes merged when beta = -sigma(alpha) with
     <alpha^vee, beta> = 0."""
@@ -35,11 +38,10 @@ def build_colors(inv):
     for i in inv.delta1:
         if i in used:
             continue
-        e = tuple(1 if k == i else 0 for k in range(rs.rank))
-        img = sigma_root(inv, e)
+        img = sigma_root(inv, unit_vector(rs.rank, i))
         partner = None
         for j in inv.delta1:
-            if j != i and img == tuple(-1 if k == j else 0 for k in range(rs.rank)) \
+            if j != i and img == tuple(-x for x in unit_vector(rs.rank, j)) \
                     and rs.cartan[i][j] == 0:
                 partner = j
                 break
@@ -59,13 +61,12 @@ def lambda_weight(inv, color):
     rs = inv.root_system
     n = rs.rank
     if len(color) == 2:
-        i, j = color
-        return tuple(1 if k in (i, j) else 0 for k in range(n))
+        return tuple(1 if k in color else 0 for k in range(n))
     i = color[0]
-    e = tuple(1 if k == i else 0 for k in range(n))
+    e = unit_vector(n, i)
     if sigma_root(inv, e) == tuple(-x for x in e):
-        return tuple(2 if k == i else 0 for k in range(n))
-    return tuple(1 if k == i else 0 for k in range(n))
+        return tuple(2 * x for x in e)
+    return e
 
 
 @lru_cache(maxsize=None)
@@ -130,6 +131,7 @@ def boundary_pairing(rrs, colors):
     return tuple(rows)
 
 
+@memoised
 def minimal_covering_classes(rrs, colors):
     """Curve classes gamma with psi(gamma) = theta_bar_covector,
     ordered with the lower-numbered exceptional color first."""
@@ -162,7 +164,7 @@ def minimal_covering_classes(rrs, colors):
         gamma = tuple(gamma)
         if psi(rrs, colors, gamma) == rrs.theta_bar_covector:
             classes.append(gamma)
-    classes.sort(reverse=True)
+    classes = tuple(sorted(classes, reverse=True))
     expected = 2 if exceptional else 1
     if len(classes) != expected:
         raise ValueError(f"expected {expected} minimal classes, "

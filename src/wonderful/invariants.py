@@ -9,16 +9,19 @@ from .rootsystem import (
     coroot,
     highest_roots,
     inner_product,
+    memoised,
     pair_coweight,
     positive_roots,
     root_set,
     two_rho,
+    unit_vector,
 )
 
 O_MIN = "O_min"
 O_SUM = "O_sum_sigma"
 
 
+@memoised
 def kappa_and_sigma(rrs):
     """(kappa, Sigma): the sum of positive roots sent to negatives, and
     the sum of the restricted simple roots."""
@@ -37,6 +40,7 @@ def kappa_and_sigma(rrs):
     return tuple(kappa), tuple(sigma_sum)
 
 
+@memoised
 def dimensions(rrs):
     """(boundary_degree, dim_family, dim_nilpotent_orbit, dim_hc)."""
     rs = rrs.root_system
@@ -85,8 +89,7 @@ def check_strong_orthogonality(inv):
                              "orthogonal")
     neg = tuple(-x for x in img)
     orth_nodes = [i for i in range(rs.rank)
-                  if inner_product(rs, tuple(1 if k == i else 0 for k in range(rs.rank)),
-                                   theta) == 0]
+                  if inner_product(rs, unit_vector(rs.rank, i), theta) == 0]
     orth = set(orth_nodes)
     support = {i for i in range(rs.rank) if neg[i] != 0}
     if not support <= orth:
@@ -118,6 +121,7 @@ def dim_minimal_orbit(rs, component=0):
     return int(pair_coweight(rs, coroot(rs, theta), two_rho(rs)))
 
 
+@memoised
 def nilpotent_orbit_dimension(inv):
     """Dimension of the nilpotent orbit attached to the family, computed
     independently of kappa."""
@@ -212,11 +216,7 @@ def vmrt_report(rrs, colors, hermitian, embedding_degree,
         expected = 2 if hermitian and not exceptional else 1
         names = list(hc_components)
         if exceptional:
-            deduped = []
-            for item in names:
-                if item not in deduped:
-                    deduped.append(item)
-            names = deduped
+            names = list(dict.fromkeys(names))
         if len(names) != expected:
             raise ValueError(f"expected {expected} VMRT components, "
                              f"got {len(names)}")
@@ -239,7 +239,7 @@ def vmrt_report(rrs, colors, hermitian, embedding_degree,
         exceptional=exceptional,
         fano=is_fano(rrs),
         picard_rank=colors.picard_rank,
-        minimal_classes=tuple(minimal_covering_classes(rrs, colors)),
+        minimal_classes=minimal_covering_classes(rrs, colors),
         vmrt_components=components,
         embedding_degree=embedding_degree,
     )

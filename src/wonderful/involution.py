@@ -17,6 +17,7 @@ from .rootsystem import (
     pairing,
     positive_roots,
     root_set,
+    unit_vector,
     word_matrix,
 )
 
@@ -138,7 +139,7 @@ def build_involution(sd):
     delta1 = sd.white_nodes
     sigma_bar = {}
     for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
+        e = unit_vector(n, i)
         img = apply_matrix(sigma, e)
         if i in black:
             if img != e:
@@ -183,7 +184,7 @@ def classify_simple(inv, i):
     rs = inv.root_system
     if i not in inv.delta1:
         raise ValueError(f"node {i} is not white")
-    e = tuple(1 if k == i else 0 for k in range(rs.rank))
+    e = unit_vector(rs.rank, i)
     img = sigma_root(inv, e)
     p = pairing(rs, i, img)
     if p == -2:

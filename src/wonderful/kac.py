@@ -218,12 +218,6 @@ def _canonical_factor(f):
         return ["P1"]
     if f == "Q2":
         return ["P1", "P1"]
-    if f == "Q4":
-        return ["Q4"]
-    if f == "Q3":
-        return ["Q3"]
-    if f.startswith("Q") and f[1:].isdigit():
-        return [f]
     return [f]
 
 

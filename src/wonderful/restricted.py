@@ -17,8 +17,10 @@ from .rootsystem import (
     highest_roots,
     identify_cartan,
     inner_product,
+    memoised,
     pair_coweight,
     positive_roots,
+    unit_vector,
 )
 
 
@@ -84,7 +86,7 @@ def build_restricted(inv):
     dbar = []
     fibers = {}
     for i in inv.delta1:
-        v = restrict_root(inv, tuple(1 if k == i else 0 for k in range(rs.rank)))
+        v = restrict_root(inv, unit_vector(rs.rank, i))
         if v not in fibers:
             fibers[v] = []
             dbar.append(v)
@@ -147,7 +149,7 @@ def build_restricted(inv):
     for idx, v in enumerate(dbar):
         per_member = set()
         for i in fibers[v]:
-            e = tuple(1 if k == i else 0 for k in range(rs.rank))
+            e = unit_vector(rs.rank, i)
             case = classify_simple(inv, i)
             alpha_vee = coroot(rs, e)
             sig_vee = coroot(rs, sigma_root(inv, e))
@@ -189,10 +191,7 @@ def build_restricted(inv):
 
 def restricted_coroot(rrs, i):
     """(abar_vee, ahat_vee) for the white node i."""
-    for idx, fiber in enumerate(rrs.fibers):
-        if i in fiber:
-            return rrs.coroots[idx]
-    raise ValueError(f"node {i} is not white")
+    return rrs.coroots[fiber_index(rrs, i)]
 
 
 def fiber_index(rrs, i):
@@ -202,6 +201,7 @@ def fiber_index(rrs, i):
     raise ValueError(f"node {i} is not white")
 
 
+@memoised
 def is_exceptional(rrs):
     """Exceptional means some white node is nonreduced and not fixed by
     sigma_bar; returns (flag, witness pair or None)."""
@@ -213,6 +213,7 @@ def is_exceptional(rrs):
     return False, None
 
 
+@memoised
 def theta_bar_expansion(rrs):
     """Nonnegative integer coefficients of theta_bar_covector over the
     primitive coroots {ahat_vee}."""

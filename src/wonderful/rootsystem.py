@@ -8,7 +8,7 @@ indices in this package are 0-based.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .linalg import invert
 
@@ -70,6 +70,24 @@ def _lengths(typ, n):
     if typ == "G":
         return [Fraction(1, 3), one]
     raise ValueError(f"unknown type {typ!r}")
+
+
+def memoised(f):
+    """Memoise a pure f(obj, *args) in obj.__dict__, so the value lives
+    exactly as long as obj; works on frozen dataclasses.  Exceptions are not
+    cached, and the values must be immutable because every caller shares them."""
+    @wraps(f)
+    def wrapper(obj, *args):
+        memo = obj.__dict__.setdefault("_memo", {})
+        if (f, args) not in memo:
+            memo[f, args] = f(obj, *args)
+        return memo[f, args]
+    return wrapper
+
+
+def unit_vector(n, i):
+    """The i-th standard basis vector of length n, e.g. the simple root alpha_i."""
+    return tuple(1 if k == i else 0 for k in range(n))
 
 
 def cartan_matrix(typ, n):
@@ -180,7 +198,7 @@ def coroot(rs, root):
 def positive_roots(rs):
     """All positive roots, enumerated by height."""
     n = rs.rank
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    simples = [unit_vector(n, i) for i in range(n)]
     found = set(simples)
     frontier = list(simples)
     ordered = list(simples)
@@ -213,6 +231,7 @@ def root_set(rs):
     return frozenset(pos) | frozenset(tuple(-x for x in b) for b in pos)
 
 
+@lru_cache(maxsize=None)
 def highest_roots(rs, component=0):
     """(highest root, highest short root) of one irreducible component."""
     nodes = set(rs.component_nodes(component))
@@ -231,6 +250,7 @@ def highest_roots(rs, component=0):
     return theta, theta_short
 
 
+@lru_cache(maxsize=None)
 def two_rho(rs):
     total = [0] * rs.rank
     for b in positive_roots(rs):
@@ -291,8 +311,7 @@ def word_matrix(rs, word):
     n = rs.rank
     cols = []
     for j in range(n):
-        e = tuple(1 if k == j else 0 for k in range(n))
-        cols.append(word_action(rs, word, e))
+        cols.append(word_action(rs, word, unit_vector(n, j)))
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -303,8 +322,7 @@ def opposition(rs, nodes):
     word = longest_subsystem_word(rs, nodes)
     perm = {}
     for i in nodes:
-        e = tuple(1 if k == i else 0 for k in range(rs.rank))
-        img = tuple(-x for x in word_action(rs, word, e))
+        img = tuple(-x for x in word_action(rs, word, unit_vector(rs.rank, i)))
         ones = [k for k, x in enumerate(img) if x == 1]
         if sum(img) != 1 or len(ones) != 1 or ones[0] not in nodes:
             raise ValueError("-w_0 does not permute the simple roots")

@@ -1,6 +1,7 @@
 """Catalog loading, instantiation, validation, and enumeration."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -12,8 +13,8 @@ from wonderful.catalog import (
     load_catalog,
     validate,
 )
-from wonderful.invariants import dimensions
-from wonderful.curves import build_colors
+from wonderful.invariants import dimensions, nilpotent_orbit_dimension
+from wonderful.curves import build_colors, minimal_covering_classes
 
 CAT = load_catalog()
 
@@ -140,6 +141,59 @@ def test_validate_flags_flipped_kac_color():
     tampered = dataclasses.replace(rec, kac=dataclasses.replace(kd, colors=colors))
     failed = {f.name for f in validate(tampered)}
     assert failed & {"kac-affine", "kac-white-count", "kac-descriptors"}
+
+
+def test_report_is_derived_once_per_record():
+    rec = instantiate(CAT, "AIII", {"n": 7, "r": 2})
+    assert build_report(rec) is build_report(rec)
+
+
+def _body_runs(funcs, action):
+    """How often the undecorated body of each function ran during action()."""
+    codes = {f.__wrapped__.__code__: f.__name__ for f in funcs}
+    runs = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            runs[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return runs
+
+
+def test_validate_then_report_share_one_derivation():
+    rec = instantiate(CAT, "AIII", {"n": 7, "r": 2})
+
+    def validate_then_report():
+        assert validate(rec) == []
+        build_report(rec)
+
+    runs = _body_runs([nilpotent_orbit_dimension, minimal_covering_classes],
+                      validate_then_report)
+    assert runs == {"nilpotent_orbit_dimension": 1, "minimal_covering_classes": 1}
+
+
+def test_tampered_copy_of_validated_record_is_checked_afresh():
+    rec = instantiate(CAT, "FII", {})
+    assert validate(rec) == []
+    kd = rec.kac
+    i = kd.blacks[0]
+    colors = tuple("w" if k == i else c for k, c in enumerate(kd.colors))
+    tampered = dataclasses.replace(rec, kac=dataclasses.replace(kd, colors=colors))
+    assert {"kac-descriptors", "vmrt-components"} <= {f.name for f in validate(tampered)}
+
+    rec = instantiate(CAT, "AI", {"r": 3})
+    assert validate(rec) == []
+    tampered = dataclasses.replace(
+        rec, stored=dataclasses.replace(rec.stored, vmrt=("Q4",)))
+    assert "vmrt-components" in {f.name for f in validate(tampered)}
+    assert build_report(tampered) is not build_report(rec)
+    assert build_report(tampered).vmrt_components[0][0] == "Q4"
+    assert build_report(rec).vmrt_components[0][0] == rec.stored.vmrt[0] != "Q4"
 
 
 def test_check_names_stable():

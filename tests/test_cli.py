@@ -4,7 +4,9 @@ import hashlib
 import json
 
 import pytest
+import yaml
 
+from wonderful.catalog import load_catalog
 from wonderful.cli import main
 
 
@@ -120,6 +122,63 @@ def test_constraint_violation_exits_2(capsys):
 def test_missing_catalog_exits_2(capsys):
     code, _, err = run(capsys, "check", "--catalog", "/no/such/file.yaml")
     assert code == 2
+
+
+def _write_catalog(path, doc):
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    return str(path)
+
+
+def _shipped_catalog():
+    catalog = load_catalog()
+    return {"version": catalog.version,
+            "families": [dict(t.data) for t in catalog.templates]}
+
+
+def _drop_ambient(doc):
+    del doc["families"][3]["ambient"]
+    return doc
+
+
+def _drop_label(doc):
+    del doc["families"][2]["label"]
+    return doc
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_ambient, "catalog family 'GroupE6': missing field 'ambient'"),
+    (lambda doc: doc["families"],
+     "catalog must be a mapping with a 'version' and a 'families' list"),
+    (_drop_label, "catalog families[2]: missing field 'label'"),
+], ids=["no-ambient", "top-level-list", "no-label"])
+def test_malformed_catalog_exits_2(capsys, tmp_path, corrupt, message):
+    path = _write_catalog(tmp_path / "bad.yaml", corrupt(_shipped_catalog()))
+    code, _, err = run(capsys, "check", "--max-rank", "3", "--catalog", path)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_unparsable_catalog_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("version: 1\nfamilies: [\n", encoding="utf-8")
+    code, _, err = run(capsys, "report", "G", "--catalog", str(path))
+    assert code == 2
+    assert err.startswith("error: catalog is not valid YAML")
+
+
+def test_family_head_lines(capsys, tmp_path):
+    code, out, _ = run(capsys, "roots", "DIIIodd", "r=2")
+    assert code == 0
+    assert out.splitlines()[0] == "family: DIIIodd r=2"
+    code, out, _ = run(capsys, "roots", "G")
+    assert out.splitlines()[0] == "family: G"
+    doc = _shipped_catalog()
+    bdii = next(f for f in doc["families"] if f["label"] == "BDII")
+    bdii["fano"] = not bdii["fano"]
+    path = _write_catalog(tmp_path / "fano.yaml", doc)
+    code, out, _ = run(capsys, "check", "--max-rank", "3", "--catalog", path)
+    assert code == 1
+    assert "  BDII n=5: fano: computed True, stored False\n" in out
 
 
 def test_version(capsys):

@@ -29,7 +29,7 @@ def test_bdii_single_color():
     assert colors.picard_rank == 1
     assert lambda_weight(inv, (0,)) == (1, 0)
     assert boundary_pairing(rrs, colors) == ((2,),)
-    assert minimal_covering_classes(rrs, colors) == [(1,)]
+    assert minimal_covering_classes(rrs, colors) == ((1,),)
     assert pushforward_class(rrs, colors) == (2,)
 
 
@@ -39,7 +39,7 @@ def test_aiii_exceptional_two_colors():
     assert colors.picard_rank == 2
     assert lambda_weight(inv, (0,)) == (1, 0, 0)
     classes = minimal_covering_classes(rrs, colors)
-    assert classes == [(1, 0), (0, 1)]
+    assert classes == ((1, 0), (0, 1))
     assert psi(rrs, colors, classes[0]) == rrs.theta_bar_covector
     assert pushforward_class(rrs, colors) == (1, 1)
 
@@ -49,7 +49,7 @@ def test_group_a1_merged_color():
     assert colors.colors == ((0, 1),)
     assert colors.picard_rank == 1
     assert lambda_weight(inv, (0, 1)) == (1, 1)
-    assert minimal_covering_classes(rrs, colors) == [(1,)]
+    assert minimal_covering_classes(rrs, colors) == ((1,),)
     assert pushforward_class(rrs, colors) == (2,)
 
 
@@ -67,7 +67,7 @@ def test_quasi_split_a4_no_merge_on_adjacent():
     assert colors.colors == ((0, 3), (1,), (2,))
     assert colors.picard_rank == 3
     classes = minimal_covering_classes(rrs, colors)
-    assert classes == [(1, 1, 0), (1, 0, 1)]
+    assert classes == ((1, 1, 0), (1, 0, 1))
 
 
 def test_minus_w0_compatible_with_restriction():

@@ -1,5 +1,6 @@
 """Root system core: counts, highest roots, reflections, longest words."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from wonderful.rootsystem import (
     inner_product,
     length_sq,
     longest_subsystem_word,
+    memoised,
     minus_w0_permutation,
     pair_coweight,
     pairing,
@@ -211,3 +213,32 @@ def test_cartan_integers(data):
         assert a.denominator == 1 and b.denominator == 1
         if tuple(alpha) != tuple(beta):
             assert int(a) * int(b) in (0, 1, 2, 3)
+
+
+@dataclass(frozen=True)
+class _Box:
+    x: int
+
+
+def test_memoised_is_per_object_and_does_not_cache_errors():
+    runs = []
+
+    @memoised
+    def halve(box, extra):
+        runs.append(box.x)
+        if box.x % 2:
+            raise ValueError(f"{box.x} is odd")
+        return box.x // 2 + extra
+
+    box = _Box(4)
+    assert halve(box, 0) == halve(box, 0) == 2
+    assert halve(box, 1) == 3
+    assert runs == [4, 4]
+    # an equal but distinct object keeps its own memo
+    assert halve(_Box(4), 0) == 2
+    assert runs == [4, 4, 4]
+    odd = _Box(3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="3 is odd"):
+            halve(odd, 0)
+    assert runs == [4, 4, 4, 3, 3]
