@@ -123,6 +123,8 @@ _REQUIRED = {"label": str, "ambient": str, "black": str, "arrows": str, "gh": st
              "restricted": str, "kac": str, "hc": list, "emb": list,
              "sigma_theta": bool, "fano": bool}
 _OPTIONAL = {"params": list, "constraints": list, "vmrt": list, "hermitian": str}
+# element types of the list fields; `type(x) is int` also rejects YAML booleans
+_ITEMS = {"params": str, "constraints": str, "hc": str, "vmrt": str, "emb": int}
 
 
 def _check_family(index, entry):
@@ -137,6 +139,10 @@ def _check_family(index, entry):
             raise ValueError(f"catalog {where}: missing field {key!r}")
         if value is not None and not isinstance(value, typ):
             raise ValueError(f"catalog {where}: field {key!r} must be a {typ.__name__}")
+        item = _ITEMS.get(key)
+        if value is not None and item and any(type(x) is not item for x in value):
+            raise ValueError(f"catalog {where}: field {key!r} must be a list of "
+                             f"{item.__name__}")
 
 
 def load_catalog(path=None):

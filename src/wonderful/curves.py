@@ -7,19 +7,16 @@ rational curves solves psi(gamma) = theta_bar_covector.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .involution import sigma_root
-from .restricted import fiber_index, is_exceptional, theta_bar_expansion
-from .rootsystem import (
-    _cartan_inverse,
-    longest_subsystem_word,
-    memoised,
-    pair_coweight,
-    unit_vector,
-    word_matrix,
+from .restricted import (
+    fiber_index,
+    is_exceptional,
+    restricted_coroot,
+    theta_bar_expansion,
 )
+from .rootsystem import memoised, minus_w0_permutation, pair_coweight, unit_vector
 
 
 @dataclass(frozen=True)
@@ -69,39 +66,22 @@ def lambda_weight(inv, color):
     return e
 
 
-@lru_cache(maxsize=None)
-def _w0_matrix(rs):
-    return word_matrix(rs, longest_subsystem_word(rs, range(rs.rank)))
-
-
-def _weight_to_roots(rs, lam):
-    inv_a = _cartan_inverse(rs)
-    return tuple(sum(inv_a[k][j] * lam[j] for j in range(rs.rank))
-                 for k in range(rs.rank))
-
-
-def pair_weight(rs, cw, lam):
-    """<cw, lam> for cw in coroot coordinates, lam in weight coordinates."""
-    return sum(Fraction(cw[k]) * lam[k] for k in range(rs.rank))
-
-
 def degree_functional(rs, eta):
-    """lam -> <eta, lam - w_0 lam> on fundamental weight coordinates."""
-    w0 = _w0_matrix(rs)
+    """lam -> <eta, lam - w_0 lam> on fundamental weight coordinates.
+
+    w_0 omega_j = -omega_iota(j) for the permutation iota = -w_0 of the
+    simple roots, and <eta, omega_k> = eta_k."""
+    iota = minus_w0_permutation(rs)
+    weights = tuple(eta[j] + eta[iota[j]] for j in range(rs.rank))
 
     def degree(lam):
-        direct = pair_weight(rs, eta, lam)
-        root_coords = _weight_to_roots(rs, lam)
-        moved = tuple(sum(w0[k][j] * root_coords[j] for j in range(rs.rank))
-                      for k in range(rs.rank))
-        return direct - pair_coweight(rs, eta, moved)
+        return sum(w * x for w, x in zip(weights, lam))
 
     return degree
 
 
 def color_coroot(rrs, color):
     """The primitive coroot ahat_vee attached to a color."""
-    from .restricted import restricted_coroot
     return restricted_coroot(rrs, color[0])
 
 
@@ -179,7 +159,7 @@ def minimal_covering_classes(rrs, colors):
 def cocharacter_curve(rrs, eta):
     """Limit data of the curve traced by a dominant cocharacter eta."""
     rs = rrs.root_system
-    w0 = _w0_matrix(rs)
+    iota = minus_w0_permutation(rs)
     at_zero = []
     at_infinity = []
     embedding = False
@@ -189,9 +169,8 @@ def cocharacter_curve(rrs, eta):
             at_zero.append(idx)
             if p == 1:
                 embedding = True
-        moved = tuple(sum(w0[k][j] * v[j] for j in range(rs.rank))
-                      for k in range(rs.rank))
-        if pair_coweight(rs, eta, moved) != 0:
+        # (w_0 v)_k = -v_iota(k)
+        if pair_coweight(rs, eta, tuple(v[iota[k]] for k in range(rs.rank))) != 0:
             at_infinity.append(idx)
     return {
         "orbit_at_zero": tuple(at_zero),

@@ -6,6 +6,7 @@ from .curves import minimal_covering_classes
 from .involution import moved_root_count, sigma_root
 from .restricted import is_exceptional
 from .rootsystem import (
+    connected_components,
     coroot,
     highest_roots,
     inner_product,
@@ -88,24 +89,15 @@ def check_strong_orthogonality(inv):
             raise ValueError("theta and sigma(theta) are not strongly "
                              "orthogonal")
     neg = tuple(-x for x in img)
-    orth_nodes = [i for i in range(rs.rank)
-                  if inner_product(rs, unit_vector(rs.rank, i), theta) == 0]
-    orth = set(orth_nodes)
+    orth = {i for i in range(rs.rank)
+            if inner_product(rs, unit_vector(rs.rank, i), theta) == 0}
     support = {i for i in range(rs.rank) if neg[i] != 0}
     if not support <= orth:
         raise ValueError("-sigma(theta) is not supported on the "
                          "theta-orthogonal subsystem")
-    # component of the support inside the orthogonal subsystem
-    comp = set()
-    queue = list(support)
-    while queue:
-        i = queue.pop()
-        if i in comp:
-            continue
-        comp.add(i)
-        for j in orth:
-            if j not in comp and rs.cartan[i][j] != 0:
-                queue.append(j)
+    # components of the orthogonal subsystem that meet the support
+    comp = {i for c in connected_components(orth, lambda i, j: rs.cartan[i][j] != 0)
+            if support & set(c) for i in c}
     sub = [b for b in positive_roots(rs)
            if all(b[j] == 0 or j in comp for j in range(rs.rank))]
     for b in sub:

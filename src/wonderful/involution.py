@@ -122,8 +122,8 @@ def build_involution(sd):
     tau = _complete_tau(sd)
     word = longest_subsystem_word(rs, sd.black_nodes)
     wl = word_matrix(rs, word)
-    perm_mat = [[1 if i == tau[j] else 0 for j in range(n)] for i in range(n)]
-    sigma = [[-x for x in row] for row in mat_mul(wl, perm_mat)]
+    # -w_L composed with the permutation tau of the simple roots
+    sigma = [[-row[tau[j]] for j in range(n)] for row in wl]
 
     square = mat_mul(sigma, sigma)
     if any(square[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
@@ -156,8 +156,9 @@ def build_involution(sd):
         if sigma_bar[sigma_bar[i]] != i:
             _fail("sigma_bar is not an involution of the white nodes")
 
-    w0 = word_matrix(rs, longest_subsystem_word(rs, range(n)))
-    if mat_mul(sigma, w0) != mat_mul(w0, sigma):
+    # w_0 = -iota on simple roots, so sigma w_0 = w_0 sigma permutes entries
+    iota = minus_w0_permutation(rs)
+    if any(sigma[i][iota[j]] != sigma[iota[i]][j] for i in range(n) for j in range(n)):
         _fail("sigma does not commute with w_0")
 
     inv = Involution(

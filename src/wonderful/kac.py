@@ -9,7 +9,12 @@ black components, crossed at the neighbors of the marked node.
 from dataclasses import dataclass
 
 from .linalg import nullspace_line
-from .rootsystem import build_root_system, identify_cartan, positive_roots
+from .rootsystem import (
+    build_root_system,
+    connected_components,
+    identify_cartan,
+    positive_roots,
+)
 
 
 @dataclass(frozen=True)
@@ -36,15 +41,6 @@ class KacDiagram:
             mat[i][j] = aij
             mat[j][i] = aji
         return mat
-
-    def neighbors(self, i):
-        out = set()
-        for a, b, _, _ in self.edges:
-            if a == i:
-                out.add(b)
-            if b == i:
-                out.add(a)
-        return out
 
 
 @dataclass(frozen=True)
@@ -82,26 +78,6 @@ def validate_diagram(kd, inner):
     if len(kd.whites) not in (1, 2):
         raise ValueError("expected one or two white nodes")
     return marks
-
-
-def _black_components(kd):
-    blacks = set(kd.blacks)
-    seen = set()
-    comps = []
-    for start in sorted(blacks):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in kd.neighbors(i):
-                if j in blacks and j not in comp:
-                    comp.add(j)
-                    queue.append(j)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
 
 
 def _factor_dim(typ, rank, crossed):
@@ -152,11 +128,11 @@ def component_descriptor(kd, white):
     """Descriptor of the flag variety attached to one marked white node."""
     if kd.colors[white] != "w":
         raise ValueError(f"node {white} is not white")
-    crossed_nodes = kd.neighbors(white) & set(kd.blacks)
     cartan = kd.cartan()
+    crossed_nodes = {j for j in kd.blacks if cartan[white][j] != 0}
     factors = []
     dim = 0
-    for comp in _black_components(kd):
+    for comp in connected_components(kd.blacks, lambda i, j: cartan[i][j] != 0):
         sub = [[cartan[i][j] for j in comp] for i in comp]
         ident = identify_cartan(sub)
         if ident is None:

@@ -1,7 +1,7 @@
 """Exact linear algebra for small dense integer and rational systems."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def mat_mul(a, b):
@@ -11,27 +11,39 @@ def mat_mul(a, b):
             for i in range(n)]
 
 
+def _eliminate(rows, ncols):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows on
+    their first ncols columns, skipping columns without a pivot; every
+    division is exact.  Returns (rows, pivot columns, d): pivot row k holds
+    d on column pivots[k] and 0 on the other pivot columns."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    prev = 1
+    for col in range(ncols):
+        k = len(pivots)
+        pivot = next((r for r in range(k, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        p_row = rows[k]
+        p = p_row[col]
+        for r in range(len(rows)):
+            if r != k:
+                f = rows[r][col]
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(rows[r], p_row)]
+        pivots.append(col)
+        prev = p
+    return rows, pivots, prev
+
+
 def solve_scaled(a, b):
     """Integer x and d != 0 with a x = d b, for a square integer matrix a
-    and an integer matrix b, by fraction-free (Bareiss) Gauss-Jordan
-    elimination; every division is exact.  Raises ValueError on a
-    singular matrix."""
+    and an integer matrix b.  Raises ValueError on a singular matrix."""
     n = len(a)
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    prev = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p_row = aug[col]
-        p = p_row[col]
-        for r in range(n):
-            if r != col:
-                f = aug[r][col]
-                aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], p_row)]
-        prev = p
-    return [row[n:] for row in aug], prev
+    rows, pivots, d = _eliminate([list(ra) + list(rb) for ra, rb in zip(a, b)], n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return [row[n:] for row in rows], d
 
 
 def invert(a):
@@ -48,34 +60,16 @@ def nullspace_line(a):
     The vector is scaled to primitive integer entries with positive sum.
     """
     n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv_p = Fraction(1) / m[row][col]
-        m[row] = [x * inv_p for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
+    rows, pivots, d = _eliminate(a, n)
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         return None
-    fc = free[0]
-    vec = [Fraction(0)] * n
-    vec[fc] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        vec[pc] = -m[r][fc]
-    denom = lcm(*(x.denominator for x in vec))
-    ints = [int(x * denom) for x in vec]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    if sum(ints) < 0:
-        ints = [-x for x in ints]
-    return ints
+    # a v = 0 for v[free] = d and v[pc] = -(pivot row of pc)[free]
+    vec = [d if c == free[0] else 0 for c in range(n)]
+    for row, pc in zip(rows, pivots):
+        vec[pc] = -row[free[0]]
+    g = gcd(*vec)
+    vec = [x // g for x in vec]
+    if sum(vec) < 0:
+        vec = [-x for x in vec]
+    return vec

@@ -330,6 +330,16 @@ def opposition(rs, nodes):
     return perm
 
 
+def connected_components(nodes, linked):
+    """Components of the graph on nodes with an edge i-j where linked(i, j),
+    for a symmetric linked; each sorted, ordered by least node."""
+    comps = []
+    for i in sorted(nodes):
+        near = [c for c in comps if any(linked(i, j) for j in c)]
+        comps = [c for c in comps if c not in near] + [sorted([i, *sum(near, [])])]
+    return sorted(comps)
+
+
 @lru_cache(maxsize=None)
 def minus_w0_permutation(rs):
     """The permutation i -> j with -w_0(alpha_i) = alpha_j."""

@@ -1,7 +1,9 @@
 """Command line interface behavior."""
 
 import hashlib
+import importlib
 import json
+import types
 
 import pytest
 import yaml
@@ -145,12 +147,21 @@ def _drop_label(doc):
     return doc
 
 
+def _set_field(key, value):
+    def corrupt(doc):
+        doc["families"][0][key] = value
+        return doc
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_ambient, "catalog family 'GroupE6': missing field 'ambient'"),
     (lambda doc: doc["families"],
      "catalog must be a mapping with a 'version' and a 'families' list"),
     (_drop_label, "catalog families[2]: missing field 'label'"),
-], ids=["no-ambient", "top-level-list", "no-label"])
+    (_set_field("hc", [5]), "catalog family 'GroupB': field 'hc' must be a list of str"),
+    (_set_field("emb", ["x"]), "catalog family 'GroupB': field 'emb' must be a list of int"),
+], ids=["no-ambient", "top-level-list", "no-label", "hc-not-str", "emb-not-int"])
 def test_malformed_catalog_exits_2(capsys, tmp_path, corrupt, message):
     path = _write_catalog(tmp_path / "bad.yaml", corrupt(_shipped_catalog()))
     code, _, err = run(capsys, "check", "--max-rank", "3", "--catalog", path)
@@ -204,3 +215,22 @@ def test_output_is_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_DIGESTS[argv]
+
+
+# perfbench/run.py:per_layer reads fold["<module>.<function>"] for these names
+# and raises KeyError on a traced run when one of them is gone.
+BENCHMARK_FUNCTIONS = [
+    "linalg.invert", "restricted.expand", "involution.apply_matrix",
+    "rootsystem.inner_product", "rootsystem.highest_roots", "catalog.load_catalog",
+    "involution.build_involution", "restricted.build_restricted",
+]
+
+
+@pytest.mark.parametrize("name", BENCHMARK_FUNCTIONS)
+def test_benchmark_traced_function_exists(name):
+    module, attr = name.split(".")
+    module = importlib.import_module(f"wonderful.{module}")
+    func = getattr(module, attr, None)
+    assert func is not None, name
+    assert func.__module__ == module.__name__
+    assert isinstance(func, types.FunctionType) or hasattr(func, "cache_info")

@@ -1,11 +1,16 @@
 """Colors, curve classes and cocharacter curves."""
 
+from functools import lru_cache
+
 import pytest
 
+from wonderful.catalog import enumerate_records, load_catalog
 from wonderful.curves import (
     boundary_pairing,
     build_colors,
     cocharacter_curve,
+    color_coroot,
+    degree_functional,
     lambda_weight,
     minimal_covering_classes,
     psi,
@@ -13,7 +18,15 @@ from wonderful.curves import (
 )
 from wonderful.involution import build_involution, make_satake, sigma_root
 from wonderful.restricted import build_restricted, restrict_root
-from wonderful.rootsystem import build_root_system, minus_w0_permutation
+from wonderful.rootsystem import (
+    build_root_system,
+    fundamental_weight,
+    longest_subsystem_word,
+    minus_w0_permutation,
+    pair_coweight,
+    unit_vector,
+    word_matrix,
+)
 
 
 def _setup(components, black=(), arrows=()):
@@ -108,3 +121,56 @@ def test_boundary_pairing_integral():
         classes = minimal_covering_classes(rrs, colors)
         for gamma in classes:
             assert all(c >= 0 for c in gamma)
+
+
+@lru_cache(maxsize=None)
+def _w0_matrix(rs):
+    return word_matrix(rs, longest_subsystem_word(rs, range(rs.rank)))
+
+
+def _w0_apply(rs, v):
+    """w_0 v through the full matrix of the longest Weyl element."""
+    return tuple(sum(a * x for a, x in zip(row, v)) for row in _w0_matrix(rs))
+
+
+def _reference_degree(rs, eta, lam):
+    """<eta, lam> - <eta, w_0 lam>, with lam moved to root coordinates."""
+    weights = [fundamental_weight(rs, j) for j in range(rs.rank)]
+    mu = tuple(sum(c * w[k] for c, w in zip(lam, weights)) for k in range(rs.rank))
+    return pair_coweight(rs, eta, mu) - pair_coweight(rs, eta, _w0_apply(rs, mu))
+
+
+def _reference_orbit_at_infinity(rrs, eta):
+    rs = rrs.root_system
+    return tuple(idx for idx, v in enumerate(rrs.restricted_simple)
+                 if pair_coweight(rs, eta, _w0_apply(rs, v)) != 0)
+
+
+def _assert_permutation_forms_match(rrs, etas, lams):
+    rs = rrs.root_system
+    for eta in etas:
+        degree = degree_functional(rs, eta)
+        for lam in lams:
+            assert degree(lam) == _reference_degree(rs, eta, lam)
+        assert cocharacter_curve(rrs, eta)["orbit_at_infinity"] \
+            == _reference_orbit_at_infinity(rrs, eta)
+
+
+def test_permutation_forms_match_w0_matrix_on_catalog():
+    for record in enumerate_records(load_catalog(), 8):
+        inv, rrs = record.involution, record.restricted
+        colors = build_colors(inv).colors
+        lams = [lambda_weight(inv, c) for c in colors]
+        _assert_permutation_forms_match(rrs, [rrs.theta_bar_covector], lams)
+        _assert_permutation_forms_match(rrs, [color_coroot(rrs, c)[1] for c in colors], [])
+
+
+@pytest.mark.parametrize("components", [(("E", 6),), (("A", 5),), (("D", 5),)])
+def test_permutation_forms_match_w0_matrix_where_iota_moves(components):
+    inv, rrs, _ = _setup(components)
+    rs = rrs.root_system
+    assert minus_w0_permutation(rs) != tuple(range(rs.rank))
+    units = [unit_vector(rs.rank, i) for i in range(rs.rank)]
+    ramp = tuple(range(1, rs.rank + 1))
+    _assert_permutation_forms_match(rrs, units + [ramp, rrs.theta_bar_covector],
+                                    units + [ramp])

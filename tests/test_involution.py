@@ -111,6 +111,13 @@ def test_inconsistent_arrows_break_symmetry():
         build_involution(make_satake(rs, black=[], arrows=[(0, 1)]))
 
 
+@pytest.mark.parametrize("components", [(("A", 2),), (("A", 3),)])
+def test_first_node_black_does_not_commute_with_w0(components):
+    rs = build_root_system(components)
+    with pytest.raises(SatakeError, match="does not commute with w_0"):
+        build_involution(make_satake(rs, black=[0]))
+
+
 def test_all_black_rejected():
     rs = build_root_system((("A", 2),))
     with pytest.raises(SatakeError):
