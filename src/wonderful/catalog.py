@@ -50,10 +50,16 @@ _TYPE_ALIASES = {"B1": "A1", "C1": "A1", "BC0": "A1", "C2": "B2", "D3": "A3"}
 
 
 def _eval(expr, env):
+    """Evaluate a catalog expression; one that fails to evaluate is a data
+    error (ValueError).  Not a sandbox: eval still runs the expression."""
     scope = {"__builtins__": {}}
     scope.update(_ENV_BASE)
     scope.update(env)
-    return eval(compile(expr, "<catalog>", "eval"), scope)
+    try:
+        return eval(compile(expr, "<catalog>", "eval"), scope)
+    except (SyntaxError, NameError, TypeError, AttributeError,
+            ZeroDivisionError) as exc:
+        raise ValueError(f"catalog expression {expr!r}: {exc}") from None
 
 
 def _fmt(template, env):

@@ -11,9 +11,15 @@ from dataclasses import dataclass
 from .linalg import nullspace_line
 from .rootsystem import (
     build_root_system,
+    cartan_matrix,
     connected_components,
+    highest_roots,
     identify_cartan,
+    inner_product,
+    memoised,
+    pairing,
     positive_roots,
+    unit_vector,
 )
 
 
@@ -150,6 +156,7 @@ def component_descriptor(kd, white):
         white=white, factors=tuple(factors), name=name, dim=dim)
 
 
+@memoised
 def marked_diagrams(kd):
     """One descriptor per white node, in node order."""
     return tuple(component_descriptor(kd, w) for w in kd.whites)
@@ -260,11 +267,15 @@ class _Builder:
     def edge(self, i, j, aij=-1, aji=-1):
         self.edges.append((i, j, aij, aji))
 
-    def chain(self, ids, last=None):
-        for k in range(len(ids) - 1):
-            self.edges.append((ids[k], ids[k + 1], -1, -1))
-        if last is not None and len(ids) >= 2:
-            self.edges[-1] = (ids[-2], ids[-1]) + last
+    def dynkin(self, typ, n):
+        """Add n black nodes in Bourbaki order, joined as in cartan_matrix."""
+        ids = [self.node("b") for _ in range(n)]
+        a = cartan_matrix(typ, n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if a[i][j]:
+                    self.edge(ids[i], ids[j], a[i][j], a[j][i])
+        return ids
 
     def done(self):
         return KacDiagram(tuple(self.colors), tuple(self.edges))
@@ -278,77 +289,53 @@ class _Builder:
             for _ in range(2):
                 b = self.node("b")
                 self.edge(white, b, *wedge)
-        elif m % 2:
-            k = (m - 1) // 2
-            ids = [self.node("b") for _ in range(k)]
-            self.chain(ids, last=(-1, -2))
-            self.edge(white, ids[0], *wedge)
         else:
-            k = m // 2
-            ids = [self.node("b") for _ in range(k)]
-            self.chain(ids[: k - 1])
-            self.edge(ids[k - 3], ids[k - 1], -1, -1)
-            self.edge(white, ids[0], *wedge)
+            self.edge(white, self.dynkin("B" if m % 2 else "D", m // 2)[0], *wedge)
 
     def sp_arm(self, m, white):
         """Attach the Dynkin diagram of sp_m at its first node."""
-        k = m // 2
-        ids = [self.node("b") for _ in range(k)]
-        if k == 1:
-            self.edge(white, ids[0], -2, -1)
+        if m == 2:
+            self.edge(white, self.node("b"), -2, -1)
         else:
-            self.chain(ids, last=(-2, -1))
-            self.edge(white, ids[0], -1, -1)
+            self.edge(white, self.dynkin("C", m // 2)[0])
 
 
 def affine_diagram(typ, rank):
-    """Untwisted affine diagram with the extending node white."""
+    """Untwisted affine diagram: the Dynkin diagram of typ_rank (nodes 1..rank)
+    and the white extending node 0, alpha_0 = -theta (Kac, Table Aff 1)."""
+    rs = build_root_system(((typ, rank),))
+    theta = highest_roots(rs)[0]
     b = _Builder()
     w = b.node("w")
-    ids = [b.node("b") for _ in range(rank)]
-    if typ == "A":
-        if rank == 1:
-            b.edge(w, ids[0], -2, -2)
-        else:
-            b.chain(ids)
-            b.edge(w, ids[0])
-            b.edge(w, ids[-1])
-    elif typ == "B":
-        b.chain(ids, last=(-1, -2))
-        if rank == 2:
-            b.edge(w, ids[1], -1, -2)
-        else:
-            b.edge(w, ids[1])
-    elif typ == "C":
-        b.chain(ids, last=(-2, -1))
-        b.edge(w, ids[0], -1, -2)
-    elif typ == "D":
-        b.chain(ids[: rank - 1])
-        b.edge(ids[rank - 3], ids[rank - 1])
-        b.edge(w, ids[1])
-    elif typ == "E":
-        chain = [ids[0], ids[2], ids[3], ids[4], ids[5]] + \
-            ([ids[6]] if rank >= 7 else []) + ([ids[7]] if rank == 8 else [])
-        b.chain(chain)
-        b.edge(ids[1], ids[3])
-        b.edge(w, ids[1] if rank == 6 else ids[0] if rank == 7 else ids[7])
-    elif typ == "F":
-        b.chain(ids)
-        b.edges[1] = (ids[1], ids[2], -1, -2)
-        b.edge(w, ids[0])
-    elif typ == "G":
-        b.edge(ids[0], ids[1], -3, -1)
-        b.edge(w, ids[1])
-    else:
-        raise ValueError(f"unknown type {typ!r}")
+    for i, node in enumerate(b.dynkin(typ, rank)):
+        a_i0 = -pairing(rs, i, theta)
+        if a_i0:
+            # theta is long: <theta^vee, alpha_i> = (theta, alpha_i)
+            b.edge(w, node, -int(inner_product(rs, theta, unit_vector(rank, i))), a_i0)
+    return b.done()
+
+
+def with_whites(kd, whites):
+    """kd with exactly the given nodes white."""
+    return KacDiagram(tuple("w" if i in whites else "b" for i in range(kd.size)),
+                      kd.edges)
+
+
+def _white_on(typ, rank, *attach, extra=False):
+    """White node 0 joined to the given Bourbaki nodes of a black typ_rank,
+    and to one more black node if extra."""
+    b = _Builder()
+    w = b.node("w")
+    ids = b.dynkin(typ, rank)
+    for i in attach:
+        b.edge(w, ids[i - 1])
+    if extra:
+        b.edge(w, b.node("b"))
     return b.done()
 
 
 def kac_hermitian_rank1():
-    b = _Builder()
-    w1, w2 = b.node("w"), b.node("w")
-    b.edge(w1, w2, -2, -2)
-    return b.done()
+    return with_whites(affine_diagram("A", 1), (0, 1))
 
 
 def kac_sym2(r):
@@ -367,20 +354,13 @@ def kac_wedge2(r):
     """White node against sp_{2r+2} at its second node."""
     b = _Builder()
     w = b.node("w")
-    k = r + 1
-    ids = [b.node("b") for _ in range(k)]
-    b.chain(ids, last=(-2, -1))
-    b.edge(w, ids[1])
+    b.edge(w, b.dynkin("C", r + 1)[1])
     return b.done()
 
 
 def kac_cycle(n, k):
     """Affine cycle of length n with whites at positions 0 and k."""
-    b = _Builder()
-    ids = [b.node("w" if i in (0, k) else "b") for i in range(n)]
-    b.chain(ids)
-    b.edge(ids[-1], ids[0])
-    return b.done()
+    return with_whites(affine_diagram("A", n - 1), (0, k))
 
 
 def kac_tensor(n, r):
@@ -397,190 +377,70 @@ def kac_tensor(n, r):
 
 def kac_tensor2(n):
     """Two white nodes against so_{n-2} at the vector nodes."""
-    b = _Builder()
-    w1, w2 = b.node("w"), b.node("w")
-    if n - 2 == 3:
-        blk = b.node("b")
-        b.edge(w1, blk, -1, -2)
-        b.edge(w2, blk, -1, -2)
-    elif n - 2 == 4:
-        for _ in range(2):
-            blk = b.node("b")
-            b.edge(w1, blk)
-            b.edge(w2, blk)
-    else:
-        m = n - 2
-        if m % 2:
-            k = (m - 1) // 2
-            ids = [b.node("b") for _ in range(k)]
-            b.chain(ids, last=(-1, -2))
-        else:
-            k = m // 2
-            ids = [b.node("b") for _ in range(k)]
-            b.chain(ids[: k - 1])
-            b.edge(ids[k - 3], ids[k - 1])
-        b.edge(w1, ids[0])
-        b.edge(w2, ids[0])
-    return b.done()
+    return with_whites(affine_diagram("B" if n % 2 else "D", n // 2), (0, 1))
 
 
 def kac_lagr(r):
     """Two white nodes at the ends of a black A_{r-1} chain."""
-    b = _Builder()
-    w1 = b.node("w")
-    ids = [b.node("b") for _ in range(r - 1)]
-    w2 = b.node("w")
-    b.chain(ids)
-    b.edge(w1, ids[0], -1, -2)
-    b.edge(w2, ids[-1], -1, -2)
-    return b.done()
+    return with_whites(affine_diagram("C", r), (0, r))
 
 
 def kac_sp_tensor(n, r):
     """White node against sp_{2r} x sp_{2n-2r} at the first nodes."""
-    b = _Builder()
-    w = b.node("w")
-    b.sp_arm(2 * r, w)
-    b.sp_arm(2 * (n - r), w)
-    return b.done()
+    return with_whites(affine_diagram("C", n), (r,))
 
 
 def kac_gl_half(m):
     """Two white nodes against gl_m inside so_{2m}."""
-    if m == 3:
-        return kac_cycle(4, 1)
-    b = _Builder()
-    w1, w2 = b.node("w"), b.node("w")
-    ids = [b.node("b") for _ in range(m - 1)]
-    b.chain(ids)
-    b.edge(w1, ids[1])
-    b.edge(w2, ids[m - 3])
-    return b.done()
+    return with_whites(affine_diagram("D", m), (0, m))
 
 
 def kac_ei():
-    b = _Builder()
-    w = b.node("w")
-    ids = [b.node("b") for _ in range(4)]
-    b.chain(ids, last=(-2, -1))
-    b.edge(w, ids[3])
-    return b.done()
+    return _white_on("C", 4, 4)
 
 
 def kac_eii():
-    b = _Builder()
-    w = b.node("w")
-    a = [b.node("b") for _ in range(5)]
-    extra = b.node("b")
-    b.chain(a)
-    b.edge(w, a[2])
-    b.edge(w, extra)
-    return b.done()
+    return _white_on("A", 5, 3, extra=True)
 
 
 def kac_eiii():
-    b = _Builder()
-    w1, w2 = b.node("w"), b.node("w")
-    d = [b.node("b") for _ in range(5)]
-    b.chain(d[:4])
-    b.edge(d[2], d[4])
-    b.edge(w1, d[3])
-    b.edge(w2, d[4])
-    return b.done()
+    return with_whites(affine_diagram("E", 6), (0, 1))
 
 
 def kac_eiv():
-    b = _Builder()
-    w = b.node("w")
-    f = [b.node("b") for _ in range(4)]
-    b.chain(f)
-    b.edges[1] = (f[1], f[2], -1, -2)
-    b.edge(w, f[3])
-    return b.done()
+    return _white_on("F", 4, 4)
 
 
 def kac_ev():
-    b = _Builder()
-    w = b.node("w")
-    a = [b.node("b") for _ in range(7)]
-    b.chain(a)
-    b.edge(w, a[3])
-    return b.done()
+    return with_whites(affine_diagram("E", 7), (2,))
 
 
 def kac_evi():
-    b = _Builder()
-    w = b.node("w")
-    d = [b.node("b") for _ in range(6)]
-    b.chain(d[:5])
-    b.edge(d[3], d[5])
-    extra = b.node("b")
-    b.edge(w, d[4])
-    b.edge(w, extra)
-    return b.done()
+    return _white_on("D", 6, 5, extra=True)
 
 
 def kac_evii():
-    b = _Builder()
-    w1, w2 = b.node("w"), b.node("w")
-    e = [b.node("b") for _ in range(6)]
-    b.chain([e[0], e[2], e[3], e[4], e[5]])
-    b.edge(e[1], e[3])
-    b.edge(w1, e[0])
-    b.edge(w2, e[5])
-    return b.done()
+    return with_whites(affine_diagram("E", 7), (0, 7))
 
 
 def kac_eviii():
-    b = _Builder()
-    w = b.node("w")
-    d = [b.node("b") for _ in range(8)]
-    b.chain(d[:7])
-    b.edge(d[5], d[7])
-    b.edge(w, d[6])
-    return b.done()
+    return _white_on("D", 8, 7)
 
 
 def kac_eix():
-    b = _Builder()
-    w = b.node("w")
-    e = [b.node("b") for _ in range(7)]
-    b.chain([e[0], e[2], e[3], e[4], e[5], e[6]])
-    b.edge(e[1], e[3])
-    extra = b.node("b")
-    b.edge(w, e[6])
-    b.edge(w, extra)
-    return b.done()
+    return _white_on("E", 7, 7, extra=True)
 
 
 def kac_fi():
-    b = _Builder()
-    w = b.node("w")
-    c = [b.node("b") for _ in range(3)]
-    b.chain(c, last=(-2, -1))
-    extra = b.node("b")
-    b.edge(w, c[2])
-    b.edge(w, extra)
-    return b.done()
+    return _white_on("C", 3, 3, extra=True)
 
 
 def kac_fii():
-    b = _Builder()
-    w = b.node("w")
-    ids = [b.node("b") for _ in range(4)]
-    b.chain(ids, last=(-1, -2))
-    b.edge(w, ids[3])
-    return b.done()
+    return _white_on("B", 4, 4)
 
 
 def kac_g():
-    b = _Builder()
-    w = b.node("w")
-    long_b = b.node("b")
-    short_b = b.node("b")
-    b.edge(w, long_b, -1, -1)
-    b.edge(w, short_b, -1, -3)
-    return b.done()
+    return with_whites(affine_diagram("G", 2), (2,))
 
 
 KAC_BUILDERS = {

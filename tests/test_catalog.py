@@ -15,6 +15,7 @@ from wonderful.catalog import (
 )
 from wonderful.invariants import dimensions, nilpotent_orbit_dimension
 from wonderful.curves import build_colors, minimal_covering_classes
+from wonderful.kac import marked_diagrams
 
 CAT = load_catalog()
 
@@ -172,9 +173,10 @@ def test_validate_then_report_share_one_derivation():
         assert validate(rec) == []
         build_report(rec)
 
-    runs = _body_runs([nilpotent_orbit_dimension, minimal_covering_classes],
-                      validate_then_report)
-    assert runs == {"nilpotent_orbit_dimension": 1, "minimal_covering_classes": 1}
+    runs = _body_runs([nilpotent_orbit_dimension, minimal_covering_classes,
+                       marked_diagrams], validate_then_report)
+    assert runs == {"nilpotent_orbit_dimension": 1, "minimal_covering_classes": 1,
+                    "marked_diagrams": 1}
 
 
 def test_tampered_copy_of_validated_record_is_checked_afresh():

@@ -169,6 +169,19 @@ def test_malformed_catalog_exits_2(capsys, tmp_path, corrupt, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("key, expr, message", [
+    ("ambient", "__import__", "name '__import__' is not defined"),
+    ("kac", "affine_diagram('B', r", "'(' was never closed (<catalog>, line 1)"),
+], ids=["name-error", "syntax-error"])
+def test_unevaluable_catalog_expression_exits_2(capsys, tmp_path, key, expr, message):
+    path = _write_catalog(tmp_path / "bad.yaml",
+                          _set_field(key, expr)(_shipped_catalog()))
+    code, _, err = run(capsys, "report", "GroupB", "r=2", "--catalog", path)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err == f"error: catalog expression {expr!r}: {message}\n"
+
+
 def test_unparsable_catalog_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("version: 1\nfamilies: [\n", encoding="utf-8")
@@ -199,18 +212,26 @@ def test_version(capsys):
     assert "wonderful" in capsys.readouterr().out
 
 
-# SHA-256 of stdout as produced by the engine before its root-lattice
-# arithmetic moved from Fraction to int; a speed-up must not change a byte
-# (a value that turns from Fraction to int, or back, would).
+# SHA-256 of stdout for the whole rank <= 8 table and check, and for the
+# exceptional groups, whose affine E6/E7/E8 Kac diagrams only ambient ranks
+# 12-16 reach.  A refactor or speed-up must not change a byte (a value that
+# turns from Fraction to int, or back, would).
 OUTPUT_DIGESTS = {
     ("table", "--max-rank", "8", "--format", "json"):
         "b4cb5daf15fe4e333686dcc047a5a51405caba3c9f63aa3dded0f75918c1a79c",
     ("check", "--max-rank", "8"):
         "d18c706ea29bbf016bb7e20f2ae36d34e900fe35916fcda21d4fc047c8e739c5",
+    ("report", "GroupE6", "--format", "json"):
+        "81918a22a957293dd1a9f9d743e0f6946afa4403988231797d49509308dda254",
+    ("report", "GroupE7", "--format", "json"):
+        "1c0710d124d2786457b575a84a9300b466844a7b5ecf9194017f798fa6aa9d8f",
+    ("report", "GroupE8", "--format", "json"):
+        "fe70a3ea7efe9c69457d2b2ab9f14f4a2d335053b3a77a6150e8f72ea93c413b",
 }
 
 
-@pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS), ids=["table", "check"])
+@pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS),
+                         ids=["table", "check", "GroupE6", "GroupE7", "GroupE8"])
 def test_output_is_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -69,6 +69,30 @@ def test_affine_marks(key):
         validate_diagram(kd, inner=True)
 
 
+def _table_aff1_marks(typ, n):
+    """Marks of the classical untwisted affine diagrams, alpha_0 first
+    (V. Kac, Infinite-dimensional Lie algebras, Table Aff 1)."""
+    if typ == "A":
+        return (1,) * (n + 1)
+    if typ == "B":
+        return (1, 1) + (2,) * (n - 1)
+    if typ == "C":
+        return (1,) + (2,) * (n - 1) + (1,)
+    if n == 3:
+        return (1, 1, 1, 1)
+    return (1, 1) + (2,) * (n - 3) + (1, 1)
+
+
+@pytest.mark.parametrize("typ, n", [("A", n) for n in range(1, 10)]
+                         + [(t, n) for t in "BC" for n in range(2, 10)]
+                         + [("D", n) for n in range(3, 10)])
+def test_classical_affine_marks_closed_form(typ, n):
+    kd = affine_diagram(typ, n)
+    assert diagram_marks(kd) == _table_aff1_marks(typ, n)
+    assert kd.whites == (0,)
+    validate_diagram(kd, inner=False)
+
+
 def test_non_affine_rejected():
     kd = KacDiagram(("w", "b"), ((0, 1, -1, -1),))
     with pytest.raises(ValueError):
@@ -84,9 +108,11 @@ SHAPES = [
     (kac_sym2(5), False, [("Q4",)], [4]),
     (kac_wedge2(2), False, [("IG(2,6)",)], [7]),
     (kac_wedge2(3), False, [("IG(2,8)",)], [11]),
+    (kac_wedge2(4), False, [("IG(2,10)",)], [15]),
     (kac_cycle(4, 1), True, [("P2",), ("P2",)], [2, 2]),
     (kac_cycle(5, 2), True, [("P1", "P2"), ("P1", "P2")], [3, 3]),
     (kac_cycle(6, 3), True, [("P2", "P2"), ("P2", "P2")], [4, 4]),
+    (kac_cycle(7, 3), True, [("P2", "P3"), ("P2", "P3")], [5, 5]),
     (kac_tensor(5, 1), True, [("P1", "P1")], [2]),
     (kac_tensor(6, 1), False, [("Q3",)], [3]),
     (kac_tensor(7, 1), True, [("Q4",)], [4]),
@@ -98,15 +124,21 @@ SHAPES = [
     (kac_tensor2(6), True, [("P1", "P1"), ("P1", "P1")], [2, 2]),
     (kac_tensor2(7), True, [("Q3",), ("Q3",)], [3, 3]),
     (kac_tensor2(8), True, [("Q4",), ("Q4",)], [4, 4]),
+    (kac_tensor2(9), True, [("Q5",), ("Q5",)], [5, 5]),
+    (kac_tensor2(10), True, [("Q6",), ("Q6",)], [6, 6]),
     (kac_lagr(3), True, [("P2",), ("P2",)], [2, 2]),
     (kac_lagr(4), True, [("P3",), ("P3",)], [3, 3]),
+    (kac_lagr(5), True, [("P4",), ("P4",)], [4, 4]),
     (kac_sp_tensor(3, 1), True, [("P1", "P3")], [4]),
     (kac_sp_tensor(5, 2), True, [("P3", "P5")], [8]),
     (kac_sp_tensor(4, 2), True, [("P3", "P3")], [6]),
+    (kac_sp_tensor(6, 2), True, [("P3", "P7")], [10]),
     (kac_gl_half(4), True, [("Q4",), ("Q4",)], [4, 4]),
     (kac_gl_half(6), True, [("Gr(2,6)",), ("Gr(2,6)",)], [8, 8]),
     (kac_gl_half(3), True, [("P2",), ("P2",)], [2, 2]),
     (kac_gl_half(5), True, [("Gr(2,5)",), ("Gr(2,5)",)], [6, 6]),
+    (kac_gl_half(7), True, [("Gr(2,7)",), ("Gr(2,7)",)], [10, 10]),
+    (kac_gl_half(8), True, [("Gr(2,8)",), ("Gr(2,8)",)], [12, 12]),
     (kac_ei(), False, [("LG(4,8)",)], [10]),
     (kac_eii(), True, [("Gr(3,6)", "P1")], [10]),
     (kac_eiii(), True, [("OG(5,10)",), ("OG(5,10)",)], [10, 10]),
