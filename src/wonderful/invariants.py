@@ -1,6 +1,7 @@
 """Numerical invariants of the minimal rational curve families."""
 
 from dataclasses import dataclass
+from math import lcm
 
 from .curves import minimal_covering_classes
 from .involution import moved_root_count, sigma_root
@@ -9,6 +10,7 @@ from .rootsystem import (
     connected_components,
     coroot,
     highest_roots,
+    indexed_roots,
     inner_product,
     memoised,
     pair_coweight,
@@ -28,12 +30,12 @@ def kappa_and_sigma(rrs):
     the sum of the restricted simple roots."""
     inv = rrs.involution
     rs = inv.root_system
+    roots = indexed_roots(rs)[0]
+    npos = len(roots) // 2
     kappa = [0] * rs.rank
-    for beta in positive_roots(rs):
-        img = sigma_root(inv, beta)
-        if all(x <= 0 for x in img):
-            for k in range(rs.rank):
-                kappa[k] += beta[k]
+    for k in range(npos):
+        if inv.sigma_perm[k] >= npos:
+            kappa = [a + b for a, b in zip(kappa, roots[k])]
     sigma_sum = [0] * rs.rank
     for v in rrs.restricted_simple:
         for k in range(rs.rank):
@@ -126,12 +128,15 @@ def nilpotent_orbit_dimension(inv):
         return dim_minimal_orbit(rs, 0)
     check_strong_orthogonality(inv)
     h = tuple(a - b for a, b in zip(coroot(rs, theta), coroot(rs, img)))
+    # <h, beta> = <w, beta> / d for the integer row w = d h^T A
+    d = lcm(*(x.denominator for x in h))
+    w = [sum(int(x * d) * a for x, a in zip(h, col)) for col in zip(*rs.cartan)]
     g1 = g2 = 0
-    for beta in root_set(rs):
-        val = pair_coweight(rs, h, beta)
-        if val == 1:
+    for beta in indexed_roots(rs)[0]:
+        val = sum(a * b for a, b in zip(w, beta))
+        if val == d:
             g1 += 1
-        elif val == 2:
+        elif val == 2 * d:
             g2 += 1
     return g1 + 2 * g2
 

@@ -7,16 +7,16 @@ generated by the black nodes and tau extends the arrow matching by the
 opposition involution of the black subdiagram.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import mat_mul
 from .rootsystem import (
+    indexed_roots,
     longest_subsystem_word,
     minus_w0_permutation,
     opposition,
     pairing,
-    positive_roots,
-    root_set,
+    root_steps,
     unit_vector,
     word_matrix,
 )
@@ -62,6 +62,8 @@ class Involution:
     tau: tuple
     delta1: tuple
     sigma_bar: tuple
+    # sigma as a permutation of the positions of indexed_roots
+    sigma_perm: tuple = field(compare=False, repr=False)
 
     @property
     def root_system(self):
@@ -73,7 +75,12 @@ def apply_matrix(mat, v):
 
 
 def sigma_root(inv, v):
-    return apply_matrix(inv.sigma_matrix, v)
+    """sigma(v) for a root v, read from sigma_perm."""
+    roots, index = indexed_roots(inv.root_system)
+    k = index.get(v)
+    if k is None:
+        raise ValueError(f"{v} is not a root")
+    return roots[inv.sigma_perm[k]]
 
 
 def _check_satake(sd):
@@ -128,10 +135,17 @@ def build_involution(sd):
     square = mat_mul(sigma, sigma)
     if any(square[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
         _fail("sigma is not an involution")
-    roots = root_set(rs)
-    for beta in positive_roots(rs):
-        if apply_matrix(sigma, beta) not in roots:
-            _fail("sigma does not preserve the root system")
+    # images of the positive roots by height: sigma(beta' + alpha_i) is
+    # sigma(beta') + sigma(alpha_i), starting from the simple images
+    index = indexed_roots(rs)[1]
+    images = [apply_matrix(sigma, unit_vector(n, i)) for i in range(n)]
+    for k, i in root_steps(rs):
+        images.append(tuple(a + b for a, b in zip(images[k], images[i])))
+    perm = [index.get(img) for img in images]
+    if None in perm:
+        _fail("sigma does not preserve the root system")
+    npos = len(perm)
+    sigma_perm = tuple(perm) + tuple((k + npos) % (2 * npos) for k in perm)
     sigma_t = [list(col) for col in zip(*sigma)]
     if mat_mul(mat_mul(sigma_t, rs.gram6), sigma) != [list(row) for row in rs.gram6]:
         _fail("sigma does not preserve the inner product")
@@ -139,8 +153,7 @@ def build_involution(sd):
     delta1 = sd.white_nodes
     sigma_bar = {}
     for i in range(n):
-        e = unit_vector(n, i)
-        img = apply_matrix(sigma, e)
+        e, img = unit_vector(n, i), images[i]
         if i in black:
             if img != e:
                 _fail("sigma does not fix a black node")
@@ -167,6 +180,7 @@ def build_involution(sd):
         tau=tau,
         delta1=delta1,
         sigma_bar=tuple(sigma_bar.get(i, i) for i in range(n)),
+        sigma_perm=sigma_perm,
     )
     for i in delta1:
         classify_simple(inv, i)
@@ -208,8 +222,4 @@ def is_inner(inv):
 
 def moved_root_count(inv):
     """Number of roots beta with sigma(beta) != beta."""
-    count = 0
-    for beta in root_set(inv.root_system):
-        if sigma_root(inv, beta) != beta:
-            count += 1
-    return count
+    return sum(1 for k, j in enumerate(inv.sigma_perm) if j != k)

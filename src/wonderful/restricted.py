@@ -136,8 +136,7 @@ def build_restricted(inv):
 
     theta_bar = max(rbar_pos, key=lambda v: sum(expansion[v]))
     for v in rbar_pos:
-        diff = _coefficients(dbar, left, tuple(a - b for a, b in zip(theta_bar, v)))
-        if diff is not None and any(c < 0 for c in diff):
+        if any(a < b for a, b in zip(expansion[theta_bar], expansion[v])):
             raise ValueError("no dominance-maximal restricted root")
     theta = highest_roots(rs, 0)[0]
     if restrict_root(inv, theta) != theta_bar:

@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from .linalg import invert
-
 VALID_RANKS = {
     "A": lambda n: n >= 1,
     "B": lambda n: n >= 2,
@@ -106,6 +104,11 @@ class RootSystem:
     node_component: tuple
     # integer symmetrised form 6 * d_i * a_ij, i.e. six times (alpha_i, alpha_j)
     gram6: tuple = field(compare=False, repr=False)
+
+    def __hash__(self):
+        # the components determine every other field, so equal systems
+        # hash equal; hashing only them keeps lru_cache lookups cheap
+        return hash(self.components)
 
     @property
     def rank(self):
@@ -226,9 +229,36 @@ def positive_roots(rs):
 
 
 @lru_cache(maxsize=None)
-def root_set(rs):
+def indexed_roots(rs):
+    """(roots, index): the positive roots in height order followed by their
+    negatives, so roots[k + N] == -roots[k] for N positive roots, and the
+    map from each root to its position."""
     pos = positive_roots(rs)
-    return frozenset(pos) | frozenset(tuple(-x for x in b) for b in pos)
+    roots = pos + tuple(tuple(-x for x in b) for b in pos)
+    return roots, {b: k for k, b in enumerate(roots)}
+
+
+@lru_cache(maxsize=None)
+def root_steps(rs):
+    """(k, i) for each non-simple positive root, in the order of
+    indexed_roots from position rank on: roots[k] + alpha_i is that root
+    and k is an earlier position."""
+    index = indexed_roots(rs)[1]
+    steps = []
+    for beta in positive_roots(rs)[rs.rank:]:
+        for i, c in enumerate(beta):
+            down = tuple(x - (j == i) for j, x in enumerate(beta))
+            if c > 0 and down in index:
+                steps.append((index[down], i))
+                break
+        else:
+            raise ValueError("positive root is not a simple root plus a root")
+    return tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def root_set(rs):
+    return frozenset(indexed_roots(rs)[0])
 
 
 @lru_cache(maxsize=None)
@@ -257,22 +287,6 @@ def two_rho(rs):
         for j in range(rs.rank):
             total[j] += b[j]
     return tuple(total)
-
-
-@lru_cache(maxsize=None)
-def _cartan_inverse(rs):
-    return invert([list(row) for row in rs.cartan])
-
-
-def fundamental_weight(rs, i):
-    """The weight with <alpha_j^vee, .> = delta_ij, in simple-root coordinates."""
-    inv = _cartan_inverse(rs)
-    return tuple(inv[k][i] for k in range(rs.rank))
-
-
-def rho(rs):
-    inv = _cartan_inverse(rs)
-    return tuple(sum(row) for row in inv)
 
 
 def subsystem_positive_count(rs, nodes):

@@ -149,6 +149,19 @@ def test_report_is_derived_once_per_record():
     assert build_report(rec) is build_report(rec)
 
 
+@pytest.mark.parametrize("label, params", [("AI", {"r": 4}), ("EVII", {})])
+def test_validate_and_report_apply_no_sigma_matrix(monkeypatch, label, params):
+    # once the involution is built, sigma of a root is a table lookup
+    rec = instantiate(CAT, label, params)
+
+    def refuse(mat, v):
+        raise AssertionError("sigma applied as a matrix after instantiate")
+
+    monkeypatch.setattr("wonderful.involution.apply_matrix", refuse)
+    assert validate(rec) == []
+    assert build_report(rec).restricted_type == rec.stored.restricted_type
+
+
 def _body_runs(funcs, action):
     """How often the undecorated body of each function ran during action()."""
     codes = {f.__wrapped__.__code__: f.__name__ for f in funcs}

@@ -18,9 +18,9 @@ from wonderful.curves import (
 )
 from wonderful.involution import build_involution, make_satake, sigma_root
 from wonderful.restricted import build_restricted, restrict_root
+from wonderful.linalg import invert
 from wonderful.rootsystem import (
     build_root_system,
-    fundamental_weight,
     longest_subsystem_word,
     minus_w0_permutation,
     pair_coweight,
@@ -133,10 +133,16 @@ def _w0_apply(rs, v):
     return tuple(sum(a * x for a, x in zip(row, v)) for row in _w0_matrix(rs))
 
 
+@lru_cache(maxsize=None)
+def _cartan_inverse(rs):
+    """Columns are the fundamental weights in simple-root coordinates."""
+    return invert([list(row) for row in rs.cartan])
+
+
 def _reference_degree(rs, eta, lam):
     """<eta, lam> - <eta, w_0 lam>, with lam moved to root coordinates."""
-    weights = [fundamental_weight(rs, j) for j in range(rs.rank)]
-    mu = tuple(sum(c * w[k] for c, w in zip(lam, weights)) for k in range(rs.rank))
+    inv = _cartan_inverse(rs)
+    mu = tuple(sum(c * inv[k][j] for j, c in enumerate(lam)) for k in range(rs.rank))
     return pair_coweight(rs, eta, mu) - pair_coweight(rs, eta, _w0_apply(rs, mu))
 
 

@@ -1,12 +1,17 @@
 """Involutions from Satake data: completion, validation, case analysis."""
 
+from fractions import Fraction
+
 import pytest
 
+from wonderful.catalog import enumerate_records, instantiate, load_catalog
+from wonderful.invariants import kappa_and_sigma, nilpotent_orbit_dimension
 from wonderful.involution import (
     NONREDUCED,
     ORTHOGONAL,
     REAL,
     SatakeError,
+    apply_matrix,
     build_involution,
     classify_simple,
     is_inner,
@@ -15,7 +20,15 @@ from wonderful.involution import (
     sigma_bar_of,
     sigma_root,
 )
-from wonderful.rootsystem import build_root_system, root_set
+from wonderful.rootsystem import (
+    build_root_system,
+    coroot,
+    highest_roots,
+    indexed_roots,
+    pair_coweight,
+    positive_roots,
+    root_set,
+)
 
 
 def _involution(components, black=(), arrows=()):
@@ -118,6 +131,16 @@ def test_first_node_black_does_not_commute_with_w0(components):
         build_involution(make_satake(rs, black=[0]))
 
 
+def test_sigma_sending_a_root_off_the_root_system_is_rejected(monkeypatch):
+    # sigma = diag(-1, 1) on A2 squares to 1 and fixes the simple roots up to
+    # sign, but sends alpha_1 + alpha_2 to -alpha_1 + alpha_2, which is no root
+    monkeypatch.setattr("wonderful.involution.word_matrix",
+                        lambda rs, word: [[1, 0], [0, -1]])
+    rs = build_root_system((("A", 2),))
+    with pytest.raises(SatakeError, match="does not preserve the root system"):
+        build_involution(make_satake(rs))
+
+
 def test_all_black_rejected():
     rs = build_root_system((("A", 2),))
     with pytest.raises(SatakeError):
@@ -131,3 +154,62 @@ def test_sigma_fixes_black_pointwise_eiv():
         assert sigma_root(inv, e) == e
     assert classify_simple(inv, 0) == ORTHOGONAL
     assert not is_inner(inv)
+
+
+def _catalog_records():
+    """Every catalog record of ambient rank <= 8 plus GroupE6/E7/E8."""
+    cat = load_catalog()
+    return tuple(enumerate_records(cat, 8)) + tuple(
+        instantiate(cat, label, {}) for label in ("GroupE6", "GroupE7", "GroupE8"))
+
+
+def _reference_nilpotent_orbit_dimension(inv):
+    """The count of roots with <h, beta> in {1, 2}, h paired in Fractions,
+    for sigma(theta) != -theta outside the group case; else None."""
+    rs = inv.root_system
+    theta = highest_roots(rs, 0)[0]
+    img = apply_matrix(inv.sigma_matrix, theta)
+    if len(rs.components) == 2 or img == tuple(-x for x in theta):
+        return None
+    h = tuple(a - b for a, b in zip(coroot(rs, theta), coroot(rs, img)))
+    values = [pair_coweight(rs, h, beta) for beta in root_set(rs)]
+    return values.count(Fraction(1)) + 2 * values.count(Fraction(2))
+
+
+def test_sigma_perm_is_the_matrix_on_indexed_roots():
+    records = _catalog_records()
+    assert len(records) == 150
+    counted = 0
+    for record in records:
+        inv, rrs = record.involution, record.restricted
+        rs = inv.root_system
+        roots, _ = indexed_roots(rs)
+        npos = len(roots) // 2
+        perm = inv.sigma_perm
+        assert len(perm) == 2 * npos, record.label
+        for k in range(npos):
+            assert perm[perm[k]] == k and perm[perm[k + npos]] == k + npos
+            assert perm[k + npos] == (perm[k] + npos) % (2 * npos), record.label
+        for beta in roots:
+            assert sigma_root(inv, beta) == apply_matrix(inv.sigma_matrix, beta)
+
+        moved = sum(1 for beta in roots
+                    if apply_matrix(inv.sigma_matrix, beta) != beta)
+        assert moved_root_count(inv) == moved, record.label
+        kappa = [0] * rs.rank
+        for beta in positive_roots(rs):
+            if all(x <= 0 for x in apply_matrix(inv.sigma_matrix, beta)):
+                kappa = [a + b for a, b in zip(kappa, beta)]
+        assert kappa_and_sigma(rrs)[0] == tuple(kappa), record.label
+        want = _reference_nilpotent_orbit_dimension(inv)
+        if want is not None:
+            counted += 1
+            assert nilpotent_orbit_dimension(inv) == want, record.label
+    assert counted > 0
+
+
+@pytest.mark.parametrize("v", [(0, 0, 0, 0), (1, 0, 1, 0), (2, 0, 0, 0), (1, 1, 1)])
+def test_sigma_root_rejects_a_non_root(v):
+    inv = _involution((("A", 4),), arrows=[(0, 3), (1, 2)])
+    with pytest.raises(ValueError, match="is not a root"):
+        sigma_root(inv, v)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wonderful.linalg import invert
 from wonderful.rootsystem import (
     build_root_system,
     coroot,
-    fundamental_weight,
     highest_roots,
     identify_cartan,
+    indexed_roots,
     inner_product,
     length_sq,
     longest_subsystem_word,
@@ -22,8 +23,8 @@ from wonderful.rootsystem import (
     pairing,
     positive_roots,
     reflect,
-    rho,
     root_set,
+    root_steps,
     two_rho,
     word_action,
     word_matrix,
@@ -46,11 +47,50 @@ ROOT_COUNTS = {
 ALL_TYPES = sorted(ROOT_COUNTS)
 
 
+def _cartan_inverse(rs):
+    return invert([list(row) for row in rs.cartan])
+
+
+def fundamental_weight(rs, i):
+    """The weight with <alpha_j^vee, .> = delta_ij, in simple-root coordinates."""
+    inv = _cartan_inverse(rs)
+    return tuple(inv[k][i] for k in range(rs.rank))
+
+
+def rho(rs):
+    inv = _cartan_inverse(rs)
+    return tuple(sum(row) for row in inv)
+
+
 @pytest.mark.parametrize("typ,rank", ALL_TYPES)
 def test_root_counts(typ, rank):
     rs = build_root_system(((typ, rank),))
     assert 2 * len(positive_roots(rs)) == ROOT_COUNTS[(typ, rank)]
     assert len(root_set(rs)) == ROOT_COUNTS[(typ, rank)]
+
+
+@pytest.mark.parametrize("typ,rank", ALL_TYPES)
+def test_indexed_roots_and_steps(typ, rank):
+    rs = build_root_system(((typ, rank),))
+    roots, index = indexed_roots(rs)
+    npos = len(roots) // 2
+    assert roots[:npos] == positive_roots(rs)
+    assert all(roots[k + npos] == tuple(-x for x in roots[k]) for k in range(npos))
+    assert all(index[b] == k for k, b in enumerate(roots)) and len(index) == len(roots)
+    steps = root_steps(rs)
+    assert len(steps) == npos - rank
+    for m, (k, i) in enumerate(steps, start=rank):
+        assert k < m
+        assert tuple(x + (j == i) for j, x in enumerate(roots[k])) == roots[m]
+
+
+def test_equal_root_systems_hash_equal():
+    comps = (("B", 3), ("A", 2))
+    first = build_root_system(comps)
+    fresh = build_root_system.__wrapped__(comps)
+    assert fresh is not first and fresh == first
+    assert hash(fresh) == hash(first)
+    assert positive_roots(fresh) is positive_roots(first)
 
 
 def test_invalid_components():
