@@ -1,15 +1,18 @@
 """Family catalog: load templates, instantiate records, validate, enumerate.
 
-The data file stores, per family, the Satake data generator, the Kac
-diagram builder, and the expected classification columns.  Everything
-derivable is recomputed by the engine and compared against the stored
-columns by validate(); stored data never feeds back into computations.
+Per family, the data file stores the engine's input (ambient type, Satake
+data, Kac diagram) and the expected classification columns.  validate()
+compares each derived column with its stored value: restricted, sigma_theta,
+fano, hermitian, hc, vmrt, and emb of restricted type A_r, r >= 2.  Stored
+for output only: gh (display) and emb elsewhere, which the engine has no rule
+for: build_report passes it through and validate() checks its factor count.
 """
 
 import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from math import gcd
 
@@ -20,6 +23,7 @@ from .invariants import (
     check_strong_orthogonality,
     dimensions,
     is_fano,
+    is_hermitian,
     nilpotent_orbit_dimension,
     sigma_theta_is_minus_theta,
     vmrt_report,
@@ -49,6 +53,9 @@ _BRACE = re.compile(r"\{([^{}]+)\}")
 _TYPE_ALIASES = {"B1": "A1", "C1": "A1", "BC0": "A1", "C2": "B2", "D3": "A3"}
 
 
+_compile = lru_cache(maxsize=4096)(compile)  # each distinct expression once
+
+
 def _eval(expr, env):
     """Evaluate a catalog expression; one that fails to evaluate is a data
     error (ValueError).  Not a sandbox: eval still runs the expression."""
@@ -56,7 +63,7 @@ def _eval(expr, env):
     scope.update(_ENV_BASE)
     scope.update(env)
     try:
-        return eval(compile(expr, "<catalog>", "eval"), scope)
+        return eval(_compile(expr, "<catalog>", "eval"), scope)
     except (SyntaxError, NameError, TypeError, AttributeError,
             ZeroDivisionError) as exc:
         raise ValueError(f"catalog expression {expr!r}: {exc}") from None
@@ -242,19 +249,12 @@ def instantiate(catalog, label, params=None):
 
 @memoised
 def build_report(record):
-    """VmrtReport for a record, assembled from all engine layers."""
-    rrs = record.restricted
-    colors = build_colors(record.involution)
+    """VmrtReport for a record, assembled from all engine layers; the
+    stored emb is read only as the documented fallback of vmrt_report."""
     descs = marked_diagrams(record.kac)
-    stored = record.stored
-    closed = stored.vmrt[0] if len(stored.vmrt) == 1 else None
-    return vmrt_report(
-        rrs, colors,
-        hermitian=stored.hermitian is not None,
-        embedding_degree=stored.emb,
-        hc_components=tuple((d.name, d.dim) for d in descs),
-        closed_orbit_name=closed,
-    )
+    return vmrt_report(record.restricted, build_colors(record.involution),
+                       tuple((d.name, d.dim) for d in descs),
+                       embedding_degree=record.stored.emb)
 
 
 ALL_CHECKS = (
@@ -298,10 +298,11 @@ def validate(record):
                              f"{stored.restricted_type}")
 
     def check_exceptional_flag():
-        want = stored.hermitian == "e"
-        if exceptional() != want:
-            raise ValueError(f"computed exceptional={exceptional()}, "
-                             f"stored Herm/Exc implies {want}")
+        got = (is_hermitian(rrs), exceptional())
+        want = (stored.hermitian is not None, stored.hermitian == "e")
+        if got != want:
+            raise ValueError(f"computed (hermitian, exceptional) = {got}, "
+                             f"stored Herm/Exc {stored.hermitian!r} implies {want}")
 
     def check_sigma_theta():
         got = sigma_theta_is_minus_theta(inv)
@@ -340,22 +341,18 @@ def validate(record):
                              f"but independent count = {want}")
 
     def check_strong_orth():
-        theta = highest_roots(rs, 0)[0]
-        if sigma_root(inv, theta) == tuple(-x for x in theta):
-            return
-        check_strong_orthogonality(inv)
+        if not sigma_theta_is_minus_theta(inv):
+            check_strong_orthogonality(inv)
 
     def check_theta_bar():
+        # theta_bar is 2 theta if sigma(theta) = -theta, else theta - sigma(theta)
+        # with sigma(theta) orthogonal to theta (the group cases included)
         theta = highest_roots(rs, 0)[0]
         image = sigma_root(inv, theta)
-        tbc = tuple(Fraction(x) for x in rrs.theta_bar_covector)
-        if image == tuple(-x for x in theta):
-            want = tuple(Fraction(x, 2) for x in coroot(rs, theta))
-        else:
-            half = [Fraction(a - b, 2) for a, b in
-                    zip(coroot(rs, theta), coroot(rs, image))]
-            want = tuple(half)
-        if tbc != want:
+        den = 4 if image == tuple(-x for x in theta) else 2
+        want = tuple(Fraction(a - b, den) for a, b in
+                     zip(coroot(rs, theta), coroot(rs, image)))
+        if rrs.theta_bar_covector != want:
             raise ValueError("theta_bar covector inconsistent with the "
                              "ambient highest root")
 
@@ -374,11 +371,10 @@ def validate(record):
             raise ValueError("no simple restricted root pairs to 1")
 
     def check_minimal_classes():
+        # minimal_covering_classes already requires 2 classes iff exceptional
         colors = build_colors(inv)
         classes = minimal_covering_classes(rrs, colors)
         if exceptional():
-            if len(classes) != 2:
-                raise ValueError(f"{len(classes)} classes, expected 2")
             _, (i, j) = is_exceptional(rrs)
             idx_i = colors.colors.index((i,))
             idx_j = colors.colors.index((j,))
@@ -386,8 +382,6 @@ def validate(record):
             if pattern != {(1, 0), (0, 1)}:
                 raise ValueError("exceptional classes lack the (1,0)/(0,1) "
                                  "pattern")
-        elif len(classes) != 1:
-            raise ValueError(f"{len(classes)} classes, expected 1")
 
     def check_pushforward():
         pushforward_class(rrs, build_colors(inv))
@@ -395,8 +389,7 @@ def validate(record):
     def check_kappa_identity():
         if sigma_theta_is_minus_theta(inv):
             return
-        t = pair_coweight(rs, rrs.theta_bar_covector,
-                          [x for x in two_rho(rs)])
+        t = pair_coweight(rs, rrs.theta_bar_covector, two_rho(rs))
         if 2 * t != dimensions(rrs)[2]:
             raise ValueError("<theta_bar_covector, kappa> != "
                              "<theta_bar_covector, 2 rho>")
@@ -405,7 +398,7 @@ def validate(record):
         validate_diagram(record.kac, is_inner(inv))
 
     def check_kac_white_count():
-        want = 2 if stored.hermitian is not None else 1
+        want = 2 if is_hermitian(rrs) else 1
         if len(record.kac.whites) != want:
             raise ValueError(f"{len(record.kac.whites)} white nodes, "
                              f"expected {want}")
@@ -422,7 +415,7 @@ def validate(record):
         if len(got) == len(want):
             if sorted(got) != sorted(want):
                 raise ValueError(f"descriptors {got} vs stored {want}")
-        elif stored.hermitian == "e" and len(want) == 1 and len(got) == 2:
+        elif exceptional() and len(want) == 1 and len(got) == 2:
             if got[0] != got[1] or got[0] != want[0]:
                 raise ValueError(f"descriptors {got} vs stored {want}")
         else:
@@ -438,6 +431,9 @@ def validate(record):
             raise ValueError(f"VMRT components {got} vs stored {want}")
 
     def check_emb_structure():
+        got = build_report(record).embedding_degree
+        if got != stored.emb:
+            raise ValueError(f"embedding degree {got}, stored {stored.emb}")
         for name in stored.vmrt:
             if name.count(" x ") + 1 != len(stored.emb):
                 raise ValueError(f"embedding degree {stored.emb} does not "
@@ -449,33 +445,18 @@ def validate(record):
             raise ValueError("stored VMRT differs from stored closed orbit "
                              "for a non-A restricted type")
 
-    bodies = {
-        "restricted-type": check_restricted_type,
-        "exceptional-flag": check_exceptional_flag,
-        "sigma-theta": check_sigma_theta,
-        "fano": check_fano,
-        "boundary-degree": check_boundary_degree,
-        "picard-rank": check_picard_rank,
-        "dim-identities": check_dim_identities,
-        "nilpotent-oracle": check_nilpotent_oracle,
-        "strong-orthogonality": check_strong_orth,
-        "theta-bar": check_theta_bar,
-        "primitivity": check_primitivity,
-        "minimal-classes": check_minimal_classes,
-        "pushforward": check_pushforward,
-        "kappa-identity": check_kappa_identity,
-        "kac-affine": check_kac_affine,
-        "kac-white-count": check_kac_white_count,
-        "kac-descriptors": check_kac_descriptors,
-        "vmrt-components": check_vmrt_components,
-        "emb-structure": check_emb_structure,
-        "hc-vmrt-coherence": check_hc_vmrt_coherence,
-    }
+    bodies = (check_restricted_type, check_exceptional_flag, check_sigma_theta,
+              check_fano, check_boundary_degree, check_picard_rank,
+              check_dim_identities, check_nilpotent_oracle, check_strong_orth,
+              check_theta_bar, check_primitivity, check_minimal_classes,
+              check_pushforward, check_kappa_identity, check_kac_affine,
+              check_kac_white_count, check_kac_descriptors,
+              check_vmrt_components, check_emb_structure, check_hc_vmrt_coherence)
     failures = []
-    for name in ALL_CHECKS:
+    for name, body in zip(ALL_CHECKS, bodies, strict=True):
         try:
-            bodies[name]()
-        except Exception as exc:
+            body()
+        except ValueError as exc:
             failures.append(CheckResult(name, False, str(exc)))
     return failures
 

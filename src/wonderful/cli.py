@@ -6,7 +6,8 @@ Subcommands:
   check   recompute everything and compare against the stored catalog
   roots   ambient and restricted root data for one family instance
 
-Exit codes: 0 success, 1 failed consistency checks, 2 usage or data errors.
+Exit codes: 0 success, 1 failed consistency checks, 2 usage or data errors,
+3 internal error (an engine bug, reported in one line without a traceback).
 """
 
 import argparse
@@ -70,28 +71,19 @@ def _family_rows(rep, ascii_only):
     """One display row per minimal family: (class, vmrt text, dual flag)."""
     classes = rep.minimal_classes
     comps = rep.vmrt_components
-    rows = []
     if len(classes) == 2 and len(comps) == 1:
         base = comps[0][0]
-        rows.append((classes[0], base, False))
-        rows.append((classes[1], _dual_name(base, ascii_only), True))
-    else:
-        text = " + ".join(f"{n} (dim {d})" for n, d in comps)
-        for cls in classes:
-            rows.append((cls, text, False))
-    return rows
+        return [(classes[0], base, False),
+                (classes[1], _dual_name(base, ascii_only), True)]
+    text = " + ".join(f"{n} (dim {d})" for n, d in comps)
+    return [(cls, text, False) for cls in classes]
 
 
 def _report_document(record, rep, catalog_version):
     descs = marked_diagrams(record.kac)
-    families = []
-    for cls, text, dual in _family_rows(rep, ascii_only=True):
-        families.append({
-            "class": list(cls),
-            "vmrt": text,
-            "dual": dual,
-            "embedding_degree": list(rep.embedding_degree),
-        })
+    families = [{"class": list(cls), "vmrt": text, "dual": dual,
+                 "embedding_degree": list(rep.embedding_degree)}
+                for cls, text, dual in _family_rows(rep, ascii_only=True)]
     return {
         "tool_version": __version__,
         "catalog_version": catalog_version,
@@ -177,11 +169,8 @@ def cmd_table(args, out):
     out.write(header + "\n")
     out.write("-" * len(header) + "\n")
     for record, rep in rows:
-        seen = []
-        for _, text, _ in _family_rows(rep, args.ascii):
-            if text not in seen:
-                seen.append(text)
-        vmrt = "; ".join(seen)
+        # each distinct VMRT text once, in family order
+        vmrt = "; ".join(dict.fromkeys(t for _, t, _ in _family_rows(rep, args.ascii)))
         out.write(f"{record.label:<10} {_params_str(record.params):<12} "
                   f"{rep.restricted_type:<10} {rep.dim_family:>4} "
                   f"{rep.dim_nilpotent_orbit:>5} {rep.n_families:>3}  "
@@ -308,6 +297,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -73,6 +73,7 @@ def orbit_type(inv):
     return O_MIN if sigma_theta_is_minus_theta(inv) else O_SUM
 
 
+@memoised
 def check_strong_orthogonality(inv):
     """For sigma(theta) != -theta: theta and -sigma(theta) are strongly
     orthogonal, and -sigma(theta) is the highest root of its component
@@ -120,13 +121,11 @@ def nilpotent_orbit_dimension(inv):
     """Dimension of the nilpotent orbit attached to the family, computed
     independently of kappa."""
     rs = inv.root_system
-    if len(rs.components) == 2:
-        return 2 * dim_minimal_orbit(rs, 0)
+    if sigma_theta_is_minus_theta(inv):  # a group case counts each component
+        return len(rs.components) * dim_minimal_orbit(rs, 0)
+    check_strong_orthogonality(inv)
     theta = highest_roots(rs, 0)[0]
     img = sigma_root(inv, theta)
-    if img == tuple(-x for x in theta):
-        return dim_minimal_orbit(rs, 0)
-    check_strong_orthogonality(inv)
     h = tuple(a - b for a, b in zip(coroot(rs, theta), coroot(rs, img)))
     # <h, beta> = <w, beta> / d for the integer row w = d h^T A
     d = lcm(*(x.denominator for x in h))
@@ -162,6 +161,39 @@ def is_fano(rrs):
     return not (split and letter not in ("A", "B"))
 
 
+@memoised
+def is_hermitian(rrs):
+    """Moore's criterion: G/K is Hermitian iff it is not a group case, its
+    restricted type is C_r or BC_r (A1 = C1, B2 = C2) and its longest
+    restricted roots have multiplicity 1."""
+    rs = rrs.root_system
+    letter = rrs.type_label.rstrip("0123456789")
+    if len(rs.components) == 2 or (letter not in ("C", "BC")
+                                   and rrs.type_label not in ("A1", "B2")):
+        return False
+    sq = [inner_product(rs, v, v) for v in rrs.restricted_positive]
+    longest = max(sq)
+    return all(m == 1 for m, q in zip(rrs.multiplicities, sq) if q == longest)
+
+
+# VMRT of restricted type A_r, r >= 2, by the common multiplicity m: the
+# rank-one locus of the Hermitian (r+1) x (r+1) matrices over R, C, H or O
+# (Landsberg-Manivel, Comment. Math. Helv. 78, 2003); O only for r = 2
+_TYPE_A_VMRT = {1: ("P{r}", (2,)), 2: ("P{r} x P{r}", (1, 1)),
+                4: ("Gr(2,{n})", (1,)), 8: ("E6/P6", (1,))}
+
+
+def type_a_vmrt(rrs):
+    """(name, embedding degree) of the VMRT for restricted type A_r, r >= 2."""
+    r, mults = rrs.rank, sorted(set(rrs.multiplicities))
+    m = mults[0] if len(mults) == 1 else None
+    if m not in _TYPE_A_VMRT or (m == 8 and r != 2):
+        raise ValueError(f"no VMRT rule for restricted type {rrs.type_label} "
+                         f"with multiplicities {mults}")
+    name, emb = _TYPE_A_VMRT[m]
+    return name.format(r=r, n=2 * r + 2), emb
+
+
 @dataclass(frozen=True)
 class VmrtReport:
     restricted_type: str
@@ -179,24 +211,25 @@ class VmrtReport:
     picard_rank: int
     minimal_classes: tuple
     vmrt_components: tuple
-    embedding_degree: str
+    embedding_degree: tuple
 
     @property
     def n_families(self):
         return len(self.minimal_classes)
 
 
-def vmrt_report(rrs, colors, hermitian, embedding_degree,
-                hc_components, closed_orbit_name=None):
+def vmrt_report(rrs, colors, hc_components, embedding_degree):
     """Assemble the report; hc_components is a list of (name, dim) pairs
-    for the marked-diagram descriptors, closed_orbit_name the stored
-    VMRT name used for restricted type A of rank >= 2."""
+    for the marked-diagram descriptors.  embedding_degree is the stored
+    multidegree, used only where the engine has no rule: outside
+    restricted type A of rank >= 2."""
     inv = rrs.involution
     s, dim_family, dim_orbit, dim_hc = dimensions(rrs)
     oracle = nilpotent_orbit_dimension(inv)
     if oracle != dim_orbit:
         raise ValueError(f"nilpotent orbit dimension {dim_orbit} does not "
                          f"match the independent count {oracle}")
+    hermitian = is_hermitian(rrs)
     exceptional = is_exceptional(rrs)[0]
     dim_p = dim_isotropy_complement(rrs)
     letter = rrs.type_label.rstrip("0123456789")
@@ -206,9 +239,8 @@ def vmrt_report(rrs, colors, hermitian, embedding_degree,
             raise ValueError("rank-one family dimension mismatch")
         components = ((f"P{dim_p - 1}", dim_family),)
     elif letter == "A":
-        if closed_orbit_name is None:
-            raise ValueError("restricted type A needs a closed orbit name")
-        components = ((closed_orbit_name, dim_family),)
+        name, embedding_degree = type_a_vmrt(rrs)
+        components = ((name, dim_family),)
     else:
         expected = 2 if hermitian and not exceptional else 1
         names = list(hc_components)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import solve_scaled
-from .involution import NONREDUCED, REAL, classify_simple, sigma_root
+from .involution import NONREDUCED, ORTHOGONAL, REAL, classify_simple, sigma_root
 from .rootsystem import (
     coroot,
     highest_roots,
@@ -30,6 +30,7 @@ class RestrictedRootSystem:
     restricted_simple: tuple
     fibers: tuple
     restricted_positive: tuple
+    multiplicities: tuple  # [k]: positive roots restricting to restricted_positive[k]
     type_label: str
     rank: int
     nonreduced: bool
@@ -61,8 +62,8 @@ def _left_inverse(basis):
 
 
 def _coefficients(basis, left, v):
-    """Coefficients of v over the basis with left = _left_inverse(basis),
-    or None if v is zero or outside the span."""
+    """(row, d): integers with row / d the coefficients of v over the basis,
+    where left = _left_inverse(basis); None if v is zero or outside the span."""
     if not any(v):
         return None
     m, d = left
@@ -70,59 +71,53 @@ def _coefficients(basis, left, v):
     for k, x in enumerate(v):
         if sum(c * y[k] for c, y in zip(scaled, basis)) != d * x:
             return None
-    return [Fraction(c, d) for c in scaled]
+    return scaled, d
 
 
 def expand(basis, v):
     """Coefficients of v over a linearly independent basis, or None."""
     if not any(v):
         return None
-    return _coefficients(basis, _left_inverse(basis), v)
+    found = _coefficients(basis, _left_inverse(basis), v)
+    return None if found is None else [Fraction(c, found[1]) for c in found[0]]
 
 
 def build_restricted(inv):
     """Build and validate the restricted root system of an involution."""
     rs = inv.root_system
-    dbar = []
     fibers = {}
     for i in inv.delta1:
-        v = restrict_root(inv, unit_vector(rs.rank, i))
-        if v not in fibers:
-            fibers[v] = []
-            dbar.append(v)
-        fibers[v].append(i)
+        fibers.setdefault(restrict_root(inv, unit_vector(rs.rank, i)), []).append(i)
+    dbar = list(fibers)
     rank = len(dbar)
 
-    rbar_pos = []
-    seen = set()
+    mult = {}
     for beta in positive_roots(rs):
         v = restrict_root(inv, beta)
-        if any(v) and v not in seen:
-            seen.add(v)
-            rbar_pos.append(v)
+        if any(v):
+            mult[v] = mult.get(v, 0) + 1
     left = _left_inverse(dbar)
-    expansion = {v: _coefficients(dbar, left, v) for v in rbar_pos}
-    for coeffs in expansion.values():
-        if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
+    expansion = {}
+    for v in mult:
+        found = _coefficients(dbar, left, v)
+        qr = [divmod(c, found[1]) for c in found[0]] if found else None
+        if qr is None or any(r or q < 0 for q, r in qr):
             raise ValueError("restricted root outside the nonnegative span "
                              "of the restricted simple roots")
+        expansion[v] = [q for q, _ in qr]
 
     doubled = [i for i, v in enumerate(dbar)
-               if tuple(2 * x for x in v) in seen]
+               if tuple(2 * x for x in v) in mult]
     if len(doubled) > 1:
         raise ValueError("more than one doubled restricted simple root")
     doubled_index = doubled[0] if doubled else None
 
-    cartan = []
-    for v in dbar:
-        row = []
-        for w in dbar:
-            c = 2 * inner_product(rs, v, w) / inner_product(rs, v, v)
-            if c.denominator != 1:
-                raise ValueError("restricted Cartan matrix is not integral")
-            row.append(int(c))
-        cartan.append(tuple(row))
-    ident = identify_cartan([list(r) for r in cartan])
+    cartan = [[2 * inner_product(rs, v, w) / inner_product(rs, v, v) for w in dbar]
+              for v in dbar]
+    if any(c.denominator != 1 for row in cartan for c in row):
+        raise ValueError("restricted Cartan matrix is not integral")
+    cartan = [[int(c) for c in row] for row in cartan]
+    ident = identify_cartan(cartan)
     if ident is None:
         raise ValueError("restricted simple system has no Cartan type")
     letter = ident[0]
@@ -134,8 +129,8 @@ def build_restricted(inv):
     else:
         type_label = f"{letter}{rank}"
 
-    theta_bar = max(rbar_pos, key=lambda v: sum(expansion[v]))
-    for v in rbar_pos:
+    theta_bar = max(mult, key=lambda v: sum(expansion[v]))
+    for v in mult:
         if any(a < b for a, b in zip(expansion[theta_bar], expansion[v])):
             raise ValueError("no dominance-maximal restricted root")
     theta = highest_roots(rs, 0)[0]
@@ -152,12 +147,9 @@ def build_restricted(inv):
             case = classify_simple(inv, i)
             alpha_vee = coroot(rs, e)
             sig_vee = coroot(rs, sigma_root(inv, e))
-            if case == REAL:
-                abar_vee = tuple(x / 2 for x in alpha_vee)
-            elif case == NONREDUCED:
-                abar_vee = tuple(a - b for a, b in zip(alpha_vee, sig_vee))
-            else:
-                abar_vee = tuple((a - b) / 2 for a, b in zip(alpha_vee, sig_vee))
+            # the three case formulas differ only in the denominator
+            den = {REAL: 4, ORTHOGONAL: 2, NONREDUCED: 1}[case]
+            abar_vee = tuple((a - b) / den for a, b in zip(alpha_vee, sig_vee))
             ahat_vee = tuple(x / 2 for x in abar_vee) if case == NONREDUCED else abar_vee
             per_member.add((abar_vee, ahat_vee))
         if len(per_member) != 1:
@@ -176,12 +168,13 @@ def build_restricted(inv):
         involution=inv,
         restricted_simple=tuple(dbar),
         fibers=tuple(tuple(fibers[v]) for v in dbar),
-        restricted_positive=tuple(rbar_pos),
+        restricted_positive=tuple(mult),
+        multiplicities=tuple(mult.values()),
         type_label=type_label,
         rank=rank,
         nonreduced=nonreduced,
         doubled_index=doubled_index,
-        cartan=tuple(cartan),
+        cartan=tuple(map(tuple, cartan)),
         theta_bar=theta_bar,
         theta_bar_covector=theta_bar_covector,
         coroots=tuple(coroots),

@@ -289,8 +289,9 @@ def two_rho(rs):
     return tuple(total)
 
 
+@lru_cache(maxsize=4096)
 def subsystem_positive_count(rs, nodes):
-    nodes = set(nodes)
+    """Number of positive roots supported on nodes, a sorted tuple."""
     return sum(1 for b in positive_roots(rs)
                if all(b[j] == 0 or j in nodes for j in range(rs.rank)))
 
@@ -309,7 +310,7 @@ def longest_subsystem_word(rs, nodes):
         pi = p[i]
         for k in nodes:
             p[k] -= pi * rs.cartan[k][i]
-    if len(word) != subsystem_positive_count(rs, nodes):
+    if len(word) != subsystem_positive_count(rs, tuple(nodes)):
         raise ValueError("longest word has wrong length")
     return word
 

@@ -17,6 +17,7 @@ from importlib import resources
 
 from wonderful.catalog import (
     ALL_CHECKS,
+    build_report,
     enumerate_records,
     instantiate,
     load_catalog,
@@ -32,11 +33,13 @@ from wonderful.curves import (
 )
 from wonderful.invariants import (
     check_strong_orthogonality,
+    dim_isotropy_complement,
     dimensions,
     kappa_and_sigma,
     nilpotent_orbit_dimension,
 )
 from wonderful.involution import NONREDUCED, classify_simple, sigma_root
+from wonderful.kac import name_dimension
 from wonderful.restricted import expand, is_exceptional
 from wonderful.rootsystem import (
     coroot,
@@ -193,6 +196,34 @@ def test_restricted_root_suite():
             assert gcd(*(abs(int(x)) for x in doubled_cov)) == 1, label
             assert any(pair_coweight(rs, rrs.theta_bar_covector, a) == 1
                        for a in basis), label
+
+
+def test_restricted_multiplicities_count_the_moved_roots():
+    # each positive root outside the black subsystem restricts to exactly
+    # one positive restricted root, so the multiplicities add up to dim p - rank
+    for record in _all_records():
+        rrs = record.restricted
+        assert len(rrs.multiplicities) == len(rrs.restricted_positive)
+        assert min(rrs.multiplicities) >= 1, record.label
+        assert rrs.rank + sum(rrs.multiplicities) == dim_isotropy_complement(rrs)
+
+
+def test_paper_statements_over_the_enumeration():
+    records = _all_records() + [instantiate(CAT, label, {})
+                                for label in ("GroupE6", "GroupE7", "GroupE8")]
+    assert len(records) == 150
+    fano_two_components = set()
+    for record in records:
+        report = build_report(record)
+        # one family of minimal rational curves unless exceptional, then two
+        assert report.n_families == (2 if report.exceptional else 1), record.label
+        # every VMRT component is a named G/P of the right dimension
+        for name, dim in report.vmrt_components:
+            assert name_dimension(name) == dim, (record.label, name)
+        if report.fano and len(report.vmrt_components) == 2:
+            fano_two_components.add(record.label)
+    # the Fano varieties whose VMRT is reducible: the negative answer to Hwang's question
+    assert fano_two_components == {"AIIIeq", "BDI2", "DIIIeven", "EVII"}
 
 
 def test_sigma_matrix_is_integral():

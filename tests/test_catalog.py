@@ -7,6 +7,8 @@ import pytest
 
 from wonderful.catalog import (
     ALL_CHECKS,
+    _compile,
+    _eval,
     build_report,
     enumerate_records,
     instantiate,
@@ -134,6 +136,24 @@ def test_validate_flags_wrong_vmrt():
     assert "vmrt-components" in names
 
 
+@pytest.mark.parametrize("field, value, check", [
+    ("vmrt", ("Q4",), "vmrt-components"),  # same dimension as P4
+    ("emb", (1,), "emb-structure"),
+    ("hermitian", "ne", "exceptional-flag"),
+])
+def test_tampered_derived_column_fails_and_stays_out_of_the_report(field, value, check):
+    rec = instantiate(CAT, "AI", {"r": 4})
+    assert (rec.stored.vmrt, rec.stored.emb, rec.stored.hermitian) == (("P4",), (2,), None)
+    tampered = dataclasses.replace(
+        rec, stored=dataclasses.replace(rec.stored, **{field: value}))
+    assert check in {f.name for f in validate(tampered)}
+    report = build_report(tampered)
+    assert report is not build_report(rec)
+    assert report.hermitian is False
+    assert report.vmrt_components == (("P4", 4),)
+    assert report.embedding_degree == (2,)
+
+
 def test_validate_flags_flipped_kac_color():
     rec = instantiate(CAT, "FII", {})
     kd = rec.kac
@@ -207,7 +227,8 @@ def test_tampered_copy_of_validated_record_is_checked_afresh():
         rec, stored=dataclasses.replace(rec.stored, vmrt=("Q4",)))
     assert "vmrt-components" in {f.name for f in validate(tampered)}
     assert build_report(tampered) is not build_report(rec)
-    assert build_report(tampered).vmrt_components[0][0] == "Q4"
+    # the VMRT of restricted type A is derived, so the stored name does not reach the report
+    assert build_report(tampered).vmrt_components[0][0] == "P3"
     assert build_report(rec).vmrt_components[0][0] == rec.stored.vmrt[0] != "Q4"
 
 
@@ -235,3 +256,15 @@ def test_enumerate_rank_four():
     ai = [r.params["r"] for r in recs if r.label == "AI"]
     assert ai == [2, 3, 4]
     assert all(len(validate(r)) == 0 for r in recs)
+
+
+def test_catalog_expression_compiled_once_and_errors_not_cached():
+    before = _compile.cache_info()
+    assert _eval("7 * r + 1", {"r": 2}) == 15
+    assert _eval("7 * r + 1", {"r": 5}) == 36
+    for _ in range(2):
+        with pytest.raises(ValueError, match="catalog expression"):
+            _eval("7 * r +", {"r": 2})
+    after = _compile.cache_info()
+    # one miss and one hit for the valid expression, a miss per failed compile
+    assert (after.misses - before.misses, after.hits - before.hits) == (3, 1)

@@ -8,7 +8,7 @@ import types
 import pytest
 import yaml
 
-from wonderful.catalog import load_catalog
+from wonderful.catalog import instantiate, load_catalog, validate
 from wonderful.cli import main
 
 
@@ -203,6 +203,19 @@ def test_family_head_lines(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--max-rank", "3", "--catalog", path)
     assert code == 1
     assert "  BDII n=5: fano: computed True, stored False\n" in out
+
+
+def test_engine_bug_is_an_internal_error_not_a_failed_check(monkeypatch, capsys):
+    def broken(rrs):
+        raise TypeError("broken engine")
+
+    monkeypatch.setattr("wonderful.catalog.is_fano", broken)
+    with pytest.raises(TypeError):
+        validate(instantiate(load_catalog(), "AI", {"r": 3}))
+    code, out, err = run(capsys, "check", "--max-rank", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: TypeError: broken engine\n"
 
 
 def test_version(capsys):

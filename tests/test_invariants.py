@@ -1,5 +1,7 @@
 """Dimension formulas, orbit types and the report invariants."""
 
+import dataclasses
+
 import pytest
 
 from wonderful.curves import build_colors
@@ -11,10 +13,12 @@ from wonderful.invariants import (
     dim_minimal_orbit,
     dimensions,
     is_fano,
+    is_hermitian,
     kappa_and_sigma,
     nilpotent_orbit_dimension,
     orbit_type,
     sigma_theta_is_minus_theta,
+    type_a_vmrt,
     vmrt_report,
 )
 from wonderful.involution import build_involution, make_satake
@@ -109,8 +113,8 @@ def test_dimension_identity_family_hc():
 
 def test_report_rank_one():
     inv, rrs = _setup((("B", 2),), black=[1])
-    report = vmrt_report(rrs, build_colors(inv), hermitian=False,
-                         embedding_degree="O(1)", hc_components=[("Q1", 2)])
+    report = vmrt_report(rrs, build_colors(inv), hc_components=[("Q1", 2)],
+                         embedding_degree=(1,))
     assert report.restricted_type == "A1"
     assert report.vmrt_components == (("P3", 3),)
     assert report.n_families == 1
@@ -120,9 +124,9 @@ def test_report_rank_one():
 
 def test_report_bc_type_uses_hc():
     inv, rrs = _setup((("A", 3),), black=[1], arrows=[(0, 2)])
-    report = vmrt_report(rrs, build_colors(inv), hermitian=True,
-                         embedding_degree="O(1,1)",
-                         hc_components=[("P2", 2), ("P2", 2)])
+    report = vmrt_report(rrs, build_colors(inv),
+                         hc_components=[("P2", 2), ("P2", 2)],
+                         embedding_degree=(1,))
     assert report.exceptional
     assert report.vmrt_components == (("P2", 2),)
     assert report.n_families == 2
@@ -132,6 +136,40 @@ def test_report_bc_type_uses_hc():
 def test_report_rejects_bad_orbit_dimension():
     inv, rrs = _setup((("A", 3),), black=[1], arrows=[(0, 2)])
     with pytest.raises(ValueError):
-        vmrt_report(rrs, build_colors(inv), hermitian=True,
-                    embedding_degree="O(1,1)",
-                    hc_components=[("P2", 5), ("P2", 5)])
+        vmrt_report(rrs, build_colors(inv),
+                    hc_components=[("P2", 5), ("P2", 5)],
+                    embedding_degree=(1,))
+
+
+@pytest.mark.parametrize("components, black, arrows, hermitian", [
+    ((("A", 1),), (), (), True),                     # sl(2,R), restricted A1 = C1
+    ((("B", 2),), [1], (), False),                   # so(4,1): A1 of multiplicity 3
+    ((("B", 3),), (), (), False),                    # split so(4,3): B3
+    ((("C", 3),), (), (), True),                     # sp(6,R): C3
+    ((("C", 4),), [0, 2], (), False),                # sp(2,2): C2, long multiplicity 3
+    ((("A", 3),), [1], [(0, 2)], True),              # su(3,1): BC1
+    ((("D", 5),), [2, 3, 4], (), True),              # so(2,8): B2 = C2
+    ((("C", 2), ("C", 2)), (), [(0, 2), (1, 3)], False),  # group case
+])
+def test_is_hermitian_moore_criterion(components, black, arrows, hermitian):
+    inv, rrs = _setup(components, black, arrows)
+    assert is_hermitian(rrs) is hermitian
+
+
+@pytest.mark.parametrize("components, black, arrows, vmrt", [
+    ((("A", 3),), (), (), ("P3", (2,))),                               # AI
+    ((("A", 2), ("A", 2)), (), [(0, 2), (1, 3)], ("P2 x P2", (1, 1))),  # GroupA
+    ((("A", 5),), [0, 2, 4], (), ("Gr(2,6)", (1,))),                   # AII
+    ((("E", 6),), [1, 2, 3, 4], (), ("E6/P6", (1,))),                  # EIV
+])
+def test_type_a_vmrt_from_the_multiplicity(components, black, arrows, vmrt):
+    assert type_a_vmrt(_setup(components, black, arrows)[1]) == vmrt
+
+
+def test_type_a_vmrt_rejects_multiplicities_without_a_rule():
+    rrs = _setup((("A", 3),))[1]
+    for bad in (dataclasses.replace(rrs, multiplicities=(3,) * 6),
+                dataclasses.replace(rrs, multiplicities=(1, 1, 1, 1, 1, 2)),
+                dataclasses.replace(rrs, multiplicities=(8,) * 6)):
+        with pytest.raises(ValueError):
+            type_a_vmrt(bad)

@@ -161,3 +161,14 @@ def test_exceptional_iff_simply_laced_and_nonreduced():
         simply_laced = all(rs.lengths[i] == 1 for i in range(rs.rank))
         assert is_exceptional(rrs)[0] == expect
         assert expect == (simply_laced and rrs.nonreduced)
+
+
+def test_multiplicities_align_with_the_restricted_positive_roots():
+    # so(4,1): one restricted root of multiplicity 3
+    rrs = _restricted((("B", 2),), black=[1])
+    assert rrs.multiplicities == (3,)
+    # su(3,1): BC1, alpha of multiplicity 4 and 2 alpha of multiplicity 1
+    rrs = _restricted((("A", 3),), black=[1], arrows=[(0, 2)])
+    mult = dict(zip(rrs.restricted_positive, rrs.multiplicities))
+    alpha = rrs.restricted_simple[0]
+    assert mult == {alpha: 4, tuple(2 * x for x in alpha): 1}

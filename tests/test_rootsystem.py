@@ -25,6 +25,7 @@ from wonderful.rootsystem import (
     reflect,
     root_set,
     root_steps,
+    subsystem_positive_count,
     two_rho,
     word_action,
     word_matrix,
@@ -282,3 +283,12 @@ def test_memoised_is_per_object_and_does_not_cache_errors():
         with pytest.raises(ValueError, match="3 is odd"):
             halve(odd, 0)
     assert runs == [4, 4, 4, 3, 3]
+
+
+def test_subsystem_positive_count_is_cached_per_node_set():
+    rs = build_root_system((("E", 8),))
+    assert subsystem_positive_count(rs, tuple(range(8))) == 120
+    assert subsystem_positive_count(rs, (0, 2, 3)) == 6       # A3
+    hits = subsystem_positive_count.cache_info().hits
+    assert len(longest_subsystem_word(rs, [3, 2, 0])) == 6
+    assert subsystem_positive_count.cache_info().hits == hits + 1
