@@ -156,6 +156,8 @@ def _check_family(index, entry):
         if value is not None and item and any(type(x) is not item for x in value):
             raise ValueError(f"catalog {where}: field {key!r} must be a list of "
                              f"{item.__name__}")
+    if entry.get("hermitian") not in (None, "e", "ne"):
+        raise ValueError(f"catalog {where}: field 'hermitian' must be null, 'e' or 'ne'")
 
 
 def load_catalog(path=None):

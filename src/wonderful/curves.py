@@ -35,16 +35,13 @@ def build_colors(inv):
     for i in inv.delta1:
         if i in used:
             continue
-        img = sigma_root(inv, unit_vector(rs.rank, i))
-        partner = None
-        for j in inv.delta1:
-            if j != i and img == tuple(-x for x in unit_vector(rs.rank, j)) \
-                    and rs.cartan[i][j] == 0:
-                partner = j
-                break
-        if partner is not None and partner not in used:
-            merged.append(tuple(sorted((i, partner))))
-            used.update((i, partner))
+        # sigma(alpha_i) = -alpha_j is possible only for j = sigma_bar(i)
+        j = inv.sigma_bar[i]
+        minus_alpha_j = tuple(-x for x in unit_vector(rs.rank, j))
+        if j != i and j not in used and rs.cartan[i][j] == 0 \
+                and sigma_root(inv, unit_vector(rs.rank, i)) == minus_alpha_j:
+            merged.append(tuple(sorted((i, j))))
+            used.update((i, j))
         else:
             merged.append((i,))
             used.add(i)

@@ -14,8 +14,8 @@ from .rootsystem import (
     inner_product,
     memoised,
     pair_coweight,
-    positive_roots,
     root_set,
+    subsystem_roots,
     two_rho,
     unit_vector,
 )
@@ -99,11 +99,9 @@ def check_strong_orthogonality(inv):
         raise ValueError("-sigma(theta) is not supported on the "
                          "theta-orthogonal subsystem")
     # components of the orthogonal subsystem that meet the support
-    comp = {i for c in connected_components(orth, lambda i, j: rs.cartan[i][j] != 0)
-            if support & set(c) for i in c}
-    sub = [b for b in positive_roots(rs)
-           if all(b[j] == 0 or j in comp for j in range(rs.rank))]
-    for b in sub:
+    comp = tuple(sorted(i for c in connected_components(orth, lambda i, j: rs.cartan[i][j] != 0)
+                        if support & set(c) for i in c))
+    for b in subsystem_roots(rs, comp):
         if any(neg[j] < b[j] for j in range(rs.rank)):
             raise ValueError("-sigma(theta) is not the highest root of its "
                              "component of the orthogonal subsystem")
@@ -225,10 +223,6 @@ def vmrt_report(rrs, colors, hc_components, embedding_degree):
     restricted type A of rank >= 2."""
     inv = rrs.involution
     s, dim_family, dim_orbit, dim_hc = dimensions(rrs)
-    oracle = nilpotent_orbit_dimension(inv)
-    if oracle != dim_orbit:
-        raise ValueError(f"nilpotent orbit dimension {dim_orbit} does not "
-                         f"match the independent count {oracle}")
     hermitian = is_hermitian(rrs)
     exceptional = is_exceptional(rrs)[0]
     dim_p = dim_isotropy_complement(rrs)

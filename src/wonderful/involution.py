@@ -101,13 +101,13 @@ def _check_satake(sd):
             _fail("diagram involution moves a black node")
 
 
-def _complete_tau(sd):
+def _complete_tau(sd, wl):
     """Extend the arrow matching by -w_0 of the black nodes, which acts on
-    each black component separately."""
+    each black component separately; wl is the matrix of w_0."""
     rs = sd.root_system
     tau = list(sd.diagram_involution)
     try:
-        for i, j in opposition(rs, sd.black_nodes).items():
+        for i, j in opposition(wl, sd.black_nodes).items():
             tau[i] = j
     except ValueError:
         _fail("black opposition does not permute black nodes")
@@ -126,9 +126,11 @@ def build_involution(sd):
     _check_satake(sd)
     rs = sd.root_system
     n = rs.rank
-    tau = _complete_tau(sd)
-    word = longest_subsystem_word(rs, sd.black_nodes)
-    wl = word_matrix(rs, word)
+    try:
+        wl = word_matrix(rs, longest_subsystem_word(rs, sd.black_nodes))
+    except ValueError:
+        _fail("black opposition does not permute black nodes")
+    tau = _complete_tau(sd, wl)
     # -w_L composed with the permutation tau of the simple roots
     sigma = [[-row[tau[j]] for j in range(n)] for row in wl]
 

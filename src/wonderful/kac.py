@@ -19,6 +19,7 @@ from .rootsystem import (
     memoised,
     pairing,
     positive_roots,
+    subsystem_positive_count,
     unit_vector,
 )
 
@@ -88,11 +89,8 @@ def validate_diagram(kd, inner):
 
 def _factor_dim(typ, rank, crossed):
     rs = build_root_system(((typ, rank),))
-    avoid = {c - 1 for c in crossed}
-    total = len(positive_roots(rs))
-    kept = sum(1 for b in positive_roots(rs)
-               if all(b[j] == 0 for j in avoid))
-    return total - kept
+    uncrossed = tuple(j for j in range(rank) if j + 1 not in crossed)
+    return len(positive_roots(rs)) - subsystem_positive_count(rs, uncrossed)
 
 
 def _name_factor(typ, rank, crossed):
@@ -292,13 +290,6 @@ class _Builder:
         else:
             self.edge(white, self.dynkin("B" if m % 2 else "D", m // 2)[0], *wedge)
 
-    def sp_arm(self, m, white):
-        """Attach the Dynkin diagram of sp_m at its first node."""
-        if m == 2:
-            self.edge(white, self.node("b"), -2, -1)
-        else:
-            self.edge(white, self.dynkin("C", m // 2)[0])
-
 
 def affine_diagram(typ, rank):
     """Untwisted affine diagram: the Dynkin diagram of typ_rank (nodes 1..rank)
@@ -341,12 +332,7 @@ def kac_hermitian_rank1():
 def kac_sym2(r):
     """White node against so_{r+1}."""
     b = _Builder()
-    w = b.node("w")
-    if r + 1 == 3:
-        blk = b.node("b")
-        b.edge(w, blk, -1, -4)
-    else:
-        b.so_arm(r + 1, w, (-1, -2))
+    b.so_arm(r + 1, b.node("w"), (-1, -2))
     return b.done()
 
 

@@ -54,22 +54,6 @@ def _edges(typ, n):
     raise ValueError(f"unknown type {typ!r}")
 
 
-def _lengths(typ, n):
-    """d_i = (alpha_i, alpha_i)/2, normalized so long roots have d = 1."""
-    one, half = Fraction(1), Fraction(1, 2)
-    if typ in ("A", "D", "E"):
-        return [one] * n
-    if typ == "B":
-        return [one] * (n - 1) + [half]
-    if typ == "C":
-        return [half] * (n - 1) + [one]
-    if typ == "F":
-        return [one, one, half, half]
-    if typ == "G":
-        return [Fraction(1, 3), one]
-    raise ValueError(f"unknown type {typ!r}")
-
-
 def memoised(f):
     """Memoise a pure f(obj, *args) in obj.__dict__, so the value lives
     exactly as long as obj; works on frozen dataclasses.  Exceptions are not
@@ -94,6 +78,20 @@ def cartan_matrix(typ, n):
         a[i][j] = aij
         a[j][i] = aji
     return a
+
+
+def _symmetrizer(a):
+    """d_i = (alpha_i, alpha_i)/2 of an irreducible Cartan matrix a, from
+    d_i a_ij = d_j a_ji, normalized so long roots have d = 1."""
+    n = len(a)
+    d = [Fraction(1)] + [None] * (n - 1)
+    for _ in range(n):
+        for i in range(n):
+            for j in range(n):
+                if a[i][j] and d[i] is not None and d[j] is None:
+                    d[j] = d[i] * a[i][j] / a[j][i]
+    top = max(d)
+    return [x / top for x in d]
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def build_root_system(components):
         for i in range(n):
             for j in range(n):
                 cartan[offset + i][offset + j] = block[i][j]
-        lengths.extend(_lengths(typ, n))
+        lengths.extend(_symmetrizer(block))
         node_component.extend([ci] * n)
         offset += n
     gram6 = tuple(tuple(int(6 * lengths[i]) * cartan[i][j] for j in range(total))
@@ -198,34 +196,36 @@ def coroot(rs, root):
 
 
 @lru_cache(maxsize=None)
+def _root_generation(rs):
+    """(positive roots by height, steps): beta + alpha_i is a root when the
+    alpha_i-string through beta goes on up, and its step (position of beta,
+    i) is recorded when it is first reached."""
+    n = rs.rank
+    ordered = [unit_vector(n, i) for i in range(n)]
+    position = {b: k for k, b in enumerate(ordered)}
+    steps = []
+    # breadth first: the loop also visits the roots appended inside it
+    for k, beta in enumerate(ordered):
+        for i in range(n):
+            cur = list(beta)
+            cur[i] -= 1
+            down = 0
+            while tuple(cur) in position:
+                down += 1
+                cur[i] -= 1
+            up = list(beta)
+            up[i] += 1
+            up = tuple(up)
+            if down > pairing(rs, i, beta) and up not in position:
+                position[up] = len(ordered)
+                ordered.append(up)
+                steps.append((k, i))
+    return tuple(ordered), tuple(steps)
+
+
 def positive_roots(rs):
     """All positive roots, enumerated by height."""
-    n = rs.rank
-    simples = [unit_vector(n, i) for i in range(n)]
-    found = set(simples)
-    frontier = list(simples)
-    ordered = list(simples)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for i in range(n):
-                down = 0
-                cur = list(beta)
-                while True:
-                    cur[i] -= 1
-                    if any(c < 0 for c in cur) or tuple(cur) not in found:
-                        break
-                    down += 1
-                if down - pairing(rs, i, beta) > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in found:
-                        found.add(cand)
-                        nxt.append(cand)
-                        ordered.append(cand)
-        frontier = nxt
-    return tuple(ordered)
+    return _root_generation(rs)[0]
 
 
 @lru_cache(maxsize=None)
@@ -238,22 +238,11 @@ def indexed_roots(rs):
     return roots, {b: k for k, b in enumerate(roots)}
 
 
-@lru_cache(maxsize=None)
 def root_steps(rs):
     """(k, i) for each non-simple positive root, in the order of
     indexed_roots from position rank on: roots[k] + alpha_i is that root
     and k is an earlier position."""
-    index = indexed_roots(rs)[1]
-    steps = []
-    for beta in positive_roots(rs)[rs.rank:]:
-        for i, c in enumerate(beta):
-            down = tuple(x - (j == i) for j, x in enumerate(beta))
-            if c > 0 and down in index:
-                steps.append((index[down], i))
-                break
-        else:
-            raise ValueError("positive root is not a simple root plus a root")
-    return tuple(steps)
+    return _root_generation(rs)[1]
 
 
 @lru_cache(maxsize=None)
@@ -264,9 +253,8 @@ def root_set(rs):
 @lru_cache(maxsize=None)
 def highest_roots(rs, component=0):
     """(highest root, highest short root) of one irreducible component."""
-    nodes = set(rs.component_nodes(component))
-    roots = [b for b in positive_roots(rs)
-             if all(b[j] == 0 or j in nodes for j in range(rs.rank))]
+    nodes = rs.component_nodes(component)
+    roots = subsystem_roots(rs, nodes)
     dominant = [b for b in roots if all(pairing(rs, i, b) >= 0 for i in nodes)]
     min_sq6 = min(_form6(rs, b, b) for b in roots)
     long_dom = [b for b in dominant if _form6(rs, b, b) == 6 * 2]
@@ -290,10 +278,16 @@ def two_rho(rs):
 
 
 @lru_cache(maxsize=4096)
+def subsystem_roots(rs, nodes):
+    """The positive roots supported on nodes (a sorted tuple), by height."""
+    outside = [j for j in range(rs.rank) if j not in nodes]
+    return tuple(b for b in positive_roots(rs) if not any(b[j] for j in outside))
+
+
+@lru_cache(maxsize=4096)
 def subsystem_positive_count(rs, nodes):
     """Number of positive roots supported on nodes, a sorted tuple."""
-    return sum(1 for b in positive_roots(rs)
-               if all(b[j] == 0 or j in nodes for j in range(rs.rank)))
+    return len(subsystem_roots(rs, nodes))
 
 
 def longest_subsystem_word(rs, nodes):
@@ -323,21 +317,17 @@ def word_action(rs, word, w):
 
 def word_matrix(rs, word):
     """Matrix of the word acting on simple-root coordinate columns."""
-    n = rs.rank
-    cols = []
-    for j in range(n):
-        cols.append(word_action(rs, word, unit_vector(n, j)))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    cols = [word_action(rs, word, unit_vector(rs.rank, j)) for j in range(rs.rank)]
+    return [list(row) for row in zip(*cols)]
 
 
-def opposition(rs, nodes):
-    """{i: j} on the given nodes with -w_0(alpha_i) = alpha_j, where w_0 is
-    the longest element of their parabolic subgroup."""
-    nodes = sorted(set(nodes))
-    word = longest_subsystem_word(rs, nodes)
+def opposition(wl, nodes):
+    """{i: j} on the given nodes with -w_0(alpha_i) = alpha_j, read off the
+    columns of the matrix wl of the longest element w_0 of their parabolic
+    subgroup."""
     perm = {}
     for i in nodes:
-        img = tuple(-x for x in word_action(rs, word, unit_vector(rs.rank, i)))
+        img = [-row[i] for row in wl]
         ones = [k for k, x in enumerate(img) if x == 1]
         if sum(img) != 1 or len(ones) != 1 or ones[0] not in nodes:
             raise ValueError("-w_0 does not permute the simple roots")
@@ -358,8 +348,9 @@ def connected_components(nodes, linked):
 @lru_cache(maxsize=None)
 def minus_w0_permutation(rs):
     """The permutation i -> j with -w_0(alpha_i) = alpha_j."""
-    perm = opposition(rs, range(rs.rank))
-    return tuple(perm[i] for i in range(rs.rank))
+    nodes = range(rs.rank)
+    perm = opposition(word_matrix(rs, longest_subsystem_word(rs, nodes)), nodes)
+    return tuple(perm[i] for i in nodes)
 
 
 def _node_signature(mat, i):

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import types
+from pathlib import Path
 
 import pytest
 import yaml
@@ -147,9 +148,10 @@ def _drop_label(doc):
     return doc
 
 
-def _set_field(key, value):
+def _set_field(key, value, label=None):
     def corrupt(doc):
-        doc["families"][0][key] = value
+        family = next(f for f in doc["families"] if label in (None, f["label"]))
+        family[key] = value
         return doc
     return corrupt
 
@@ -161,7 +163,10 @@ def _set_field(key, value):
     (_drop_label, "catalog families[2]: missing field 'label'"),
     (_set_field("hc", [5]), "catalog family 'GroupB': field 'hc' must be a list of str"),
     (_set_field("emb", ["x"]), "catalog family 'GroupB': field 'emb' must be a list of int"),
-], ids=["no-ambient", "top-level-list", "no-label", "hc-not-str", "emb-not-int"])
+    (_set_field("hermitian", "yes", label="CI"),
+     "catalog family 'CI': field 'hermitian' must be null, 'e' or 'ne'"),
+], ids=["no-ambient", "top-level-list", "no-label", "hc-not-str", "emb-not-int",
+        "hermitian-not-e-or-ne"])
 def test_malformed_catalog_exits_2(capsys, tmp_path, corrupt, message):
     path = _write_catalog(tmp_path / "bad.yaml", corrupt(_shipped_catalog()))
     code, _, err = run(capsys, "check", "--max-rank", "3", "--catalog", path)
@@ -251,13 +256,13 @@ def test_output_is_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_DIGESTS[argv]
 
 
-# perfbench/run.py:per_layer reads fold["<module>.<function>"] for these names
-# and raises KeyError on a traced run when one of them is gone.
-BENCHMARK_FUNCTIONS = [
-    "linalg.invert", "restricted.expand", "involution.apply_matrix",
-    "rootsystem.inner_product", "rootsystem.highest_roots", "catalog.load_catalog",
-    "involution.build_involution", "restricted.build_restricted",
-]
+# perfbench/run.py:per_layer reads fold["<module>.<function>"] for the
+# three-part metric names of BENCHMARK.json and raises KeyError on a traced
+# run when one of them is gone.
+with open(Path(__file__).resolve().parents[1] / "BENCHMARK.json", encoding="utf-8") as f:
+    BENCHMARK_FUNCTIONS = sorted({m["name"].rsplit(".", 1)[0]
+                                  for m in json.load(f)["per_layer"]
+                                  if m["name"].count(".") == 2})
 
 
 @pytest.mark.parametrize("name", BENCHMARK_FUNCTIONS)

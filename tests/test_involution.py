@@ -1,6 +1,9 @@
 """Involutions from Satake data: completion, validation, case analysis."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,15 +23,30 @@ from wonderful.involution import (
     sigma_bar_of,
     sigma_root,
 )
+from wonderful.restricted import build_restricted
 from wonderful.rootsystem import (
     build_root_system,
     coroot,
     highest_roots,
     indexed_roots,
+    longest_subsystem_word,
+    minus_w0_permutation,
     pair_coweight,
     positive_roots,
     root_set,
 )
+
+SCAN_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "satake-scan.json"
+# SHA-256 of the outcome of every satake-scan datum: 102 accepted, 584
+# SatakeError, 19 ValueError from build_restricted
+SCAN_DIGEST = "d587806029bd3fde051eb7b64c6e4d686ea6c82a713ae0fd7140da172e1bef70"
+
+
+def _scan_data():
+    with open(SCAN_DATA, encoding="utf-8") as f:
+        for op in json.load(f)["ops"]:
+            rs = build_root_system(((op["type"], op["rank"]),))
+            yield make_satake(rs, op["black"], [tuple(a) for a in op["arrows"]])
 
 
 def _involution(components, black=(), arrows=()):
@@ -213,3 +231,42 @@ def test_sigma_root_rejects_a_non_root(v):
     inv = _involution((("A", 4),), arrows=[(0, 3), (1, 2)])
     with pytest.raises(ValueError, match="is not a root"):
         sigma_root(inv, v)
+
+
+def test_satake_scan_outcomes_are_unchanged():
+    rows = []
+    for sd in _scan_data():
+        try:
+            rrs = build_restricted(build_involution(sd))
+            rows.append(["accepted", None, None, rrs.type_label])
+        except ValueError as exc:
+            rows.append(["rejected", type(exc).__name__, str(exc), None])
+    assert sum(r[0] == "accepted" for r in rows) == 102
+    assert sum(r[1] == "SatakeError" for r in rows) == 584
+    assert sum(r[1] == "ValueError" for r in rows) == 19
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SCAN_DIGEST
+
+
+def test_one_black_longest_word_per_datum(monkeypatch):
+    data = list(_scan_data())
+    for sd in data:
+        minus_w0_permutation(sd.root_system)
+    calls = []
+
+    def counted(rs, nodes):
+        calls.append(tuple(nodes))
+        return longest_subsystem_word(rs, nodes)
+
+    monkeypatch.setattr("wonderful.rootsystem.longest_subsystem_word", counted)
+    monkeypatch.setattr("wonderful.involution.longest_subsystem_word", counted)
+    built = 0
+    for sd in data:
+        calls.clear()
+        try:
+            build_involution(sd)
+            built += 1
+        except SatakeError:
+            pass
+        # none when _check_satake rejects the datum first
+        assert calls in ([], [sd.black_nodes]), sd
+    assert built == 102 + 19

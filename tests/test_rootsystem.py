@@ -70,6 +70,27 @@ def test_root_counts(typ, rank):
     assert len(root_set(rs)) == ROOT_COUNTS[(typ, rank)]
 
 
+def _bourbaki_lengths(typ, n):
+    """d_i = (alpha_i, alpha_i)/2 of Bourbaki's plates, long roots d = 1."""
+    one, half = Fraction(1), Fraction(1, 2)
+    return {"A": [one] * n, "D": [one] * n, "E": [one] * n,
+            "B": [one] * (n - 1) + [half], "C": [half] * (n - 1) + [one],
+            "F": [one, one, half, half], "G": [Fraction(1, 3), one]}[typ]
+
+
+@pytest.mark.parametrize("typ,rank", ALL_TYPES)
+def test_lengths_match_bourbaki(typ, rank):
+    rs = build_root_system(((typ, rank),))
+    assert rs.lengths == tuple(_bourbaki_lengths(typ, rank))
+    assert all(type(d) is Fraction for d in rs.lengths)
+
+
+def test_lengths_per_component():
+    rs = build_root_system((("G", 2), ("B", 3), ("A", 1)))
+    assert rs.lengths == tuple(_bourbaki_lengths("G", 2) + _bourbaki_lengths("B", 3)
+                               + _bourbaki_lengths("A", 1))
+
+
 @pytest.mark.parametrize("typ,rank", ALL_TYPES)
 def test_indexed_roots_and_steps(typ, rank):
     rs = build_root_system(((typ, rank),))
