@@ -46,6 +46,9 @@ from .rootsystem import (
     two_rho,
 )
 
+# largest ambient rank instantiate and enumerate_records accept; AI r=100
+# builds in under 40 MB, and the root table grows like rank^3
+MAX_AMBIENT_RANK = 100
 _ENV_BASE = {"range": range, "list": list, "len": len}
 _BRACE = re.compile(r"\{([^{}]+)\}")
 
@@ -225,6 +228,10 @@ def instantiate(catalog, label, params=None):
     params = {k: params[k] for k in template.params}
     data = template.data
     ambient = tuple((str(t), int(n)) for t, n in _eval(data["ambient"], params))
+    rank = sum(n for _, n in ambient)
+    if rank > MAX_AMBIENT_RANK:
+        raise ValueError(f"family {label}: ambient rank {rank} is above the "
+                         f"ceiling {MAX_AMBIENT_RANK}")
     rs = build_root_system(ambient)
     black = tuple(sorted(int(b) - 1 for b in _eval(data["black"], params)))
     arrows = tuple((int(i) - 1, int(j) - 1)
@@ -467,6 +474,9 @@ def enumerate_records(catalog, max_rank):
     """All instances with ambient rank <= max_rank, in catalog order."""
     if max_rank < 2:
         raise ValueError("max_rank must be at least 2")
+    if max_rank > MAX_AMBIENT_RANK:
+        raise ValueError(f"--max-rank {max_rank} is above the ambient rank "
+                         f"ceiling {MAX_AMBIENT_RANK}")
     out = []
     hi = 2 * max_rank + 2
     for template in catalog.templates:

@@ -34,6 +34,8 @@ def _parse_params(pairs):
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise ValueError(f"expected name=value, got {item!r}")
+        if key in params:
+            raise ValueError(f"parameter {key} given twice")
         try:
             params[key] = int(value)
         except ValueError:

@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def mat_mul(a, b):
     """Matrix product; integer matrices give an integer product."""
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(m)) for j in range(p)]
-            for i in range(n)]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _eliminate(rows, ncols):

@@ -13,12 +13,13 @@ from math import lcm
 from .linalg import solve_scaled
 from .involution import NONREDUCED, ORTHOGONAL, REAL, classify_simple, sigma_root
 from .rootsystem import (
+    _form6,
     coroot,
     highest_roots,
     identify_cartan,
-    inner_product,
+    indexed_roots,
     memoised,
-    pair_coweight,
+    pairing,
     positive_roots,
     unit_vector,
 )
@@ -90,21 +91,32 @@ def build_restricted(inv):
         fibers.setdefault(restrict_root(inv, unit_vector(rs.rank, i)), []).append(i)
     dbar = list(fibers)
     rank = len(dbar)
+    # sigma fixes the black simple roots and restriction is linear, so the
+    # restriction of beta has coefficient sum(beta[i] for i in fiber k) on
+    # the k-th restricted simple root
+    fiber_of = [(i, k) for k, v in enumerate(dbar) for i in fibers[v]]
 
+    roots, sigma_perm = indexed_roots(rs)[0], inv.sigma_perm
     mult = {}
-    for beta in positive_roots(rs):
-        v = restrict_root(inv, beta)
-        if any(v):
-            mult[v] = mult.get(v, 0) + 1
-    left = _left_inverse(dbar)
     expansion = {}
-    for v in mult:
-        found = _coefficients(dbar, left, v)
-        qr = [divmod(c, found[1]) for c in found[0]] if found else None
-        if qr is None or any(r or q < 0 for q, r in qr):
+    for k, beta in enumerate(positive_roots(rs)):
+        v = tuple(a - b for a, b in zip(beta, roots[sigma_perm[k]]))
+        if not any(v):
+            continue
+        if v not in mult:
+            mult[v] = 0
+            coeffs = [0] * rank
+            for i, f in fiber_of:
+                coeffs[f] += beta[i]
+            expansion[v] = coeffs
+        mult[v] += 1
+    _left_inverse(dbar)  # raises on a dependent restricted simple system
+    for v, coeffs in expansion.items():
+        if (any(c < 0 for c in coeffs)
+                or tuple(sum(c * w[j] for c, w in zip(coeffs, dbar))
+                         for j in range(rs.rank)) != v):
             raise ValueError("restricted root outside the nonnegative span "
                              "of the restricted simple roots")
-        expansion[v] = [q for q, _ in qr]
 
     doubled = [i for i, v in enumerate(dbar)
                if tuple(2 * x for x in v) in mult]
@@ -112,11 +124,11 @@ def build_restricted(inv):
         raise ValueError("more than one doubled restricted simple root")
     doubled_index = doubled[0] if doubled else None
 
-    cartan = [[2 * inner_product(rs, v, w) / inner_product(rs, v, v) for w in dbar]
-              for v in dbar]
-    if any(c.denominator != 1 for row in cartan for c in row):
+    sq6 = [_form6(rs, v, v) for v in dbar]
+    cartan = [[divmod(2 * _form6(rs, v, w), s) for w in dbar] for v, s in zip(dbar, sq6)]
+    if any(r for row in cartan for _, r in row):
         raise ValueError("restricted Cartan matrix is not integral")
-    cartan = [[int(c) for c in row] for row in cartan]
+    cartan = [[q for q, _ in row] for row in cartan]
     ident = identify_cartan(cartan)
     if ident is None:
         raise ValueError("restricted simple system has no Cartan type")
@@ -139,30 +151,28 @@ def build_restricted(inv):
                          "of the highest root")
     theta_bar_covector = coroot(rs, theta_bar)
 
+    # coroot(u) = S(u) / 6(u, u) with S(u)_j = gram6[j][j] u_j; as
+    # 6(sigma alpha_i, sigma alpha_i) = gram6[i][i], the case formula for a
+    # white node i of fiber v gives S(v) / (den gram6[i][i])
     coroots = []
     for idx, v in enumerate(dbar):
         per_member = set()
         for i in fibers[v]:
-            e = unit_vector(rs.rank, i)
             case = classify_simple(inv, i)
-            alpha_vee = coroot(rs, e)
-            sig_vee = coroot(rs, sigma_root(inv, e))
-            # the three case formulas differ only in the denominator
-            den = {REAL: 4, ORTHOGONAL: 2, NONREDUCED: 1}[case]
-            abar_vee = tuple((a - b) / den for a, b in zip(alpha_vee, sig_vee))
-            ahat_vee = tuple(x / 2 for x in abar_vee) if case == NONREDUCED else abar_vee
-            per_member.add((abar_vee, ahat_vee))
+            den = {REAL: 4, ORTHOGONAL: 2, NONREDUCED: 1}[case] * rs.gram6[i][i]
+            per_member.add((den, case == NONREDUCED))
         if len(per_member) != 1:
             raise ValueError("restricted coroot differs across a fiber")
-        abar_vee, ahat_vee = per_member.pop()
-        if abar_vee != coroot(rs, v):
+        den, halved = per_member.pop()
+        if den != sq6[idx]:
             raise ValueError("case formula disagrees with the metric coroot")
-        if pair_coweight(rs, abar_vee, v) != 2:
+        # <S(v) / den, v> == 2
+        if sum(rs.gram6[j][j] * x * pairing(rs, j, v) for j, x in enumerate(v) if x) != 2 * den:
             raise ValueError("restricted coroot does not pair to 2")
-        longest = tuple(2 * x for x in v) if idx == doubled_index else v
-        if ahat_vee != coroot(rs, longest):
+        m = 2 if idx == doubled_index else 1
+        if den * (2 if halved else 1) != m * sq6[idx]:
             raise ValueError("primitive coroot disagrees with the longest multiple")
-        coroots.append((abar_vee, ahat_vee))
+        coroots.append((coroot(rs, v), coroot(rs, tuple(m * x for x in v))))
 
     return RestrictedRootSystem(
         involution=inv,
@@ -209,9 +219,18 @@ def is_exceptional(rrs):
 def theta_bar_expansion(rrs):
     """Nonnegative integer coefficients of theta_bar_covector over the
     primitive coroots {ahat_vee}."""
-    basis = [c[1] for c in rrs.coroots]
-    coeffs = expand(basis, rrs.theta_bar_covector)
-    if coeffs is None or any(c.denominator != 1 or c < 0 for c in coeffs):
-        raise ValueError("theta_bar covector is not a nonnegative integer "
-                         "combination of the primitive coroots")
-    return tuple(int(c) for c in coeffs)
+    # theta_bar = sum_k e_k v_k with e_k the sum of theta over fiber k, and
+    # ahat_vee_k = S(v_k) / (m_k 6(v_k, v_k)) with S linear, so the k-th
+    # coefficient of S(theta_bar) / 6(theta_bar, theta_bar) is as below
+    rs = rrs.root_system
+    theta = highest_roots(rs, 0)[0]
+    top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
+    coeffs = []
+    for k, (v, fiber) in enumerate(zip(rrs.restricted_simple, rrs.fibers)):
+        m = 2 if k == rrs.doubled_index else 1
+        q, r = divmod(sum(theta[i] for i in fiber) * m * _form6(rs, v, v), top)
+        if r or q < 0:
+            raise ValueError("theta_bar covector is not a nonnegative integer "
+                             "combination of the primitive coroots")
+        coeffs.append(q)
+    return tuple(coeffs)

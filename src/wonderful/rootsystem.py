@@ -159,7 +159,7 @@ def pairing(rs, i, w):
 
 def pair_coweight(rs, cw, w):
     """<c, w> for a coweight c in simple-coroot coordinates."""
-    return sum(cw[i] * pairing(rs, i, w) for i in range(rs.rank))
+    return sum(c * pairing(rs, i, w) for i, c in enumerate(cw) if c)
 
 
 def reflect(rs, i, w):

@@ -116,6 +116,38 @@ def test_bad_parameter_exits_2(capsys):
     assert code == 2
 
 
+def test_repeated_parameter_exits_2(capsys):
+    code, out, err = run(capsys, "report", "AI", "r=4", "r=5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: parameter r given twice\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("report", "AI", "r=99999999999999999999"),
+     "family AI: ambient rank 99999999999999999999 is above the ceiling 100"),
+    (("report", "AI", "r=101"), "family AI: ambient rank 101 is above the ceiling 100"),
+    (("report", "GroupA", "r=51"), "family GroupA: ambient rank 102 is above the ceiling 100"),
+    (("table", "--max-rank", "101"), "--max-rank 101 is above the ambient rank ceiling 100"),
+], ids=["huge", "101", "group", "table"])
+def test_rank_above_ceiling_exits_2_before_construction(monkeypatch, capsys, argv, message):
+    def refuse(components):
+        raise AssertionError("root system built above the ceiling")
+
+    monkeypatch.setattr("wonderful.catalog.build_root_system", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_rank_ceiling_admits_rank_100(monkeypatch):
+    def reached(components):
+        raise LookupError(components)
+
+    monkeypatch.setattr("wonderful.catalog.build_root_system", reached)
+    with pytest.raises(LookupError, match="'A', 100"):
+        instantiate(load_catalog(), "AI", {"r": 100})
+
+
 def test_constraint_violation_exits_2(capsys):
     code, _, err = run(capsys, "report", "CI", "r=2")
     assert code == 2

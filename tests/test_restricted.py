@@ -4,16 +4,36 @@ from fractions import Fraction
 
 import pytest
 
-from wonderful.involution import build_involution, make_satake
+from test_involution import _scan_data
+
+from wonderful.catalog import build_report, enumerate_records, instantiate, load_catalog, validate
+from wonderful.involution import (
+    NONREDUCED,
+    ORTHOGONAL,
+    REAL,
+    build_involution,
+    classify_simple,
+    make_satake,
+    sigma_root,
+)
 from wonderful.restricted import (
     build_restricted,
+    expand,
     fiber_index,
     is_exceptional,
     restrict_root,
     restricted_coroot,
     theta_bar_expansion,
 )
-from wonderful.rootsystem import build_root_system, pair_coweight
+from wonderful.rootsystem import (
+    build_root_system,
+    coroot,
+    highest_roots,
+    inner_product,
+    pair_coweight,
+    positive_roots,
+    unit_vector,
+)
 
 
 def _restricted(components, black=(), arrows=()):
@@ -172,3 +192,80 @@ def test_multiplicities_align_with_the_restricted_positive_roots():
     mult = dict(zip(rrs.restricted_positive, rrs.multiplicities))
     alpha = rrs.restricted_simple[0]
     assert mult == {alpha: 4, tuple(2 * x for x in alpha): 1}
+
+
+def _fraction_reference(inv):
+    """(restricted_positive, multiplicities, cartan, coroots, theta_bar
+    expansion) by the Fraction formulas: restrictions through sigma_root,
+    coefficients by solving over the restricted simple roots, the Cartan
+    matrix from inner_product, the coroots from the case formulas and the
+    theta_bar expansion by solving over the primitive coroots."""
+    rs = inv.root_system
+    mult = {}
+    for beta in positive_roots(rs):
+        v = restrict_root(inv, beta)
+        if any(v):
+            mult[v] = mult.get(v, 0) + 1
+    fibers = {}
+    for i in inv.delta1:
+        fibers.setdefault(restrict_root(inv, unit_vector(rs.rank, i)), []).append(i)
+    dbar = list(fibers)
+    for v in mult:
+        coeffs = expand(dbar, v)
+        assert all(c.denominator == 1 and c >= 0 for c in coeffs)
+    cartan = tuple(tuple(2 * inner_product(rs, v, w) / inner_product(rs, v, v)
+                         for w in dbar) for v in dbar)
+    coroots = []
+    for v in dbar:
+        case = classify_simple(inv, fibers[v][0])
+        e = unit_vector(rs.rank, fibers[v][0])
+        den = {REAL: 4, ORTHOGONAL: 2, NONREDUCED: 1}[case]
+        abar = tuple((a - b) / den
+                     for a, b in zip(coroot(rs, e), coroot(rs, sigma_root(inv, e))))
+        ahat = tuple(x / 2 for x in abar) if case == NONREDUCED else abar
+        coroots.append((abar, ahat))
+    theta_bar = restrict_root(inv, highest_roots(rs, 0)[0])
+    top = expand([ahat for _, ahat in coroots], coroot(rs, theta_bar))
+    return tuple(mult), tuple(mult.values()), cartan, tuple(coroots), tuple(top)
+
+
+def test_integer_restricted_layer_matches_fraction_reference():
+    catalog = load_catalog()
+    records = enumerate_records(catalog, 8)
+    assert len(records) == 147
+    records += [instantiate(catalog, f"GroupE{n}") for n in (6, 7, 8)]
+    systems = [record.restricted for record in records]
+    for sd in _scan_data():
+        try:
+            systems.append(build_restricted(build_involution(sd)))
+        except ValueError:
+            pass
+    assert len(systems) == 150 + 102
+    rejected = []
+    for rrs in systems:
+        *ref, top = _fraction_reference(rrs.involution)
+        got = [rrs.restricted_positive, rrs.multiplicities, rrs.cartan, rrs.coroots]
+        assert got == ref, rrs.involution.satake
+        if all(c.denominator == 1 and c >= 0 for c in top):
+            assert theta_bar_expansion(rrs) == top
+            assert all(type(c) is int for c in theta_bar_expansion(rrs))
+        else:
+            with pytest.raises(ValueError, match="not a nonnegative integer combination"):
+                theta_bar_expansion(rrs)
+            rejected.append(rrs.involution.satake)
+    # one scan datum, G2 with black node 2, has theta_bar_covector = 2/3 ahat_vee
+    assert [(sd.root_system.components, sd.black_nodes) for sd in rejected] == \
+        [((("G", 2),), (1,))]
+
+
+def test_build_restricted_solves_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solved for coefficients")
+
+    monkeypatch.setattr("wonderful.restricted._coefficients", refuse)
+    monkeypatch.setattr("wonderful.restricted.expand", refuse)
+    catalog = load_catalog()
+    for label, params in (("AI", {"r": 4}), ("EVII", {})):
+        record = instantiate(catalog, label, params)
+        assert validate(record) == []
+        assert build_report(record).restricted_type == record.restricted.type_label
