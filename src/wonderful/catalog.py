@@ -38,6 +38,7 @@ from .kac import (
 )
 from .restricted import build_restricted, is_exceptional
 from .rootsystem import (
+    MAX_AMBIENT_RANK,
     build_root_system,
     coroot,
     highest_roots,
@@ -46,9 +47,6 @@ from .rootsystem import (
     two_rho,
 )
 
-# largest ambient rank instantiate and enumerate_records accept; AI r=100
-# builds in under 40 MB, and the root table grows like rank^3
-MAX_AMBIENT_RANK = 100
 _ENV_BASE = {"range": range, "list": list, "len": len}
 _BRACE = re.compile(r"\{([^{}]+)\}")
 

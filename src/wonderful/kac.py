@@ -6,10 +6,12 @@ determines a flag variety of the black subdiagram: its factors are the
 black components, crossed at the neighbors of the marked node.
 """
 
+import re
 from dataclasses import dataclass
 
 from .linalg import nullspace_line
 from .rootsystem import (
+    VALID_RANKS,
     build_root_system,
     cartan_matrix,
     connected_components,
@@ -19,7 +21,7 @@ from .rootsystem import (
     memoised,
     pairing,
     positive_roots,
-    subsystem_positive_count,
+    subsystem_roots,
     unit_vector,
 )
 
@@ -51,18 +53,7 @@ class KacDiagram:
 
 
 @dataclass(frozen=True)
-class Factor:
-    type: str
-    rank: int
-    crossed: tuple
-    name: str
-    dual: bool
-
-
-@dataclass(frozen=True)
 class HomogeneousSpaceDescriptor:
-    white: int
-    factors: tuple
     name: str
     dim: int
 
@@ -88,44 +79,31 @@ def validate_diagram(kd, inner):
 
 
 def _factor_dim(typ, rank, crossed):
+    if crossed == (1,) and typ in "ABCD":
+        # P^n, Q^(2n-1), P^(2n-1), Q^(2n-2): no root system needed
+        return rank if typ == "A" else 2 * rank - 1 - (typ == "D")
     rs = build_root_system(((typ, rank),))
     uncrossed = tuple(j for j in range(rank) if j + 1 not in crossed)
-    return len(positive_roots(rs)) - subsystem_positive_count(rs, uncrossed)
+    return len(positive_roots(rs)) - len(subsystem_roots(rs, uncrossed))
 
 
 def _name_factor(typ, rank, crossed):
-    """(name, dual flag) for a crossed Dynkin diagram, 1-based crossing."""
-    crossed = tuple(sorted(crossed))
-    if typ == "A":
-        m = rank
-        if len(crossed) == 1:
-            k = crossed[0]
-            kk = min(k, m + 1 - k)
-            dual = k > m + 1 - k
-            name = f"P{m}" if kk == 1 else f"Gr({kk},{m + 1})"
-            return name, dual
-        if crossed == (1, m):
-            return f"Flag(1,{m})", False
-    if typ == "B" and len(crossed) == 1:
-        k = crossed[0]
-        return (f"Q{2 * rank - 1}" if k == 1 else f"OG({k},{2 * rank + 1})"), False
-    if typ == "C" and len(crossed) == 1:
-        k = crossed[0]
-        if k == 1:
-            return f"P{2 * rank - 1}", False
-        return (f"LG({rank},{2 * rank})" if k == rank
-                else f"IG({k},{2 * rank})"), False
-    if typ == "D" and len(crossed) == 1:
-        k = crossed[0]
-        if k == 1:
-            return f"Q{2 * rank - 2}", False
-        if k <= rank - 2:
-            return f"OG({k},{2 * rank})", False
-        return f"OG({rank},{2 * rank})", k == rank
-    if typ in ("E", "F", "G") and len(crossed) == 1:
-        return f"{typ}{rank}/P{crossed[0]}", False
-    tags = "-".join(str(c) for c in crossed)
-    return f"{typ}{rank}/P{tags}", False
+    """Name of a crossed Dynkin diagram, 1-based sorted crossing."""
+    k, n = crossed[0], 2 * rank
+    if typ == "A" and crossed == (1, rank):
+        return f"Flag(1,{rank})"
+    if len(crossed) == 1 and typ == "A":
+        k = min(k, rank + 1 - k)
+        return f"P{rank}" if k == 1 else f"Gr({k},{rank + 1})"
+    if len(crossed) == 1 and typ == "B":
+        return f"Q{n - 1}" if k == 1 else f"OG({k},{n + 1})"
+    if len(crossed) == 1 and typ == "C":
+        return f"P{n - 1}" if k == 1 else f"{'LG' if k == rank else 'IG'}({k},{n})"
+    if len(crossed) == 1 and typ == "D":
+        # the two spinor nodes rank-1 and rank share the name OG(rank,2rank)
+        k = rank if k == rank - 1 else k
+        return f"Q{n - 2}" if k == 1 else f"OG({k},{n})"
+    return f"{typ}{rank}/P" + "-".join(map(str, crossed))
 
 
 def component_descriptor(kd, white):
@@ -135,23 +113,18 @@ def component_descriptor(kd, white):
     cartan = kd.cartan()
     crossed_nodes = {j for j in kd.blacks if cartan[white][j] != 0}
     factors = []
-    dim = 0
     for comp in connected_components(kd.blacks, lambda i, j: cartan[i][j] != 0):
-        sub = [[cartan[i][j] for j in comp] for i in comp]
-        ident = identify_cartan(sub)
+        ident = identify_cartan([[cartan[i][j] for j in comp] for i in comp])
         if ident is None:
             raise ValueError("black component has no Cartan type")
         typ, rank, mapping = ident
         crossed = tuple(sorted(std + 1 for std, local in enumerate(mapping)
                                if comp[local] in crossed_nodes))
-        if not crossed:
-            continue
-        name, dual = _name_factor(typ, rank, crossed)
-        factors.append(Factor(typ, rank, crossed, name, dual))
-        dim += _factor_dim(typ, rank, crossed)
-    name = " x ".join(f.name for f in factors) if factors else "pt"
+        if crossed:
+            factors.append((typ, rank, crossed))
     return HomogeneousSpaceDescriptor(
-        white=white, factors=tuple(factors), name=name, dim=dim)
+        name=" x ".join(_name_factor(*f) for f in factors) or "pt",
+        dim=sum(_factor_dim(*f) for f in factors))
 
 
 @memoised
@@ -160,95 +133,89 @@ def marked_diagrams(kd):
     return tuple(component_descriptor(kd, w) for w in kd.whites)
 
 
-# name normalization ----------------------------------------------------
+# space names -------------------------------------------------------------
 
-def _canonical_factor(f):
-    f = f.replace("*", "").replace("∨", "")
-    if f.startswith("(") and f.endswith(")"):
+# A factor name is pt or P0 (a point), Pn, Qn, Gr/IG/LG/OG(a,b), Flag(1,n) or
+# Xn/Pk[-k...], with an optional *, the dual mark, or parentheses.
+_FACTOR = re.compile(r"([PQ])(\d+)|(\w+)\((\d+), *(\d+)\)|([A-G])(\d+)/P(\d+(?:-\d+)*)")
+
+# The low-rank diagram isomorphisms A3 = D3 and B2 = C2 as 1-based node maps;
+# each map is an involution, so it also maps the second diagram to the first.
+_ISOMORPHIC = {(("A", 3), ("D", 3)): (2, 1, 3), (("B", 2), ("C", 2)): (2, 1)}
+
+
+def _grassmannian(head, a, b):
+    """Crossed diagram of head(a,b), or None when no diagram has that name."""
+    r, odd = divmod(b, 2)
+    return {"Gr": ("A", b - 1, (a,)),
+            "Flag": ("A", b, (1, b)) if a == 1 else None,
+            "IG": None if odd else ("C", r, (a,)),
+            "LG": ("C", r, (a,)) if b == 2 * a else None,
+            "OG": ("B", r, (a,)) if odd else ("D", r, (a,)) if a != r - 1 else None,
+            }.get(head)
+
+
+def _parse_factor(text):
+    """The crossed diagrams (type, rank, 1-based crossing) a factor name
+    stands for: Q1 is one A1 and Q2 two, as B1 and D2 have no diagram."""
+    f = text.strip().replace("*", "").replace("∨", "")
+    if f[:1] == "(" and f[-1:] == ")":
         f = f[1:-1]
     if f in ("pt", "P0"):
         return []
-    if f.startswith("Gr(") or f.startswith("IG(") or f.startswith("OG(") \
-            or f.startswith("LG("):
-        head = f[:2]
-        a, b = f[3:-1].split(",")
-        a, b = int(a), int(b)
-        if head == "Gr":
-            a = min(a, b - a)
-            if a == 1:
-                return [f"P{b - 1}"]
-            if (a, b) == (2, 4):
-                return ["Q4"]
-            return [f"Gr({a},{b})"]
-        if head == "IG":
-            if a == 1:
-                return [f"P{b - 1}"]
-            if 2 * a != b:
-                return [f"IG({a},{b})"]
-            head = "LG"
-        if head == "OG":
-            if a == 1:
-                return [f"Q{b - 2}"]
-            if (a, b) == (2, 5):
-                return ["P3"]
-            return [f"OG({a},{b})"]
-        if (a, b) == (2, 4):
-            return ["Q3"]
-        return [f"LG({a},{b})"]
-    if f == "Q1":
-        return ["P1"]
-    if f == "Q2":
-        return ["P1", "P1"]
-    return [f]
+    m = _FACTOR.fullmatch(f)
+    pq, n, head, a, b, typ, rank, tags = m.groups() if m else (None,) * 8
+    if pq == "Q" and n in ("1", "2"):
+        return [("A", 1, (1,))] * int(n)
+    if pq == "P":
+        d = ("A", int(n), (1,))
+    elif pq == "Q":     # Q^(2r-1) and Q^(2r-2) are B_r and D_r crossed at node 1
+        d = ("B" if int(n) % 2 else "D", int(n) // 2 + 1, (1,))
+    elif head:
+        d = _grassmannian(head, int(a), int(b))
+    elif typ:
+        d = (typ, int(rank), tuple(int(k) for k in tags.split("-")))
+    else:
+        d = None
+    # a valid rank, and a crossing that rises strictly from 1 to at most it
+    if not d or not VALID_RANKS[d[0]](d[1]) \
+            or not 0 < d[2][0] <= d[2][-1] <= d[1] or d[2] != tuple(sorted(set(d[2]))):
+        raise ValueError(f"unrecognized space name {text!r}")
+    return [d]
+
+
+def _canonical(typ, rank, crossed):
+    """The representative of a crossed diagram up to the A_n flip k -> n+1-k
+    and _ISOMORPHIC: least crossing, then least type letter.  E6's flip is
+    not used, so E6/P1 and E6/P6 stay distinct names.  From the first type of
+    a pair, the crossing, its flip and their images make up the class."""
+    for (first, second), nodes in _ISOMORPHIC.items():
+        if (typ, rank) == second:
+            typ, rank = first
+            crossed = tuple(sorted(nodes[c - 1] for c in crossed))
+    same = [(crossed, typ, rank)]
+    if typ == "A":
+        same.append((tuple(rank + 1 - c for c in reversed(crossed)), typ, rank))
+    for (first, second), nodes in _ISOMORPHIC.items():
+        if (typ, rank) == first:
+            same += [(tuple(sorted(nodes[k - 1] for k in c)), *second) for c, _, _ in same]
+    crossed, typ, rank = min(same)
+    return typ, rank, crossed
+
+
+def _factors(name):
+    """Canonical crossed diagrams of the factors of a product name."""
+    return [_canonical(*d) for part in name.split(" x ") for d in _parse_factor(part)]
 
 
 def normalize_name(name):
     """Canonical sorted factor tuple of a product name."""
-    out = []
-    for part in name.split(" x "):
-        out.extend(_canonical_factor(part.strip()))
-    return tuple(sorted(out))
+    return tuple(sorted(_name_factor(*d) for d in _factors(name)))
 
 
 def name_dimension(name):
     """Dimension of a named generalized flag variety."""
-    total = 0
-    for part in normalize_name(name):
-        total += _one_name_dimension(part)
-    return total
-
-
-def _one_name_dimension(f):
-    if f == "pt":
-        return 0
-    if f.startswith("P") and f[1:].isdigit():
-        return int(f[1:])
-    if f.startswith("Q") and f[1:].isdigit():
-        return int(f[1:])
-    if f.startswith("Flag(1,"):
-        m = int(f[:-1].split(",")[1])
-        return 2 * m - 1
-    if "(" in f:
-        head = f[: f.index("(")]
-        a, b = (int(x) for x in f[f.index("(") + 1:-1].split(","))
-        if head == "Gr":
-            return _factor_dim("A", b - 1, (a,))
-        if head == "IG":
-            return _factor_dim("C", b // 2, (a,))
-        if head == "LG":
-            return _factor_dim("C", a, (a,))
-        if head == "OG":
-            if b % 2:
-                return _factor_dim("B", (b - 1) // 2, (a,))
-            if 2 * a == b:
-                return _factor_dim("D", a, (a,))
-            return _factor_dim("D", b // 2, (a,))
-    if "/P" in f:
-        base, tag = f.split("/P")
-        typ, rank = base[0], int(base[1:])
-        crossed = tuple(int(x) for x in tag.split("-"))
-        return _factor_dim(typ, rank, crossed)
-    raise ValueError(f"unrecognized space name {f!r}")
+    return sum(_factor_dim(*d) for d in _factors(name))
 
 
 # diagram builders -------------------------------------------------------

@@ -20,6 +20,9 @@ VALID_RANKS = {
     "G": lambda n: n == 2,
 }
 
+# largest rank build_root_system accepts; the root table grows like rank^3
+MAX_AMBIENT_RANK = 100
+
 
 def _edges(typ, n):
     """Bonds of the Dynkin diagram as (i, j, a_ij, a_ji), 0-based chain order."""
@@ -125,6 +128,9 @@ def build_root_system(components):
         if typ not in VALID_RANKS or not VALID_RANKS[typ](n):
             raise ValueError(f"invalid component {typ}{n}")
     total = sum(n for _, n in components)
+    if total > MAX_AMBIENT_RANK:
+        raise ValueError(f"rank {total} is above the ambient rank ceiling "
+                         f"{MAX_AMBIENT_RANK}")
     cartan = [[0] * total for _ in range(total)]
     lengths = []
     node_component = []
@@ -284,12 +290,6 @@ def subsystem_roots(rs, nodes):
     return tuple(b for b in positive_roots(rs) if not any(b[j] for j in outside))
 
 
-@lru_cache(maxsize=4096)
-def subsystem_positive_count(rs, nodes):
-    """Number of positive roots supported on nodes, a sorted tuple."""
-    return len(subsystem_roots(rs, nodes))
-
-
 def longest_subsystem_word(rs, nodes):
     """A reduced word (first letter applied first) for the longest element
     of the parabolic subgroup generated by the given nodes."""
@@ -304,7 +304,7 @@ def longest_subsystem_word(rs, nodes):
         pi = p[i]
         for k in nodes:
             p[k] -= pi * rs.cartan[k][i]
-    if len(word) != subsystem_positive_count(rs, tuple(nodes)):
+    if len(word) != len(subsystem_roots(rs, tuple(nodes))):
         raise ValueError("longest word has wrong length")
     return word
 

@@ -136,6 +136,15 @@ def test_validate_flags_wrong_vmrt():
     assert "vmrt-components" in names
 
 
+def test_stored_name_above_the_rank_ceiling_fails_its_check():
+    rec = instantiate(CAT, "GroupB", {"r": 2})
+    tampered = dataclasses.replace(rec, stored=dataclasses.replace(
+        rec.stored, hc=("Gr(2,120)",), vmrt=("Gr(2,120)",)))
+    failures = {f.name: f.detail for f in validate(tampered)}
+    assert "above the ambient rank ceiling 100" in failures["vmrt-components"]
+    assert "kac-descriptors" in failures
+
+
 @pytest.mark.parametrize("field, value, check", [
     ("vmrt", ("Q4",), "vmrt-components"),  # same dimension as P4
     ("emb", (1,), "emb-structure"),

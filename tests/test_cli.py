@@ -227,6 +227,15 @@ def test_unparsable_catalog_exits_2(capsys, tmp_path):
     assert err.startswith("error: catalog is not valid YAML")
 
 
+def test_stored_name_above_the_rank_ceiling_is_a_failed_check(capsys, tmp_path):
+    path = _write_catalog(tmp_path / "big.yaml",
+                          _set_field("hc", ["Gr(2,120)"], label="GroupB")(_shipped_catalog()))
+    code, out, err = run(capsys, "check", "--max-rank", "4", "--catalog", path)
+    assert (code, err) == (1, "")
+    assert ("  GroupB r=2: vmrt-components: rank 119 is above the ambient rank "
+            "ceiling 100\n") in out
+
+
 def test_family_head_lines(capsys, tmp_path):
     code, out, _ = run(capsys, "roots", "DIIIodd", "r=2")
     assert code == 0

@@ -1,9 +1,19 @@
 """Tests for Kac diagrams, marks, and marked-diagram descriptors."""
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
+from wonderful.catalog import _eval, _fmt, _route, load_catalog
 from wonderful.kac import (
+    KAC_BUILDERS,
     KacDiagram,
+    _canonical,
+    _factor_dim,
+    _name_factor,
+    _parse_factor,
     affine_diagram,
     component_descriptor,
     diagram_marks,
@@ -33,6 +43,7 @@ from wonderful.kac import (
     normalize_name,
     validate_diagram,
 )
+from wonderful.rootsystem import VALID_RANKS
 
 
 def _mark_product(kd, marks):
@@ -235,3 +246,80 @@ def test_name_dimension():
     assert name_dimension("Gr(3,6) x P1") == 10
     with pytest.raises(ValueError):
         name_dimension("Xanadu")
+
+
+@pytest.mark.parametrize("name", ["E6/P9", "OG(7,10)", "Gr(0,4)", "IG(4,6)", "Gr(5,4)",
+                                  "OG(4,10)", "Flag(2,5)", "Q0", "E9/P1", "A5/P3-3",
+                                  "Xanadu", "P2 x Xanadu"])
+def test_name_outside_the_grammar_is_rejected(name):
+    for read in (normalize_name, name_dimension):
+        with pytest.raises(ValueError, match="unrecognized space name"):
+            read(name)
+
+
+# every valid type of rank <= 8 with one crossed node, and A_n crossed at (1, n)
+ROUND_TRIP = [(t, n, (k,)) for t in "ABCDEFG" for n in range(1, 9) if VALID_RANKS[t](n)
+              for k in range(1, n + 1)] + [("A", n, (1, n)) for n in range(2, 9)]
+
+
+def test_names_parse_back_to_their_diagrams():
+    for typ, rank, crossed in ROUND_TRIP:
+        name = _name_factor(typ, rank, crossed)
+        want = (typ, rank, crossed)
+        if typ == "C" and crossed == (1,):
+            want = ("A", 2 * rank - 1, (1,))      # Sp_2r/P_1 is P^(2r-1)
+        if typ == "D" and crossed == (rank - 1,):
+            want = ("D", rank, (rank,))           # both spinor nodes are OG(r,2r)
+        assert [_canonical(*d) for d in _parse_factor(name)] == [_canonical(*want)], name
+        assert name_dimension(name) == _factor_dim(typ, rank, crossed), name
+
+
+def test_low_rank_coincidences_share_one_representative():
+    assert _canonical("A", 3, (2,)) == _canonical("D", 3, (1,)) == ("D", 3, (1,))
+    assert _canonical("A", 3, (3,)) == _canonical("D", 3, (2,)) == ("A", 3, (1,))
+    assert _canonical("D", 3, (3,)) == ("A", 3, (1,))
+    assert _canonical("C", 2, (2,)) == ("B", 2, (1,))
+    assert _canonical("B", 2, (2,)) == ("C", 2, (1,))
+    assert _canonical("A", 5, (4,)) == ("A", 5, (2,))
+    assert _canonical("E", 6, (6,)) == ("E", 6, (6,))
+    assert normalize_name("E6/P1 x E6/P6") == ("E6/P1", "E6/P6")
+
+
+def _catalog_names(max_rank):
+    """Stored hc and vmrt names and engine descriptor names of every catalog
+    instance of ambient rank <= max_rank, without building the instances."""
+    names = set()
+    for t in load_catalog().templates:
+        for values in itertools.product(range(1, 2 * max_rank + 2), repeat=len(t.params)):
+            params = dict(zip(t.params, values))
+            if _route(t.label, params)[0] != t.label \
+                    or not all(_eval(c, params) for c in t.constraints) \
+                    or sum(n for _, n in _eval(t.data["ambient"], params)) > max_rank:
+                continue
+            names.update(_fmt(x, params) for x in t.data["hc"] + (t.data.get("vmrt") or []))
+            kd = _eval(t.data["kac"], {**params, **KAC_BUILDERS})
+            names.update(d.name for d in marked_diagrams(kd))
+    return names
+
+
+# the other name literals of the test suite
+TEST_NAMES = ("Q1 x Q3", "Gr(2,4)", "Gr(3,4)", "Gr(4,6)", "OG(2,5)", "LG(2,4)", "IG(2,4)",
+              "IG(1,6)", "P0 x P2", "(P4)*", "P2∨", "P2*", "Q2", "Q3", "Q7", "Flag(1,3)",
+              "Gr(2,6)", "Gr(4,8)", "LG(3,6)", "IG(2,6)", "OG(2,7)", "OG(4,9)", "OG(2,9)",
+              "OG(2,8)", "E6/P2", "E7/P1", "E7/P7", "E8/P8", "F4/P1", "F4/P4", "G2/P2",
+              "Gr(3,6) x P1", "E6/P1", "E6/P6", "P4", "P5")
+
+# SHA-256 of (name, normalize_name, name_dimension) over the 549 names above,
+# recorded with the earlier string-rewrite normaliser: the grammar must read
+# every one of them the same way
+NAMES_COUNT = 549
+NAMES_DIGEST = "08c3c4234bd1f7b457ebf0ffa20eb6d829ad0ff14944628498ccbc91e1324700"
+
+
+def test_name_readings_are_pinned():
+    names = _catalog_names(16) | set(TEST_NAMES) | {
+        n for _, _, per_white, _ in SHAPES for factors in per_white for n in factors}
+    rows = [[n, list(normalize_name(n)), name_dimension(n)] for n in sorted(names)]
+    assert len(rows) == NAMES_COUNT
+    digest = hashlib.sha256(json.dumps(rows, ensure_ascii=False).encode()).hexdigest()
+    assert digest == NAMES_DIGEST

@@ -25,7 +25,7 @@ from wonderful.rootsystem import (
     reflect,
     root_set,
     root_steps,
-    subsystem_positive_count,
+    subsystem_roots,
     two_rho,
     word_action,
     word_matrix,
@@ -306,10 +306,15 @@ def test_memoised_is_per_object_and_does_not_cache_errors():
     assert runs == [4, 4, 4, 3, 3]
 
 
-def test_subsystem_positive_count_is_cached_per_node_set():
+def test_subsystem_roots_count_per_node_set():
     rs = build_root_system((("E", 8),))
-    assert subsystem_positive_count(rs, tuple(range(8))) == 120
-    assert subsystem_positive_count(rs, (0, 2, 3)) == 6       # A3
-    hits = subsystem_positive_count.cache_info().hits
+    assert len(subsystem_roots(rs, tuple(range(8)))) == 120
+    assert len(subsystem_roots(rs, (0, 2, 3))) == 6       # A3
     assert len(longest_subsystem_word(rs, [3, 2, 0])) == 6
-    assert subsystem_positive_count.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("components", [(("A", 101),), (("E", 8), ("A", 93))])
+def test_no_root_system_above_the_rank_ceiling(components):
+    with pytest.raises(ValueError, match="above the ambient rank ceiling 100"):
+        build_root_system(components)
+    assert build_root_system((("A", 100),)).rank == 100
