@@ -31,6 +31,7 @@ from .invariants import (
 from .involution import build_involution, is_inner, make_satake, sigma_root
 from .kac import (
     KAC_BUILDERS,
+    canonical_type,
     marked_diagrams,
     name_dimension,
     normalize_name,
@@ -50,8 +51,9 @@ from .rootsystem import (
 _ENV_BASE = {"range": range, "list": list, "len": len}
 _BRACE = re.compile(r"\{([^{}]+)\}")
 
-# low-rank type coincidences used when comparing type labels
-_TYPE_ALIASES = {"B1": "A1", "C1": "A1", "BC0": "A1", "C2": "B2", "D3": "A3"}
+# deepest collection nesting a catalog may have (the shipped one has 4); both
+# loaders compose recursively, libyaml in C, where deep input overflows the stack
+MAX_NESTING = 64
 
 
 _compile = lru_cache(maxsize=4096)(compile)  # each distinct expression once
@@ -72,10 +74,6 @@ def _eval(expr, env):
 
 def _fmt(template, env):
     return _BRACE.sub(lambda m: str(_eval(m.group(1), env)), template)
-
-
-def _norm_type(label):
-    return _TYPE_ALIASES.get(label, label)
 
 
 @dataclass(frozen=True)
@@ -168,8 +166,15 @@ def load_catalog(path=None):
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
+    # libyaml when PyYAML was built with it, else the pure-Python loader
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        raw = yaml.safe_load(text)
+        # both loaders produce the event stream iteratively
+        steps = (isinstance(e, yaml.CollectionStartEvent) - isinstance(e, yaml.CollectionEndEvent)
+                 for e in yaml.parse(text, Loader=loader))
+        if any(depth > MAX_NESTING for depth in itertools.accumulate(steps)):
+            raise ValueError(f"catalog nests collections more than {MAX_NESTING} deep")
+        raw = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ValueError(f"catalog is not valid YAML: {exc}") from None
     if not isinstance(raw, dict) or "version" not in raw \
@@ -299,7 +304,7 @@ def validate(record):
         return is_exceptional(rrs)[0]
 
     def check_restricted_type():
-        got, want = _norm_type(rrs.type_label), _norm_type(stored.restricted_type)
+        got, want = canonical_type(rrs.type_label), canonical_type(stored.restricted_type)
         if got != want:
             raise ValueError(f"computed {rrs.type_label}, stored "
                              f"{stored.restricted_type}")
@@ -323,7 +328,7 @@ def validate(record):
 
     def check_boundary_degree():
         s = dimensions(rrs)[0]
-        letter = _norm_type(rrs.type_label).rstrip("0123456789")
+        letter = canonical_type(rrs.type_label).rstrip("0123456789")
         if (s == 2) != (letter == "A"):
             raise ValueError(f"boundary degree {s} vs restricted letter "
                              f"{letter}")
@@ -364,7 +369,7 @@ def validate(record):
                              "ambient highest root")
 
     def check_primitivity():
-        if _norm_type(rrs.type_label) == "A1":
+        if canonical_type(rrs.type_label) == "A1":
             return
         doubled = [2 * Fraction(x) for x in rrs.theta_bar_covector]
         if any(x.denominator != 1 for x in doubled):
@@ -447,7 +452,7 @@ def validate(record):
                                  f"match factors of {name!r}")
 
     def check_hc_vmrt_coherence():
-        letter = _norm_type(rrs.type_label).rstrip("0123456789")
+        letter = canonical_type(rrs.type_label).rstrip("0123456789")
         if letter != "A" and stored.vmrt != stored.hc:
             raise ValueError("stored VMRT differs from stored closed orbit "
                              "for a non-A restricted type")

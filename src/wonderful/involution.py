@@ -12,13 +12,12 @@ from dataclasses import dataclass, field
 from .linalg import mat_mul
 from .rootsystem import (
     indexed_roots,
-    longest_subsystem_word,
+    longest_element,
     minus_w0_permutation,
     opposition,
     pairing,
     root_steps,
     unit_vector,
-    word_matrix,
 )
 
 REAL = "REAL"
@@ -101,17 +100,11 @@ def _check_satake(sd):
             _fail("diagram involution moves a black node")
 
 
-def _complete_tau(sd, wl):
+def _complete_tau(sd, black_iota):
     """Extend the arrow matching by -w_0 of the black nodes, which acts on
-    each black component separately; wl is the matrix of w_0."""
+    each black component separately."""
     rs = sd.root_system
-    tau = list(sd.diagram_involution)
-    try:
-        for i, j in opposition(wl, sd.black_nodes).items():
-            tau[i] = j
-    except ValueError:
-        _fail("black opposition does not permute black nodes")
-    tau = tuple(tau)
+    tau = tuple(black_iota.get(i, j) for i, j in enumerate(sd.diagram_involution))
     for i in range(rs.rank):
         if tau[tau[i]] != i:
             _fail("completed diagram involution is not an involution")
@@ -126,13 +119,11 @@ def build_involution(sd):
     _check_satake(sd)
     rs = sd.root_system
     n = rs.rank
-    try:
-        wl = word_matrix(rs, longest_subsystem_word(rs, sd.black_nodes))
-    except ValueError:
-        _fail("black opposition does not permute black nodes")
-    tau = _complete_tau(sd, wl)
+    black_iota = opposition(rs, sd.black_nodes)
+    tau = _complete_tau(sd, black_iota)
     # -w_L composed with the permutation tau of the simple roots
-    sigma = [[-row[tau[j]] for j in range(n)] for row in wl]
+    wl = longest_element(rs, black_iota)
+    sigma = [[-wl[tau[j]][i] for j in range(n)] for i in range(n)]
 
     square = mat_mul(sigma, sigma)
     if any(square[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):

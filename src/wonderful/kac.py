@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .linalg import nullspace_line
 from .rootsystem import (
+    MAX_AMBIENT_RANK,
     VALID_RANKS,
     build_root_system,
     cartan_matrix,
@@ -20,8 +21,6 @@ from .rootsystem import (
     inner_product,
     memoised,
     pairing,
-    positive_roots,
-    subsystem_roots,
     unit_vector,
 )
 
@@ -78,13 +77,26 @@ def validate_diagram(kd, inner):
     return marks
 
 
+def _positive_count(typ, n):
+    return {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1),
+            "E": {6: 36, 7: 63, 8: 120}.get(n), "F": 24, "G": 6}[typ]
+
+
 def _factor_dim(typ, rank, crossed):
+    """dim G/P = |Phi+| - |Phi+_L|, L the uncrossed nodes, from the counts
+    of the diagram's type and of the type of each component of L."""
     if crossed == (1,) and typ in "ABCD":
-        # P^n, Q^(2n-1), P^(2n-1), Q^(2n-2): no root system needed
+        # P^n, Q^(2n-1), P^(2n-1), Q^(2n-2) at any rank
         return rank if typ == "A" else 2 * rank - 1 - (typ == "D")
-    rs = build_root_system(((typ, rank),))
-    uncrossed = tuple(j for j in range(rank) if j + 1 not in crossed)
-    return len(positive_roots(rs)) - len(subsystem_roots(rs, uncrossed))
+    if rank > MAX_AMBIENT_RANK:
+        raise ValueError(f"rank {rank} is above the ambient rank ceiling "
+                         f"{MAX_AMBIENT_RANK}")
+    a = cartan_matrix(typ, rank)
+    kept = [j for j in range(rank) if j + 1 not in crossed]
+    return _positive_count(typ, rank) - sum(
+        _positive_count(t, n) for t, n, _ in (
+            identify_cartan([[a[i][j] for j in comp] for i in comp])
+            for comp in connected_components(kept, lambda i, j: a[i][j] != 0)))
 
 
 def _name_factor(typ, rank, crossed):
@@ -142,6 +154,16 @@ _FACTOR = re.compile(r"([PQ])(\d+)|(\w+)\((\d+), *(\d+)\)|([A-G])(\d+)/P(\d+(?:-
 # The low-rank diagram isomorphisms A3 = D3 and B2 = C2 as 1-based node maps;
 # each map is an involution, so it also maps the second diagram to the first.
 _ISOMORPHIC = {(("A", 3), ("D", 3)): (2, 1, 3), (("B", 2), ("C", 2)): (2, 1)}
+
+
+def canonical_type(label):
+    """A type label up to the low-rank coincidences: B1 = C1 = A1, and the
+    second type of an _ISOMORPHIC pair is the first; BCn labels stay."""
+    typ = label.rstrip("0123456789")
+    rank = int(label[len(typ):] or 0)
+    if typ in ("B", "C") and rank == 1:
+        return "A1"
+    return next((f"{a}{n}" for (a, n), second in _ISOMORPHIC if second == (typ, rank)), label)
 
 
 def _grassmannian(head, a, b):

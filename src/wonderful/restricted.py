@@ -111,10 +111,14 @@ def build_restricted(inv):
             expansion[v] = coeffs
         mult[v] += 1
     _left_inverse(dbar)  # raises on a dependent restricted simple system
+    sparse = [[(j, x) for j, x in enumerate(w) if x] for w in dbar]
     for v, coeffs in expansion.items():
-        if (any(c < 0 for c in coeffs)
-                or tuple(sum(c * w[j] for c, w in zip(coeffs, dbar))
-                         for j in range(rs.rank)) != v):
+        span = [0] * rs.rank
+        for c, entries in zip(coeffs, sparse):
+            if c:
+                for j, x in entries:
+                    span[j] += c * x
+        if any(c < 0 for c in coeffs) or tuple(span) != v:
             raise ValueError("restricted root outside the nonnegative span "
                              "of the restricted simple roots")
 

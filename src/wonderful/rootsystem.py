@@ -168,14 +168,6 @@ def pair_coweight(rs, cw, w):
     return sum(c * pairing(rs, i, w) for i, c in enumerate(cw) if c)
 
 
-def reflect(rs, i, w):
-    """Simple reflection s_i applied to w in simple-root coordinates."""
-    p = pairing(rs, i, w)
-    out = list(w)
-    out[i] -= p
-    return tuple(out)
-
-
 def _form6(rs, v, w):
     """6 (v, w); an integer for integer v and w."""
     total = 0
@@ -190,10 +182,6 @@ def inner_product(rs, v, w):
     return Fraction(_form6(rs, v, w), 6)
 
 
-def length_sq(rs, v):
-    return inner_product(rs, v, v)
-
-
 def coroot(rs, root):
     """Coroot 2*root/(root,root) in simple-coroot coordinates."""
     # 2 b_j d_j / (root, root) = b_j * gram6[j][j] / (6 (root, root))
@@ -203,30 +191,38 @@ def coroot(rs, root):
 
 @lru_cache(maxsize=None)
 def _root_generation(rs):
-    """(positive roots by height, steps): beta + alpha_i is a root when the
-    alpha_i-string through beta goes on up, and its step (position of beta,
-    i) is recorded when it is first reached."""
+    """(positive roots by height, steps, 6 (beta, beta) per root): beta +
+    alpha_i is a root when the alpha_i-string through beta goes on up, and
+    its step (position of beta, i) is recorded when it is first reached.
+    The pairings p = <alpha_i^vee, beta> ride along with each root: a step
+    adds column i of the Cartan matrix, and gram6[i][i] (p + 1) to 6 (beta, beta)."""
     n = rs.rank
-    ordered = [unit_vector(n, i) for i in range(n)]
+    columns = [tuple(row[i] for row in rs.cartan) for i in range(n)]
+    short = {i for i in range(n) if rs.lengths[i] != 1}
+    ordered, pairings = [unit_vector(n, i) for i in range(n)], columns[:]
+    sq6 = [rs.gram6[i][i] for i in range(n)]
     position = {b: k for k, b in enumerate(ordered)}
     steps = []
     # breadth first: the loop also visits the roots appended inside it
     for k, beta in enumerate(ordered):
-        for i in range(n):
-            cur = list(beta)
-            cur[i] -= 1
+        for i, p in enumerate(pairings[k]):
+            # the string goes up exactly when it goes down further than p;
+            # along a long alpha_i it holds at most two roots, so it goes up
+            # exactly when p < 0
             down = 0
-            while tuple(cur) in position:
+            while p >= 0 and i in short and beta[i] > down \
+                    and beta[:i] + (beta[i] - down - 1,) + beta[i + 1:] in position:
                 down += 1
-                cur[i] -= 1
-            up = list(beta)
-            up[i] += 1
-            up = tuple(up)
-            if down > pairing(rs, i, beta) and up not in position:
+            if down <= p:
+                continue
+            up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+            if up not in position:
                 position[up] = len(ordered)
                 ordered.append(up)
                 steps.append((k, i))
-    return tuple(ordered), tuple(steps)
+                pairings.append(tuple(a + b for a, b in zip(pairings[k], columns[i])))
+                sq6.append(sq6[k] + rs.gram6[i][i] * (p + 1))
+    return tuple(ordered), tuple(steps), tuple(sq6)
 
 
 def positive_roots(rs):
@@ -258,29 +254,19 @@ def root_set(rs):
 
 @lru_cache(maxsize=None)
 def highest_roots(rs, component=0):
-    """(highest root, highest short root) of one irreducible component."""
+    """(highest root, highest short root) of one irreducible component: the
+    last of its roots by height, and the last as short as its shortest simple
+    root; both are dominant, so they have the component's full support."""
     nodes = rs.component_nodes(component)
-    roots = subsystem_roots(rs, nodes)
-    dominant = [b for b in roots if all(pairing(rs, i, b) >= 0 for i in nodes)]
-    min_sq6 = min(_form6(rs, b, b) for b in roots)
-    long_dom = [b for b in dominant if _form6(rs, b, b) == 6 * 2]
-    short_dom = [b for b in dominant if _form6(rs, b, b) == min_sq6]
-    if len(long_dom) != 1 or len(short_dom) != 1:
-        raise ValueError("component is not irreducible")
-    theta, theta_short = long_dom[0], short_dom[0]
-    for b in roots:
-        if any(theta[j] < b[j] for j in range(rs.rank)):
-            raise ValueError("highest root is not coordinate-wise maximal")
-    return theta, theta_short
+    roots, _, sq6 = _root_generation(rs)
+    mine = [k for k, b in enumerate(roots) if b[nodes[0]]]
+    short = min(rs.gram6[i][i] for i in nodes)
+    return roots[mine[-1]], roots[next(k for k in reversed(mine) if sq6[k] == short)]
 
 
 @lru_cache(maxsize=None)
 def two_rho(rs):
-    total = [0] * rs.rank
-    for b in positive_roots(rs):
-        for j in range(rs.rank):
-            total[j] += b[j]
-    return tuple(total)
+    return tuple(map(sum, zip(*positive_roots(rs))))
 
 
 @lru_cache(maxsize=4096)
@@ -288,51 +274,6 @@ def subsystem_roots(rs, nodes):
     """The positive roots supported on nodes (a sorted tuple), by height."""
     outside = [j for j in range(rs.rank) if j not in nodes]
     return tuple(b for b in positive_roots(rs) if not any(b[j] for j in outside))
-
-
-def longest_subsystem_word(rs, nodes):
-    """A reduced word (first letter applied first) for the longest element
-    of the parabolic subgroup generated by the given nodes."""
-    nodes = sorted(set(nodes))
-    p = {i: 1 for i in nodes}
-    word = []
-    while True:
-        i = next((k for k in nodes if p[k] > 0), None)
-        if i is None:
-            break
-        word.append(i)
-        pi = p[i]
-        for k in nodes:
-            p[k] -= pi * rs.cartan[k][i]
-    if len(word) != len(subsystem_roots(rs, tuple(nodes))):
-        raise ValueError("longest word has wrong length")
-    return word
-
-
-def word_action(rs, word, w):
-    for i in word:
-        w = reflect(rs, i, w)
-    return w
-
-
-def word_matrix(rs, word):
-    """Matrix of the word acting on simple-root coordinate columns."""
-    cols = [word_action(rs, word, unit_vector(rs.rank, j)) for j in range(rs.rank)]
-    return [list(row) for row in zip(*cols)]
-
-
-def opposition(wl, nodes):
-    """{i: j} on the given nodes with -w_0(alpha_i) = alpha_j, read off the
-    columns of the matrix wl of the longest element w_0 of their parabolic
-    subgroup."""
-    perm = {}
-    for i in nodes:
-        img = [-row[i] for row in wl]
-        ones = [k for k, x in enumerate(img) if x == 1]
-        if sum(img) != 1 or len(ones) != 1 or ones[0] not in nodes:
-            raise ValueError("-w_0 does not permute the simple roots")
-        perm[i] = ones[0]
-    return perm
 
 
 def connected_components(nodes, linked):
@@ -345,12 +286,49 @@ def connected_components(nodes, linked):
     return sorted(comps)
 
 
+def opposition(rs, nodes):
+    """{i: j} on the given nodes with -w_0(alpha_i) = alpha_j, w_0 the longest
+    element of their parabolic subgroup.  On each connected component of the
+    nodes, -w_0 is the flip of A_n or E6, the swap of the two spinor nodes of
+    D_n for odd n, and the identity on the other types (Bourbaki, Plates)."""
+    perm = {}
+    for comp in connected_components(nodes, lambda i, j: rs.cartan[i][j] != 0):
+        typ, n, mapping = identify_cartan([[rs.cartan[i][j] for j in comp] for i in comp])
+        std = (range(n - 1, -1, -1) if typ == "A"
+               else (*range(n - 2), n - 1, n - 2) if typ == "D" and n % 2
+               else (5, 1, 4, 3, 2, 0) if (typ, n) == ("E", 6)
+               else range(n))
+        for k, image in enumerate(std):
+            perm[comp[mapping[k]]] = comp[mapping[image]]
+    return perm
+
+
+def longest_element(rs, iota):
+    """Columns w_L(alpha_j), j = 0..rank-1, of the longest element w_L of the
+    parabolic subgroup on the nodes L of iota = opposition(rs, L): -alpha_iota(j)
+    for j in L.  For j outside L, alpha_j is the lowest weight of the L-module
+    of the roots alpha_j + (sums over L), which is irreducible with simple
+    weights, and w_L sends it to the highest: the root reached by adding
+    simple roots of L while the sum stays a root."""
+    index = indexed_roots(rs)[1]
+    cols = []
+    for j in range(rs.rank):
+        top = unit_vector(rs.rank, iota.get(j, j))
+        grown = j not in iota
+        while grown:
+            grown = False
+            for i in iota:
+                up = top[:i] + (top[i] + 1,) + top[i + 1:]
+                if up in index:
+                    top, grown = up, True
+        cols.append(tuple(-x for x in top) if j in iota else top)
+    return cols
+
+
 @lru_cache(maxsize=None)
 def minus_w0_permutation(rs):
     """The permutation i -> j with -w_0(alpha_i) = alpha_j."""
-    nodes = range(rs.rank)
-    perm = opposition(word_matrix(rs, longest_subsystem_word(rs, nodes)), nodes)
-    return tuple(perm[i] for i in nodes)
+    return tuple(j for _, j in sorted(opposition(rs, range(rs.rank)).items()))
 
 
 def _node_signature(mat, i):

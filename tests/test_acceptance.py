@@ -44,12 +44,11 @@ from wonderful.restricted import expand, is_exceptional
 from wonderful.rootsystem import (
     coroot,
     highest_roots,
-    longest_subsystem_word,
     pair_coweight,
     root_set,
     two_rho,
-    word_matrix,
 )
+from weyl_words import longest_subsystem_word, word_matrix
 
 CAT = load_catalog()
 

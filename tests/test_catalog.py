@@ -4,6 +4,7 @@ import dataclasses
 import sys
 
 import pytest
+import yaml
 
 from wonderful.catalog import (
     ALL_CHECKS,
@@ -36,6 +37,17 @@ def test_load():
     assert len(CAT.templates) == 36
     assert len(CAT.by_label) == 36
     assert REACHABLE <= set(CAT.by_label)
+
+
+def test_pure_python_loader_reads_the_same_catalog(monkeypatch, tmp_path):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    slow = load_catalog()
+    assert (slow.version, slow.templates) == (CAT.version, CAT.templates)
+    # its composer recurses in Python: the nesting bound comes first
+    path = tmp_path / "deep.yaml"
+    path.write_text("version: 1\nfamilies: " + "[" * 5000 + "]" * 5000, encoding="utf-8")
+    with pytest.raises(ValueError, match="^catalog nests collections more than 64 deep$"):
+        load_catalog(path)
 
 
 def test_routing():

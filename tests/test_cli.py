@@ -3,12 +3,16 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 import yaml
 
+import wonderful
 from wonderful.catalog import instantiate, load_catalog, validate
 from wonderful.cli import main
 
@@ -227,6 +231,28 @@ def test_unparsable_catalog_exits_2(capsys, tmp_path):
     assert err.startswith("error: catalog is not valid YAML")
 
 
+def _nested_catalog(path, depth):
+    path.write_text("version: 1\nfamilies: " + "[" * depth + "]" * depth + "\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("depth", [5000, 100000])
+def test_deeply_nested_catalog_exits_2(tmp_path, depth):
+    # libyaml composes a document recursively in C, where too deep a one
+    # overflows the stack: run in a subprocess, so that a crash fails here
+    path = _nested_catalog(tmp_path / "deep.yaml", depth)
+    src = str(Path(wonderful.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from wonderful.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "check", "--max-rank", "3", "--catalog", path],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", "error: catalog nests collections more than 64 deep\n")
+
+
 def test_stored_name_above_the_rank_ceiling_is_a_failed_check(capsys, tmp_path):
     path = _write_catalog(tmp_path / "big.yaml",
                           _set_field("hc", ["Gr(2,120)"], label="GroupB")(_shipped_catalog()))
@@ -271,10 +297,11 @@ def test_version(capsys):
     assert "wonderful" in capsys.readouterr().out
 
 
-# SHA-256 of stdout for the whole rank <= 8 table and check, and for the
+# SHA-256 of stdout for the whole rank <= 8 table and check, for the
 # exceptional groups, whose affine E6/E7/E8 Kac diagrams only ambient ranks
-# 12-16 reach.  A refactor or speed-up must not change a byte (a value that
-# turns from Fraction to int, or back, would).
+# 12-16 reach, and for four instances of ambient rank 19-40 with long black
+# chains.  A refactor or speed-up must not change a byte (a value that turns
+# from Fraction to int, or back, would).
 OUTPUT_DIGESTS = {
     ("table", "--max-rank", "8", "--format", "json"):
         "b4cb5daf15fe4e333686dcc047a5a51405caba3c9f63aa3dded0f75918c1a79c",
@@ -286,11 +313,20 @@ OUTPUT_DIGESTS = {
         "1c0710d124d2786457b575a84a9300b466844a7b5ecf9194017f798fa6aa9d8f",
     ("report", "GroupE8", "--format", "json"):
         "fe70a3ea7efe9c69457d2b2ab9f14f4a2d335053b3a77a6150e8f72ea93c413b",
+    ("report", "AI", "r=40", "--format", "json"):
+        "64a470d14c9c8b2c8be29ba5f46cc47bfb816296d1b96a272723b4fbf5fd031b",
+    ("report", "AIII", "n=40", "r=3", "--format", "json"):
+        "78debc51b7cea1aaac33b4196ff82e6e06aa4504beb619dcae4842d6a11f57fb",
+    ("report", "CII", "n=20", "r=3", "--format", "json"):
+        "ffe610cb2476fa35c379fb573aab9830dd2385b3396756bfb66e23f46ba9cccd",
+    ("report", "DIIIodd", "r=10", "--format", "json"):
+        "43eedc3588e565188327cda92ad2508c7f99b6cba8b988b4c5f03d4a8e580bf0",
 }
 
 
 @pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS),
-                         ids=["table", "check", "GroupE6", "GroupE7", "GroupE8"])
+                         ids=["table", "check", "GroupE6", "GroupE7", "GroupE8",
+                              "AI-r40", "AIII-n40-r3", "CII-n20-r3", "DIIIodd-r10"])
 def test_output_is_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0

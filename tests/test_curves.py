@@ -21,12 +21,11 @@ from wonderful.restricted import build_restricted, restrict_root
 from wonderful.linalg import invert
 from wonderful.rootsystem import (
     build_root_system,
-    longest_subsystem_word,
     minus_w0_permutation,
     pair_coweight,
     unit_vector,
-    word_matrix,
 )
+from weyl_words import longest_subsystem_word, word_matrix
 
 
 def _setup(components, black=(), arrows=()):

@@ -29,8 +29,9 @@ from wonderful.rootsystem import (
     coroot,
     highest_roots,
     indexed_roots,
-    longest_subsystem_word,
+    longest_element,
     minus_w0_permutation,
+    opposition,
     pair_coweight,
     positive_roots,
     root_set,
@@ -152,8 +153,8 @@ def test_first_node_black_does_not_commute_with_w0(components):
 def test_sigma_sending_a_root_off_the_root_system_is_rejected(monkeypatch):
     # sigma = diag(-1, 1) on A2 squares to 1 and fixes the simple roots up to
     # sign, but sends alpha_1 + alpha_2 to -alpha_1 + alpha_2, which is no root
-    monkeypatch.setattr("wonderful.involution.word_matrix",
-                        lambda rs, word: [[1, 0], [0, -1]])
+    monkeypatch.setattr("wonderful.involution.longest_element",
+                        lambda rs, iota: [[1, 0], [0, -1]])
     rs = build_root_system((("A", 2),))
     with pytest.raises(SatakeError, match="does not preserve the root system"):
         build_involution(make_satake(rs))
@@ -253,12 +254,16 @@ def test_one_black_longest_word_per_datum(monkeypatch):
         minus_w0_permutation(sd.root_system)
     calls = []
 
-    def counted(rs, nodes):
-        calls.append(tuple(nodes))
-        return longest_subsystem_word(rs, nodes)
+    def counted_iota(rs, nodes):
+        calls.append(("iota", tuple(nodes)))
+        return opposition(rs, nodes)
 
-    monkeypatch.setattr("wonderful.rootsystem.longest_subsystem_word", counted)
-    monkeypatch.setattr("wonderful.involution.longest_subsystem_word", counted)
+    def counted_wl(rs, iota):
+        calls.append(("w_L", tuple(sorted(iota))))
+        return longest_element(rs, iota)
+
+    monkeypatch.setattr("wonderful.involution.opposition", counted_iota)
+    monkeypatch.setattr("wonderful.involution.longest_element", counted_wl)
     built = 0
     for sd in data:
         calls.clear()
@@ -267,6 +272,8 @@ def test_one_black_longest_word_per_datum(monkeypatch):
             built += 1
         except SatakeError:
             pass
-        # none when _check_satake rejects the datum first
-        assert calls in ([], [sd.black_nodes]), sd
+        # none when _check_satake rejects the datum first, and no w_L when
+        # the completed diagram involution is rejected
+        black = sd.black_nodes
+        assert calls in ([], [("iota", black)], [("iota", black), ("w_L", black)]), sd
     assert built == 102 + 19

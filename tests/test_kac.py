@@ -15,6 +15,7 @@ from wonderful.kac import (
     _name_factor,
     _parse_factor,
     affine_diagram,
+    canonical_type,
     component_descriptor,
     diagram_marks,
     kac_cycle,
@@ -43,7 +44,12 @@ from wonderful.kac import (
     normalize_name,
     validate_diagram,
 )
-from wonderful.rootsystem import VALID_RANKS
+from wonderful.rootsystem import (
+    VALID_RANKS,
+    build_root_system,
+    positive_roots,
+    subsystem_roots,
+)
 
 
 def _mark_product(kd, marks):
@@ -323,3 +329,28 @@ def test_name_readings_are_pinned():
     assert len(rows) == NAMES_COUNT
     digest = hashlib.sha256(json.dumps(rows, ensure_ascii=False).encode()).hexdigest()
     assert digest == NAMES_DIGEST
+
+
+def test_factor_dim_counts_match_the_root_tables():
+    for typ, rank in [(t, n) for t in "ABCDEFG" for n in range(1, 9) if VALID_RANKS[t](n)]:
+        rs = build_root_system(((typ, rank),))
+        for k in range(1, rank + 1):
+            for crossed in itertools.combinations(range(1, rank + 1), k):
+                kept = tuple(j for j in range(rank) if j + 1 not in crossed)
+                assert _factor_dim(typ, rank, crossed) == \
+                    len(positive_roots(rs)) - len(subsystem_roots(rs, kept)), (typ, rank, crossed)
+
+
+def test_factor_dim_builds_no_root_table(monkeypatch):
+    monkeypatch.setattr("wonderful.rootsystem._root_generation",
+                        lambda rs: pytest.fail("a root table was built"))
+    assert name_dimension("Gr(2,100)") == 2 * 98
+    assert name_dimension("E8/P1-8") == 120 - 30      # the uncrossed nodes form D6
+
+
+@pytest.mark.parametrize("label, canonical", [
+    ("A1", "A1"), ("B1", "A1"), ("C1", "A1"), ("C2", "B2"), ("D3", "A3"), ("B2", "B2"),
+    ("A3", "A3"), ("C3", "C3"), ("D4", "D4"), ("BC1", "BC1"), ("BC2", "BC2"), ("BC0", "BC0"),
+])
+def test_type_labels_up_to_the_low_rank_coincidences(label, canonical):
+    assert canonical_type(label) == canonical

@@ -1,5 +1,6 @@
 """Root system core: counts, highest roots, reflections, longest words."""
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,18 +16,22 @@ from wonderful.rootsystem import (
     identify_cartan,
     indexed_roots,
     inner_product,
-    length_sq,
-    longest_subsystem_word,
+    longest_element,
     memoised,
     minus_w0_permutation,
+    opposition,
     pair_coweight,
     pairing,
     positive_roots,
-    reflect,
     root_set,
     root_steps,
     subsystem_roots,
     two_rho,
+)
+from weyl_words import (
+    longest_subsystem_word,
+    matrix_opposition,
+    reflect,
     word_action,
     word_matrix,
 )
@@ -161,11 +166,12 @@ def test_pairing_and_reflection_b2():
 
 def test_inner_product_normalization():
     rs = build_root_system((("G", 2),))
-    assert length_sq(rs, (0, 1)) == 2
-    assert length_sq(rs, (1, 0)) == Fraction(2, 3)
-    assert length_sq(rs, highest_roots(rs)[0]) == 2
+    assert inner_product(rs, (0, 1), (0, 1)) == 2
+    assert inner_product(rs, (1, 0), (1, 0)) == Fraction(2, 3)
+    theta = highest_roots(rs)[0]
+    assert inner_product(rs, theta, theta) == 2
     b3 = build_root_system((("B", 3),))
-    assert length_sq(b3, (0, 0, 1)) == 1
+    assert inner_product(b3, (0, 0, 1), (0, 0, 1)) == 1
     assert coroot(b3, (0, 0, 1)) == (0, 0, 1)
     # coroot of a long root beta is beta transported with unit coefficients
     assert coroot(b3, (1, 1, 2)) == (1, 1, 1)
@@ -223,6 +229,25 @@ def test_minus_w0_permutations():
     assert minus_w0_permutation(build_root_system((("D", 4),))) == (0, 1, 2, 3)
     assert minus_w0_permutation(build_root_system((("E", 6),))) == (5, 1, 4, 3, 2, 0)
     assert minus_w0_permutation(build_root_system((("E", 7),))) == tuple(range(7))
+
+
+# the types on which the closed-form w_L and iota are checked against Weyl words
+WEYL_WORD_TYPES = ([("A", n) for n in range(1, 8)] + [("B", n) for n in range(2, 7)]
+                   + [("C", n) for n in range(3, 7)] + [("D", n) for n in range(4, 8)]
+                   + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("typ,rank", WEYL_WORD_TYPES)
+def test_longest_element_and_opposition_match_weyl_words(typ, rank):
+    # every black set L and, through the whole matrix, every node j
+    rs = build_root_system(((typ, rank),))
+    for k in range(rank + 1):
+        for nodes in itertools.combinations(range(rank), k):
+            wl = word_matrix(rs, longest_subsystem_word(rs, nodes))
+            iota = opposition(rs, nodes)
+            assert iota == matrix_opposition(wl, nodes), nodes
+            assert [list(row) for row in zip(*longest_element(rs, iota))] == wl, nodes
+    assert minus_w0_permutation(rs) == tuple(iota[i] for i in range(rank))
 
 
 def test_multi_component():

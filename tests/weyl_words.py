@@ -1,0 +1,62 @@
+"""Weyl words: the reference the closed-form longest elements are tested on.
+
+The engine builds w_L and iota = -w_0 without Weyl words
+(`rootsystem.longest_element`, `rootsystem.opposition`).  These helpers
+compute the same data the slow way, by applying a reduced word of simple
+reflections, so the tests can compare the two.
+"""
+
+from wonderful.rootsystem import pairing, subsystem_roots, unit_vector
+
+
+def reflect(rs, i, w):
+    """Simple reflection s_i applied to w in simple-root coordinates."""
+    p = pairing(rs, i, w)
+    out = list(w)
+    out[i] -= p
+    return tuple(out)
+
+
+def longest_subsystem_word(rs, nodes):
+    """A reduced word (first letter applied first) for the longest element
+    of the parabolic subgroup generated by the given nodes."""
+    nodes = sorted(set(nodes))
+    p = {i: 1 for i in nodes}
+    word = []
+    while True:
+        i = next((k for k in nodes if p[k] > 0), None)
+        if i is None:
+            break
+        word.append(i)
+        pi = p[i]
+        for k in nodes:
+            p[k] -= pi * rs.cartan[k][i]
+    if len(word) != len(subsystem_roots(rs, tuple(nodes))):
+        raise ValueError("longest word has wrong length")
+    return word
+
+
+def word_action(rs, word, w):
+    for i in word:
+        w = reflect(rs, i, w)
+    return w
+
+
+def word_matrix(rs, word):
+    """Matrix of the word acting on simple-root coordinate columns."""
+    cols = [word_action(rs, word, unit_vector(rs.rank, j)) for j in range(rs.rank)]
+    return [list(row) for row in zip(*cols)]
+
+
+def matrix_opposition(wl, nodes):
+    """{i: j} on the given nodes with -w_0(alpha_i) = alpha_j, read off the
+    columns of the matrix wl of the longest element w_0 of their parabolic
+    subgroup."""
+    perm = {}
+    for i in nodes:
+        img = [-row[i] for row in wl]
+        ones = [k for k, x in enumerate(img) if x == 1]
+        if sum(img) != 1 or len(ones) != 1 or ones[0] not in nodes:
+            raise ValueError("-w_0 does not permute the simple roots")
+        perm[i] = ones[0]
+    return perm
