@@ -7,11 +7,13 @@ Subcommands:
   roots   ambient and restricted root data for one family instance
 
 Exit codes: 0 success, 1 failed consistency checks, 2 usage or data errors,
-3 internal error (an engine bug, reported in one line without a traceback).
+3 internal error (an engine bug, reported in one line without a traceback),
+141 (128 + SIGPIPE) when the reader closes standard output early.
 """
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -295,7 +297,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        # flush here, so that a closed pipe is caught below and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,8 +9,8 @@ opposition involution of the black subdiagram.
 
 from dataclasses import dataclass, field
 
-from .linalg import mat_mul
 from .rootsystem import (
+    _root_generation,
     indexed_roots,
     longest_element,
     minus_w0_permutation,
@@ -57,7 +57,6 @@ def make_satake(rs, black=(), arrows=()):
 @dataclass(frozen=True)
 class Involution:
     satake: object
-    sigma_matrix: tuple
     tau: tuple
     delta1: tuple
     sigma_bar: tuple
@@ -121,26 +120,23 @@ def build_involution(sd):
     n = rs.rank
     black_iota = opposition(rs, sd.black_nodes)
     tau = _complete_tau(sd, black_iota)
-    # -w_L composed with the permutation tau of the simple roots
+    # sigma(alpha_j) = -w_L(alpha_tau(j)) on the simple roots, then by
+    # height: sigma(beta' + alpha_i) is sigma(beta') + sigma(alpha_i)
     wl = longest_element(rs, black_iota)
-    sigma = [[-wl[tau[j]][i] for j in range(n)] for i in range(n)]
-
-    square = mat_mul(sigma, sigma)
-    if any(square[i][j] != (1 if i == j else 0) for i in range(n) for j in range(n)):
-        _fail("sigma is not an involution")
-    # images of the positive roots by height: sigma(beta' + alpha_i) is
-    # sigma(beta') + sigma(alpha_i), starting from the simple images
-    index = indexed_roots(rs)[1]
-    images = [apply_matrix(sigma, unit_vector(n, i)) for i in range(n)]
+    images = [tuple(-x for x in wl[tau[j]]) for j in range(n)]
     for k, i in root_steps(rs):
         images.append(tuple(a + b for a, b in zip(images[k], images[i])))
+    index = indexed_roots(rs)[1]
     perm = [index.get(img) for img in images]
     if None in perm:
         _fail("sigma does not preserve the root system")
     npos = len(perm)
     sigma_perm = tuple(perm) + tuple((k + npos) % (2 * npos) for k in perm)
-    sigma_t = [list(col) for col in zip(*sigma)]
-    if mat_mul(mat_mul(sigma_t, rs.gram6), sigma) != [list(row) for row in rs.gram6]:
+    # the positive roots span, so sigma^2 = 1 once it fixes each of them
+    if any(sigma_perm[j] != k for k, j in enumerate(perm)):
+        _fail("sigma is not an involution")
+    sq6 = _root_generation(rs)[2]
+    if any(sq6[j % npos] != sq6[k] for k, j in enumerate(perm)):
         _fail("sigma does not preserve the inner product")
     black = set(sd.black_nodes)
     delta1 = sd.white_nodes
@@ -164,12 +160,11 @@ def build_involution(sd):
 
     # w_0 = -iota on simple roots, so sigma w_0 = w_0 sigma permutes entries
     iota = minus_w0_permutation(rs)
-    if any(sigma[i][iota[j]] != sigma[iota[i]][j] for i in range(n) for j in range(n)):
+    if any(images[iota[j]][i] != images[j][iota[i]] for i in range(n) for j in range(n)):
         _fail("sigma does not commute with w_0")
 
     inv = Involution(
         satake=sd,
-        sigma_matrix=tuple(tuple(row) for row in sigma),
         tau=tau,
         delta1=delta1,
         sigma_bar=tuple(sigma_bar.get(i, i) for i in range(n)),
@@ -178,13 +173,6 @@ def build_involution(sd):
     for i in delta1:
         classify_simple(inv, i)
     return inv
-
-
-def sigma_bar_of(inv, i):
-    """The unique white node with coefficient 1 in -sigma(alpha_i)."""
-    if i not in inv.delta1:
-        raise ValueError(f"node {i} is not white")
-    return inv.sigma_bar[i]
 
 
 def classify_simple(inv, i):

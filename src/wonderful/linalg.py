@@ -2,13 +2,6 @@
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
-
-
-def mat_mul(a, b):
-    """Matrix product; integer matrices give an integer product."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _eliminate(rows, ncols):

@@ -38,17 +38,25 @@ from wonderful.invariants import (
     kappa_and_sigma,
     nilpotent_orbit_dimension,
 )
-from wonderful.involution import NONREDUCED, classify_simple, sigma_root
+from wonderful.involution import (
+    NONREDUCED,
+    SatakeError,
+    build_involution,
+    classify_simple,
+    sigma_root,
+)
 from wonderful.kac import name_dimension
 from wonderful.restricted import expand, is_exceptional
 from wonderful.rootsystem import (
     coroot,
     highest_roots,
+    indexed_roots,
     pair_coweight,
     root_set,
     two_rho,
 )
-from weyl_words import longest_subsystem_word, word_matrix
+from test_involution import _scan_data
+from weyl_words import longest_subsystem_word, sigma_matrix, word_matrix
 
 CAT = load_catalog()
 
@@ -159,7 +167,7 @@ def test_restricted_root_suite():
 
         # the involution commutes with the longest Weyl element
         w0 = word_matrix(rs, longest_subsystem_word(rs, range(rs.rank)))
-        sig = inv.sigma_matrix
+        sig = sigma_matrix(inv)
         assert _matmul(w0, sig) == _matmul(sig, w0), label
 
         # restricted Cartan matrix is a genuine Cartan matrix
@@ -226,9 +234,21 @@ def test_paper_statements_over_the_enumeration():
 
 
 def test_sigma_matrix_is_integral():
-    for record in _all_records():
-        sigma = record.involution.sigma_matrix
-        assert all(type(x) is int for row in sigma for x in row), record.label
+    # the columns roots[sigma_perm[j]] of sigma's matrix are integer and equal
+    # -w_L . tau built from the black Weyl word, for every catalog record and
+    # every involution the satake scan builds
+    involutions = [record.involution for record in _all_records()]
+    for sd in _scan_data():
+        try:
+            involutions.append(build_involution(sd))
+        except SatakeError:
+            pass
+    assert len(involutions) == 147 + 102 + 19
+    for inv in involutions:
+        roots = indexed_roots(inv.root_system)[0]
+        columns = [roots[inv.sigma_perm[j]] for j in range(inv.root_system.rank)]
+        assert all(type(x) is int for col in columns for x in col), inv.satake
+        assert [list(row) for row in zip(*columns)] == sigma_matrix(inv), inv.satake
 
 
 def _solve_by_elimination(basis, v):

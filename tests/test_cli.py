@@ -237,18 +237,26 @@ def _nested_catalog(path, depth):
     return str(path)
 
 
+def _cli_argv(*args):
+    """A command line that runs the CLI of this checkout in a new interpreter."""
+    return [sys.executable, "-c", "import sys; from wonderful.cli import main; "
+            "sys.exit(main(sys.argv[1:]))", *args]
+
+
+def _src_env():
+    src = str(Path(wonderful.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.mark.parametrize("depth", [5000, 100000])
 def test_deeply_nested_catalog_exits_2(tmp_path, depth):
     # libyaml composes a document recursively in C, where too deep a one
     # overflows the stack: run in a subprocess, so that a crash fails here
     path = _nested_catalog(tmp_path / "deep.yaml", depth)
-    src = str(Path(wonderful.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from wonderful.cli import main; "
-         "sys.exit(main(sys.argv[1:]))", "check", "--max-rank", "3", "--catalog", path],
-        capture_output=True, text=True, env=env, timeout=300)
+        _cli_argv("check", "--max-rank", "3", "--catalog", path),
+        capture_output=True, text=True, env=_src_env(), timeout=300)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (2, "", "error: catalog nests collections more than 64 deep\n")
 
@@ -288,6 +296,18 @@ def test_engine_bug_is_an_internal_error_not_a_failed_check(monkeypatch, capsys)
     assert code == 3
     assert out == ""
     assert err == "internal error: TypeError: broken engine\n"
+
+
+def test_closed_pipe_exits_141_without_a_message():
+    # the JSON table (about 148 kB) is more than a pipe holds, so the CLI is
+    # still writing when the reader goes
+    proc = subprocess.Popen(_cli_argv("table", "--max-rank", "8", "--format", "json"),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=300), err) == (141, b"")
 
 
 def test_version(capsys):

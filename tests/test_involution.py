@@ -20,7 +20,6 @@ from wonderful.involution import (
     is_inner,
     make_satake,
     moved_root_count,
-    sigma_bar_of,
     sigma_root,
 )
 from wonderful.restricted import build_restricted
@@ -36,6 +35,7 @@ from wonderful.rootsystem import (
     positive_roots,
     root_set,
 )
+from weyl_words import sigma_matrix
 
 SCAN_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "satake-scan.json"
 # SHA-256 of the outcome of every satake-scan datum: 102 accepted, 584
@@ -59,7 +59,7 @@ def test_split_a2():
     inv = _involution((("A", 2),))
     assert sigma_root(inv, (1, 0)) == (-1, 0)
     assert classify_simple(inv, 0) == REAL
-    assert sigma_bar_of(inv, 0) == 0
+    assert inv.sigma_bar[0] == 0
     assert not is_inner(inv)
 
 
@@ -69,7 +69,7 @@ def test_quadric_b2():
     assert sigma_root(inv, (1, 0)) == (-1, -2)
     assert sigma_root(inv, (0, 1)) == (0, 1)
     assert classify_simple(inv, 0) == ORTHOGONAL
-    assert sigma_bar_of(inv, 0) == 0
+    assert inv.sigma_bar[0] == 0
     assert is_inner(inv)
 
 
@@ -78,7 +78,7 @@ def test_a3_black_middle_with_arrows():
     inv = _involution((("A", 3),), black=[1], arrows=[(0, 2)])
     assert sigma_root(inv, (1, 0, 0)) == (0, -1, -1)
     assert classify_simple(inv, 0) == NONREDUCED
-    assert sigma_bar_of(inv, 0) == 2
+    assert inv.sigma_bar[0] == 2
     assert is_inner(inv)
 
 
@@ -96,7 +96,7 @@ def test_a4_quasi_split_arrows_only():
     assert sigma_root(inv, (1, 0, 0, 0)) == (0, 0, 0, -1)
     assert classify_simple(inv, 0) == ORTHOGONAL
     assert classify_simple(inv, 1) == NONREDUCED
-    assert sigma_bar_of(inv, 0) == 3
+    assert inv.sigma_bar[0] == 3
     assert is_inner(inv)
 
 
@@ -105,7 +105,7 @@ def test_group_type_swap():
     inv = build_involution(make_satake(rs, arrows=[(0, 2), (1, 3)]))
     assert sigma_root(inv, (1, 0, 0, 0)) == (0, 0, -1, 0)
     assert classify_simple(inv, 0) == ORTHOGONAL
-    assert sigma_bar_of(inv, 0) == 2
+    assert inv.sigma_bar[0] == 2
     assert not is_inner(inv)
     assert moved_root_count(inv) == 12
 
@@ -160,6 +160,31 @@ def test_sigma_sending_a_root_off_the_root_system_is_rejected(monkeypatch):
         build_involution(make_satake(rs))
 
 
+def test_sigma_permuting_the_roots_but_not_an_involution_is_rejected(monkeypatch):
+    # w_L patched to the A2 Coxeter element, of order 3: sigma = -w_L
+    # permutes the roots, but sigma^2 sends alpha_1 to -alpha_1 - alpha_2
+    monkeypatch.setattr("wonderful.involution.longest_element",
+                        lambda rs, iota: [(0, 1), (-1, -1)])
+    rs = build_root_system((("A", 2),))
+    with pytest.raises(SatakeError, match="sigma is not an involution"):
+        build_involution(make_satake(rs))
+
+
+def test_build_involution_applies_no_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("apply_matrix called")
+
+    monkeypatch.setattr("wonderful.involution.apply_matrix", refuse)
+    built = 0
+    for sd in _scan_data():
+        try:
+            build_involution(sd)
+            built += 1
+        except SatakeError:
+            pass
+    assert built == 102 + 19
+
+
 def test_all_black_rejected():
     rs = build_root_system((("A", 2),))
     with pytest.raises(SatakeError):
@@ -187,7 +212,7 @@ def _reference_nilpotent_orbit_dimension(inv):
     for sigma(theta) != -theta outside the group case; else None."""
     rs = inv.root_system
     theta = highest_roots(rs, 0)[0]
-    img = apply_matrix(inv.sigma_matrix, theta)
+    img = apply_matrix(sigma_matrix(inv), theta)
     if len(rs.components) == 2 or img == tuple(-x for x in theta):
         return None
     h = tuple(a - b for a, b in zip(coroot(rs, theta), coroot(rs, img)))
@@ -209,15 +234,15 @@ def test_sigma_perm_is_the_matrix_on_indexed_roots():
         for k in range(npos):
             assert perm[perm[k]] == k and perm[perm[k + npos]] == k + npos
             assert perm[k + npos] == (perm[k] + npos) % (2 * npos), record.label
+        sigma = sigma_matrix(inv)
         for beta in roots:
-            assert sigma_root(inv, beta) == apply_matrix(inv.sigma_matrix, beta)
+            assert sigma_root(inv, beta) == apply_matrix(sigma, beta)
 
-        moved = sum(1 for beta in roots
-                    if apply_matrix(inv.sigma_matrix, beta) != beta)
+        moved = sum(1 for beta in roots if apply_matrix(sigma, beta) != beta)
         assert moved_root_count(inv) == moved, record.label
         kappa = [0] * rs.rank
         for beta in positive_roots(rs):
-            if all(x <= 0 for x in apply_matrix(inv.sigma_matrix, beta)):
+            if all(x <= 0 for x in apply_matrix(sigma, beta)):
                 kappa = [a + b for a, b in zip(kappa, beta)]
         assert kappa_and_sigma(rrs)[0] == tuple(kappa), record.label
         want = _reference_nilpotent_orbit_dimension(inv)

@@ -2,13 +2,12 @@
 
 from fractions import Fraction
 from math import gcd, lcm
-from random import Random
 
 import pytest
 from test_kac import AFFINE_MARKS
 
 from wonderful.kac import affine_diagram
-from wonderful.linalg import mat_mul, nullspace_line, solve_scaled
+from wonderful.linalg import nullspace_line, solve_scaled
 
 
 def _fraction_nullspace_line(a):
@@ -74,19 +73,3 @@ def test_solve_scaled_solves_scaled_system(a, b):
 def test_solve_scaled_rejects_singular_matrix():
     with pytest.raises(ValueError, match="singular matrix"):
         solve_scaled([[1, 2, 3], [2, 4, 6], [0, 1, 1]], [[1], [0], [0]])
-
-
-@pytest.mark.parametrize("n, m, p", [(1, 1, 1), (2, 2, 2), (2, 3, 4), (4, 3, 2),
-                                     (1, 5, 1), (5, 1, 5), (3, 1, 4), (6, 6, 6)])
-def test_mat_mul_matches_triple_loop(n, m, p):
-    rng = Random(100 * n + 10 * m + p)
-    a = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
-    b = [[rng.randint(-9, 9) for _ in range(p)] for _ in range(m)]
-    expected = [[0] * p for _ in range(n)]
-    for i in range(n):
-        for j in range(p):
-            for k in range(m):
-                expected[i][j] += a[i][k] * b[k][j]
-    got = mat_mul(a, b)
-    assert got == expected
-    assert all(type(x) is int for row in got for x in row)

@@ -1,9 +1,10 @@
 """Weyl words: the reference the closed-form longest elements are tested on.
 
-The engine builds w_L and iota = -w_0 without Weyl words
-(`rootsystem.longest_element`, `rootsystem.opposition`).  These helpers
-compute the same data the slow way, by applying a reduced word of simple
-reflections, so the tests can compare the two.
+The engine builds w_L, iota = -w_0 and sigma without Weyl words or matrices
+(`rootsystem.longest_element`, `rootsystem.opposition`,
+`Involution.sigma_perm`).  These helpers compute the same data the slow way,
+by applying a reduced word of simple reflections, so the tests can compare
+the two.
 """
 
 from wonderful.rootsystem import pairing, subsystem_roots, unit_vector
@@ -60,3 +61,11 @@ def matrix_opposition(wl, nodes):
             raise ValueError("-w_0 does not permute the simple roots")
         perm[i] = ones[0]
     return perm
+
+
+def sigma_matrix(inv):
+    """The matrix of sigma = -w_L . tau on simple-root coordinate columns,
+    with w_L applied as a reduced word of the black nodes."""
+    rs = inv.root_system
+    wl = word_matrix(rs, longest_subsystem_word(rs, inv.satake.black_nodes))
+    return [[-row[inv.tau[j]] for j in range(rs.rank)] for row in wl]
