@@ -8,6 +8,7 @@ black components, crossed at the neighbors of the marked node.
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .linalg import nullspace_line
 from .rootsystem import (
@@ -225,9 +226,13 @@ def _canonical(typ, rank, crossed):
     return typ, rank, crossed
 
 
+@lru_cache(maxsize=4096)  # bounded, so a long --catalog cannot grow it without end
 def _factors(name):
-    """Canonical crossed diagrams of the factors of a product name."""
-    return [_canonical(*d) for part in name.split(" x ") for d in _parse_factor(part)]
+    """Canonical crossed diagrams of the factors of a product name; each part
+    is memoised as a name of its own, so each factor text is parsed once."""
+    parts = name.split(" x ")
+    return sum(map(_factors, parts), ()) if len(parts) > 1 \
+        else tuple(_canonical(*d) for d in _parse_factor(name))
 
 
 def normalize_name(name):

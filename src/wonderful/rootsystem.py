@@ -279,11 +279,14 @@ def subsystem_roots(rs, nodes):
 def connected_components(nodes, linked):
     """Components of the graph on nodes with an edge i-j where linked(i, j),
     for a symmetric linked; each sorted, ordered by least node."""
-    comps = []
-    for i in sorted(nodes):
-        near = [c for c in comps if any(linked(i, j) for j in c)]
-        comps = [c for c in comps if c not in near] + [sorted([i, *sum(near, [])])]
-    return sorted(comps)
+    rest, comps = sorted(nodes), []
+    while rest:
+        comp = [rest.pop(0)]
+        for i in comp:  # breadth first: comp grows inside the loop
+            comp += [j for j in rest if linked(i, j)]
+            rest = [j for j in rest if j not in comp]
+        comps.append(sorted(comp))
+    return comps
 
 
 def opposition(rs, nodes):
@@ -293,13 +296,14 @@ def opposition(rs, nodes):
     D_n for odd n, and the identity on the other types (Bourbaki, Plates)."""
     perm = {}
     for comp in connected_components(nodes, lambda i, j: rs.cartan[i][j] != 0):
-        typ, n, mapping = identify_cartan([[rs.cartan[i][j] for j in comp] for i in comp])
+        typ, order = _bourbaki_order([[rs.cartan[i][j] for j in comp] for i in comp])
+        n = len(comp)
         std = (range(n - 1, -1, -1) if typ == "A"
                else (*range(n - 2), n - 1, n - 2) if typ == "D" and n % 2
                else (5, 1, 4, 3, 2, 0) if (typ, n) == ("E", 6)
                else range(n))
         for k, image in enumerate(std):
-            perm[comp[mapping[k]]] = comp[mapping[image]]
+            perm[comp[order[k]]] = comp[order[image]]
     return perm
 
 
@@ -331,51 +335,65 @@ def minus_w0_permutation(rs):
     return tuple(j for _, j in sorted(opposition(rs, range(rs.rank)).items()))
 
 
-def _node_signature(mat, i):
-    return tuple(sorted(mat[i][j] * mat[j][i] for j in range(len(mat)) if j != i and mat[i][j]))
+def _bourbaki_order(mat):
+    """(type, nodes in Bourbaki order) of a connected Dynkin diagram, read off
+    its shape (Bourbaki, Lie Groups, Ch. VI, Plates): a path is A, B, C, F4 or
+    G2 by its multiple bond, one branch node with arms (1, 1, k) is D and with
+    (1, 2, k) E.  Other shapes give None; ranks and entries are not checked.
+    Where automorphisms allow several orders, the least sequence is returned:
+    a path walked from its least end, arms sorted by (length, end node)."""
+    n = len(mat)
+    near = [[j for j in range(n) if j != i and (mat[i][j] or mat[j][i])] for i in range(n)]
+    degree = [len(js) for js in near]
+    if not n or sum(degree) != 2 * n - 2 or max(degree) > 3 or degree.count(3) > 1:
+        return None
 
+    def walk(prev, i):  # from i away from prev up to the first node not of degree 2
+        nodes = [i]
+        while degree[i] == 2:
+            prev, i = i, near[i][near[i][0] == prev]
+            nodes.append(i)
+        return nodes
 
-def _match_cartan(std, given):
-    """Bijection f with std[i][j] == given[f(i)][f(j)], or None."""
-    n = len(std)
-    std_sig = [_node_signature(std, i) for i in range(n)]
-    given_sig = [_node_signature(given, i) for i in range(n)]
-    assignment = [None] * n
-    used = [False] * n
-
-    def backtrack(i):
-        if i == n:
-            return True
-        for cand in range(n):
-            if used[cand] or std_sig[i] != given_sig[cand]:
-                continue
-            ok = all(assignment[j] is None
-                     or (std[i][j] == given[cand][assignment[j]]
-                         and std[j][i] == given[assignment[j]][cand])
-                     for j in range(n))
-            if ok:
-                assignment[i] = cand
-                used[cand] = True
-                if backtrack(i + 1):
-                    return True
-                assignment[i] = None
-                used[cand] = False
-        return False
-
-    return list(assignment) if backtrack(0) else None
+    if 3 in degree:
+        b = degree.index(3)
+        short, mid, long = sorted((walk(b, j) for j in near[b]), key=lambda a: (len(a), a[-1]))
+        if n == 4:  # D4: any leaf order is allowed, so the least leaf goes first
+            short, mid, long = mid, long, short
+        typ, order = (("D", long[::-1] + [b] + short + mid) if len(mid) == 1
+                      else ("E", [mid[1], short[0], mid[0], b] + long)
+                      if (len(short), len(mid)) == (1, 2) else (None, []))
+        # refuses an arm that runs back into b, and a node no arm reaches
+        return (typ, order) if sorted(order) == list(range(n)) else None
+    end = min(i for i in range(n) if degree[i] < 2)
+    order = [end] + (walk(end, near[end][0]) if degree[end] else [])
+    multiple = [k for k in range(len(order) - 1)
+                if mat[order[k]][order[k + 1]] != -1 or mat[order[k + 1]][order[k]] != -1]
+    if len(order) != n or len(multiple) > 1:
+        return None
+    if not multiple:
+        return "A", order
+    k = multiple[0]
+    i, j = order[k], order[k + 1]
+    # where the bond's short and long node sit gives the type, and whether the
+    # walk runs the way Bourbaki numbers the nodes
+    at_short, at_long = (k, k + 1) if mat[i][j] < -1 else (k + 1, k)
+    typ, forward = (("G", at_short == 0) if mat[i][j] * mat[j][i] == 3
+                    else ("F", at_short == 2) if (n, k) == (4, 1)
+                    else ("B", at_short == n - 1) if at_short in (0, n - 1)
+                    else ("C", at_long == n - 1) if at_long in (0, n - 1) else (None, True))
+    return (typ, order if forward else order[::-1]) if typ else None
 
 
 def identify_cartan(mat):
-    """Identify an irreducible Cartan matrix.
-
-    Returns (type, rank, mapping) with mapping[standard 0-based index] =
-    input index, preferring A < B < C < D < E < F < G on coincidences.
-    """
+    """(type, rank, mapping) of an irreducible Cartan matrix, with
+    mapping[standard 0-based index] = input index, or None: the type and
+    order read off the diagram's shape, kept when the rank is valid and the
+    type's Cartan matrix is mat.  B2 wins over C2 and A3 over D3."""
     n = len(mat)
-    candidates = [t for t in "ABCDEFG" if VALID_RANKS[t](n)]
-    for typ in candidates:
-        std = cartan_matrix(typ, n)
-        found = _match_cartan(std, mat)
-        if found is not None:
-            return typ, n, found
-    return None
+    typ, order = _bourbaki_order(mat) or (None, None)
+    if typ is None or not VALID_RANKS[typ](n):
+        return None
+    std = cartan_matrix(typ, n)
+    same = all(std[k][l] == mat[i][j] for k, i in enumerate(order) for l, j in enumerate(order))
+    return (typ, n, order) if same else None

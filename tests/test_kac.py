@@ -6,12 +6,13 @@ import json
 
 import pytest
 
-from wonderful.catalog import _eval, _fmt, _route, load_catalog
+from wonderful.catalog import _eval, _fmt, _route, enumerate_records, load_catalog, validate
 from wonderful.kac import (
     KAC_BUILDERS,
     KacDiagram,
     _canonical,
     _factor_dim,
+    _factors,
     _name_factor,
     _parse_factor,
     affine_diagram,
@@ -329,6 +330,22 @@ def test_name_readings_are_pinned():
     assert len(rows) == NAMES_COUNT
     digest = hashlib.sha256(json.dumps(rows, ensure_ascii=False).encode()).hexdigest()
     assert digest == NAMES_DIGEST
+
+
+def test_validate_parses_each_factor_text_once(monkeypatch):
+    seen = []
+
+    def counted(text):
+        seen.append(text)
+        return _parse_factor(text)
+    monkeypatch.setattr("wonderful.kac._parse_factor", counted)
+    _factors.cache_clear()
+    try:
+        for record in enumerate_records(load_catalog(), 8):
+            assert validate(record) == []
+    finally:
+        _factors.cache_clear()  # drop what was read through the wrapper
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_factor_dim_counts_match_the_root_tables():

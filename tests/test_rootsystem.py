@@ -1,6 +1,7 @@
 """Root system core: counts, highest roots, reflections, longest words."""
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 
 from wonderful.linalg import invert
 from wonderful.rootsystem import (
+    VALID_RANKS,
     build_root_system,
+    cartan_matrix,
+    connected_components,
     coroot,
     highest_roots,
     identify_cartan,
@@ -28,6 +32,7 @@ from wonderful.rootsystem import (
     subsystem_roots,
     two_rho,
 )
+from cartan_search import identify_cartan as search_identify_cartan
 from weyl_words import (
     longest_subsystem_word,
     matrix_opposition,
@@ -270,6 +275,90 @@ def test_identify_cartan_prefers_lower_letter():
     assert (typ, rank) == ("B", 3)
     assert mapping == [2, 1, 0]
     assert identify_cartan([[2, -1], [-4, 2]]) is None
+
+
+def _connected_subsets(typ, rank):
+    a = cartan_matrix(typ, rank)
+    for size in range(1, rank + 1):
+        for nodes in itertools.combinations(range(rank), size):
+            if len(connected_components(nodes, lambda i, j: a[i][j] != 0)) == 1:
+                yield [[a[i][j] for j in nodes] for i in nodes]
+
+
+def _relabel(mat, order):
+    return [[mat[i][j] for j in order] for i in order]
+
+
+def test_identify_cartan_matches_the_search():
+    """The shape reader gives the search's (type, rank, mapping), or None,
+    on connected subdiagrams of every type of rank <= 9 under relabelings and
+    on random integer matrices with 2 on the diagonal."""
+    rng = random.Random(13)
+    types = [(t, n) for t in "ABCDEFG" for n in range(1, 10) if VALID_RANKS[t](n)]
+    for typ, rank in types:
+        subsets = list(_connected_subsets(typ, rank))
+        for mat in rng.sample(subsets, min(len(subsets), 80)):
+            order = list(range(len(mat)))
+            rng.shuffle(order)
+            for m in (mat, _relabel(mat, order)):
+                assert identify_cartan(m) == search_identify_cartan(m), m
+    for _ in range(8000):
+        n = rng.randint(1, 5)
+        m = [[2 if i == j else rng.choice((0, 0, 0, 1, -1, -1, -1, -2, -3, -4))
+              for j in range(n)] for i in range(n)]
+        assert identify_cartan(m) == search_identify_cartan(m), m
+
+
+def _diagram(n, bonds, diagonal=2):
+    """Matrix with the given diagonal, and a_ij, a_ji on each bond (i, j,
+    a_ij, a_ji); a pair (i, j) is a single bond."""
+    mat = [[diagonal if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, *entries in bonds:
+        mat[i][j], mat[j][i] = entries or (-1, -1)
+    return mat
+
+
+@pytest.mark.parametrize("mat", [
+    _diagram(3, [(0, 1), (1, 2), (2, 0)]),                               # cycle A~2
+    _diagram(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),                       # degree 4, D~4
+    _diagram(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)]),               # two branches, D~5
+    _diagram(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),       # arms 2,2,2: E~6
+    _diagram(8, [(0, 1), (0, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7)]),  # 1,3,3: E~7
+    _diagram(9, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8)]),  # E~8
+    _diagram(5, [(0, 1), (1, 2, -1, -2), (2, 3), (3, 4)]),              # double bond inside
+    _diagram(3, [(0, 1, -2, -1), (1, 2, -1, -2)]),                       # two double bonds, C~2
+    _diagram(4, [(0, 2), (1, 2), (2, 3, -1, -2)]),                       # branch and double, B~3
+    _diagram(2, []),                                                     # A1 + A1
+    _diagram(5, [(0, 1), (2, 3), (3, 4), (4, 2)]),                       # A2 + A~2
+    _diagram(7, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (6, 4)]),       # D4 + A~2
+    _diagram(2, [(0, 1)], diagonal=3),                                   # a diagonal entry of 3
+])
+def test_identify_cartan_refuses_other_diagrams(mat):
+    rng = random.Random(len(mat))
+    for _ in range(3):
+        order = list(range(len(mat)))
+        rng.shuffle(order)
+        assert identify_cartan(_relabel(mat, order)) is None
+
+
+def test_connected_components_match_union_find():
+    rng = random.Random(5)
+    for _ in range(300):
+        nodes = rng.sample(range(12), rng.randint(0, 12))
+        edges = {frozenset(e) for e in itertools.combinations(nodes, 2) if rng.random() < 0.15}
+        parent = {i: i for i in nodes}
+
+        def root(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+        for i, j in map(sorted, edges):
+            parent[root(j)] = root(i)
+        want = {}
+        for i in sorted(nodes):
+            want.setdefault(root(i), []).append(i)
+        got = connected_components(nodes, lambda i, j: frozenset((i, j)) in edges)
+        assert got == sorted(want.values(), key=min)
 
 
 @st.composite
