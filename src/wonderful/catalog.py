@@ -9,16 +9,14 @@ for: build_report passes it through and validate() checks its factor count.
 """
 
 import itertools
-import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from importlib import resources
 from math import gcd
 
 import yaml
 
 from .curves import build_colors, minimal_covering_classes, pushforward_class
+from .expressions import _eval, _fmt
 from .invariants import (
     check_strong_orthogonality,
     dimensions,
@@ -40,41 +38,16 @@ from .kac import (
 from .restricted import build_restricted, is_exceptional
 from .rootsystem import (
     MAX_AMBIENT_RANK,
+    _form6,
     build_root_system,
-    coroot,
     highest_roots,
     memoised,
-    pair_coweight,
     two_rho,
 )
-
-_ENV_BASE = {"range": range, "list": list, "len": len}
-_BRACE = re.compile(r"\{([^{}]+)\}")
 
 # deepest collection nesting a catalog may have (the shipped one has 4); both
 # loaders compose recursively, libyaml in C, where deep input overflows the stack
 MAX_NESTING = 64
-
-
-_compile = lru_cache(maxsize=4096)(compile)  # each distinct expression once
-
-
-def _eval(expr, env):
-    """Evaluate a catalog expression; one that fails to evaluate is a data
-    error (ValueError).  Not a sandbox: eval still runs the expression."""
-    scope = {"__builtins__": {}}
-    scope.update(_ENV_BASE)
-    scope.update(env)
-    try:
-        return eval(_compile(expr, "<catalog>", "eval"), scope)
-    except (SyntaxError, NameError, TypeError, AttributeError,
-            ZeroDivisionError) as exc:
-        raise ValueError(f"catalog expression {expr!r}: {exc}") from None
-
-
-def _fmt(template, env):
-    return _BRACE.sub(lambda m: str(_eval(m.group(1), env)), template)
-
 
 @dataclass(frozen=True)
 class FamilyTemplate:
@@ -299,6 +272,9 @@ def validate(record):
     rrs = record.restricted
     rs = inv.root_system
     stored = record.stored
+    # theta_bar_covector = S(theta_bar) / top with S(u)_j = gram6[j][j] u_j,
+    # so <theta_bar_covector, w> = 2 (theta_bar, w) / top, in 6-scaled forms
+    top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
 
     def exceptional():
         return is_exceptional(rrs)[0]
@@ -362,24 +338,22 @@ def validate(record):
         theta = highest_roots(rs, 0)[0]
         image = sigma_root(inv, theta)
         den = 4 if image == tuple(-x for x in theta) else 2
-        want = tuple(Fraction(a - b, den) for a, b in
-                     zip(coroot(rs, theta), coroot(rs, image)))
-        if rrs.theta_bar_covector != want:
+        # (theta^vee - image^vee) / den = S(u) / (t6 i6 den) for the u below
+        t6, i6 = _form6(rs, theta, theta), _form6(rs, image, image)
+        if any(x * t6 * i6 * den != (a * i6 - b * t6) * top
+               for x, a, b in zip(rrs.theta_bar, theta, image)):
             raise ValueError("theta_bar covector inconsistent with the "
                              "ambient highest root")
 
     def check_primitivity():
         if canonical_type(rrs.type_label) == "A1":
             return
-        doubled = [2 * Fraction(x) for x in rrs.theta_bar_covector]
-        if any(x.denominator != 1 for x in doubled):
+        doubled = [divmod(2 * rs.gram6[j][j] * x, top) for j, x in enumerate(rrs.theta_bar)]
+        if any(r for _, r in doubled):
             raise ValueError("2 theta_bar_covector is not integral")
-        if gcd(*(abs(int(x)) for x in doubled)) != 1:
+        if gcd(*(abs(q) for q, _ in doubled)) != 1:
             raise ValueError("2 theta_bar_covector is divisible")
-        pair_one = any(
-            pair_coweight(rs, rrs.theta_bar_covector, a) == 1
-            for a in rrs.restricted_simple)
-        if not pair_one:
+        if not any(2 * _form6(rs, rrs.theta_bar, a) == top for a in rrs.restricted_simple):
             raise ValueError("no simple restricted root pairs to 1")
 
     def check_minimal_classes():
@@ -401,8 +375,8 @@ def validate(record):
     def check_kappa_identity():
         if sigma_theta_is_minus_theta(inv):
             return
-        t = pair_coweight(rs, rrs.theta_bar_covector, two_rho(rs))
-        if 2 * t != dimensions(rrs)[2]:
+        # 2 <theta_bar_covector, 2 rho> = 4 (theta_bar, 2 rho) / top
+        if 4 * _form6(rs, rrs.theta_bar, two_rho(rs)) != dimensions(rrs)[2] * top:
             raise ValueError("<theta_bar_covector, kappa> != "
                              "<theta_bar_covector, 2 rho>")
 

@@ -6,17 +6,12 @@ rational curves solves psi(gamma) = theta_bar_covector.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .involution import sigma_root
-from .restricted import (
-    fiber_index,
-    is_exceptional,
-    restricted_coroot,
-    theta_bar_expansion,
-)
-from .rootsystem import memoised, minus_w0_permutation, pair_coweight, unit_vector
+from .restricted import fiber_index, is_exceptional, theta_bar_expansion
+from .rootsystem import _form6, memoised, minus_w0_permutation, unit_vector
 
 
 @dataclass(frozen=True)
@@ -77,50 +72,33 @@ def degree_functional(rs, eta):
     return degree
 
 
-def color_coroot(rrs, color):
-    """The primitive coroot ahat_vee attached to a color."""
-    return restricted_coroot(rrs, color[0])
-
-
-def psi(rrs, colors, gamma):
-    """Image of a curve class under psi: sum of gamma_c * ahat_vee(c)."""
-    rs = rrs.root_system
-    total = [Fraction(0)] * rs.rank
-    for c, coeff in zip(colors.colors, gamma):
-        vee = color_coroot(rrs, c)[1]
-        for k in range(rs.rank):
-            total[k] += coeff * vee[k]
-    return tuple(total)
-
-
-def boundary_pairing(rrs, colors):
-    """Integer matrix <ahat_vee(color), restricted simple root>."""
-    rs = rrs.root_system
-    rows = []
-    for v in rrs.restricted_simple:
-        row = []
-        for c in colors.colors:
-            val = pair_coweight(rs, color_coroot(rrs, c)[1], v)
-            if val.denominator != 1:
-                raise ValueError("boundary pairing is not integral")
-            row.append(int(val))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 @memoised
 def minimal_covering_classes(rrs, colors):
     """Curve classes gamma with psi(gamma) = theta_bar_covector,
     ordered with the lower-numbered exceptional color first."""
     expansion = theta_bar_expansion(rrs)
     exceptional, witness = is_exceptional(rrs)
+    color_fiber = [fiber_index(rrs, c[0]) for c in colors.colors]
     per_index_colors = []
     for idx in range(rrs.rank):
-        cols = [ci for ci, c in enumerate(colors.colors)
-                if fiber_index(rrs, c[0]) == idx]
+        cols = [ci for ci, f in enumerate(color_fiber) if f == idx]
         per_index_colors.append(cols)
         if not cols:
             raise ValueError("restricted index without a color")
+
+    # psi(gamma) = sum_c gamma_c ahat_vee(c) with ahat_vee_k = S(v_k) / den_k,
+    # den_k = m_k 6(v_k, v_k), and theta_bar_covector = S(theta_bar) / top for
+    # the diagonal S(u)_j = gram6[j][j] u_j; S is invertible, so over the
+    # common denominator L of the den_k, psi(gamma) = theta_bar_covector iff
+    # sum_c gamma_c top (L / den_k) v_k = L theta_bar
+    rs = rrs.root_system
+    top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
+    dens = [(2 if k == rrs.doubled_index else 1) * _form6(rs, v, v)
+            for k, v in enumerate(rrs.restricted_simple)]
+    common = lcm(*dens)
+    scaled = [tuple(top * (common // den) * x for x in v)
+              for den, v in zip(dens, rrs.restricted_simple)]
+    target = [common * x for x in rrs.theta_bar]
 
     choices = []
     for idx, cols in enumerate(per_index_colors):
@@ -138,9 +116,12 @@ def minimal_covering_classes(rrs, colors):
         for cols, part in zip(per_index_colors, combo):
             for ci, coeff in zip(cols, part):
                 gamma[ci] = coeff
-        gamma = tuple(gamma)
-        if psi(rrs, colors, gamma) == rrs.theta_bar_covector:
-            classes.append(gamma)
+        total = [0] * rs.rank
+        for idx, coeff in zip(color_fiber, gamma):
+            if coeff:
+                total = [a + coeff * b for a, b in zip(total, scaled[idx])]
+        if total == target:
+            classes.append(tuple(gamma))
     classes = tuple(sorted(classes, reverse=True))
     expected = 2 if exceptional else 1
     if len(classes) != expected:
@@ -153,30 +134,6 @@ def minimal_covering_classes(rrs, colors):
     return classes
 
 
-def cocharacter_curve(rrs, eta):
-    """Limit data of the curve traced by a dominant cocharacter eta."""
-    rs = rrs.root_system
-    iota = minus_w0_permutation(rs)
-    at_zero = []
-    at_infinity = []
-    embedding = False
-    for idx, v in enumerate(rrs.restricted_simple):
-        p = pair_coweight(rs, eta, v)
-        if p != 0:
-            at_zero.append(idx)
-            if p == 1:
-                embedding = True
-        # (w_0 v)_k = -v_iota(k)
-        if pair_coweight(rs, eta, tuple(v[iota[k]] for k in range(rs.rank))) != 0:
-            at_infinity.append(idx)
-    return {
-        "orbit_at_zero": tuple(at_zero),
-        "orbit_at_infinity": tuple(at_infinity),
-        "is_embedding": embedding,
-        "degree": degree_functional(rs, eta),
-    }
-
-
 def pushforward_class(rrs, colors):
     """Class of the theta_bar cocharacter curve over the color basis,
     verified against the degree functional on every color weight."""
@@ -187,9 +144,12 @@ def pushforward_class(rrs, colors):
         expected = tuple(a + b for a, b in zip(classes[0], classes[1]))
     else:
         expected = tuple(2 * c for c in classes[0])
-    degree = degree_functional(rrs.root_system, rrs.theta_bar_covector)
+    # degree_functional is linear in eta; S(theta_bar) = top theta_bar_covector
+    rs = rrs.root_system
+    top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
+    degree = degree_functional(rs, [rs.gram6[j][j] * x for j, x in enumerate(rrs.theta_bar)])
     for ci, c in enumerate(colors.colors):
-        if degree(lambda_weight(inv, c)) != expected[ci]:
+        if degree(lambda_weight(inv, c)) != expected[ci] * top:
             raise ValueError("pushforward class disagrees with the degree "
                              "functional")
     return expected

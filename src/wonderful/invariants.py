@@ -1,19 +1,16 @@
 """Numerical invariants of the minimal rational curve families."""
 
 from dataclasses import dataclass
-from math import lcm
 
 from .curves import minimal_covering_classes
 from .involution import moved_root_count, sigma_root
 from .restricted import is_exceptional
 from .rootsystem import (
+    _form6,
     connected_components,
-    coroot,
     highest_roots,
     indexed_roots,
-    inner_product,
     memoised,
-    pair_coweight,
     root_set,
     subsystem_roots,
     two_rho,
@@ -46,14 +43,12 @@ def kappa_and_sigma(rrs):
 @memoised
 def dimensions(rrs):
     """(boundary_degree, dim_family, dim_nilpotent_orbit, dim_hc)."""
-    rs = rrs.root_system
-    kappa, sigma_sum = kappa_and_sigma(rrs)
-    eta = rrs.theta_bar_covector
-    t = pair_coweight(rs, eta, kappa)
-    s = pair_coweight(rs, eta, sigma_sum)
-    if t.denominator != 1 or s.denominator != 1:
+    rs, theta_bar = rrs.root_system, rrs.theta_bar
+    top = _form6(rs, theta_bar, theta_bar)
+    # <theta_bar^vee, w> = 2 (theta_bar, w) / (theta_bar, theta_bar)
+    (t, r1), (s, r2) = [divmod(2 * _form6(rs, theta_bar, w), top) for w in kappa_and_sigma(rrs)]
+    if r1 or r2:
         raise ValueError("non-integral dimension pairing")
-    t, s = int(t), int(s)
     if s not in (1, 2):
         raise ValueError(f"boundary degree {s} is not 1 or 2")
     return s, t + s - 2, 2 * t, t - 1
@@ -83,7 +78,7 @@ def check_strong_orthogonality(inv):
     img = sigma_root(inv, theta)
     if img == tuple(-x for x in theta):
         raise ValueError("sigma(theta) = -theta: nothing to check")
-    if pair_coweight(rs, coroot(rs, theta), img) != 0:
+    if _form6(rs, theta, img) != 0:
         raise ValueError("theta and sigma(theta) are not orthogonal")
     roots = root_set(rs)
     for comb in (tuple(a + b for a, b in zip(theta, img)),
@@ -92,8 +87,7 @@ def check_strong_orthogonality(inv):
             raise ValueError("theta and sigma(theta) are not strongly "
                              "orthogonal")
     neg = tuple(-x for x in img)
-    orth = {i for i in range(rs.rank)
-            if inner_product(rs, unit_vector(rs.rank, i), theta) == 0}
+    orth = {i for i in range(rs.rank) if _form6(rs, unit_vector(rs.rank, i), theta) == 0}
     support = {i for i in range(rs.rank) if neg[i] != 0}
     if not support <= orth:
         raise ValueError("-sigma(theta) is not supported on the "
@@ -111,7 +105,10 @@ def check_strong_orthogonality(inv):
 def dim_minimal_orbit(rs, component=0):
     """Dimension of the minimal nilpotent orbit: <theta^vee, 2 rho>."""
     theta = highest_roots(rs, component)[0]
-    return int(pair_coweight(rs, coroot(rs, theta), two_rho(rs)))
+    dim, r = divmod(2 * _form6(rs, theta, two_rho(rs)), _form6(rs, theta, theta))
+    if r:
+        raise ValueError("<theta^vee, 2 rho> is not an integer")
+    return dim
 
 
 @memoised
@@ -124,10 +121,12 @@ def nilpotent_orbit_dimension(inv):
     check_strong_orthogonality(inv)
     theta = highest_roots(rs, 0)[0]
     img = sigma_root(inv, theta)
-    h = tuple(a - b for a, b in zip(coroot(rs, theta), coroot(rs, img)))
-    # <h, beta> = <w, beta> / d for the integer row w = d h^T A
-    d = lcm(*(x.denominator for x in h))
-    w = [sum(int(x * d) * a for x, a in zip(h, col)) for col in zip(*rs.cartan)]
+    # h = theta^vee - img^vee = S(u) / d with S(u)_j = gram6[j][j] u_j, so
+    # <h, beta> = 2 (u, beta) / d = <w, beta> / d for the integer row w
+    t6, i6 = _form6(rs, theta, theta), _form6(rs, img, img)
+    u = [a * i6 - b * t6 for a, b in zip(theta, img)]
+    d = t6 * i6
+    w = [2 * sum(x * g for x, g in zip(u, col) if x) for col in zip(*rs.gram6)]
     g1 = g2 = 0
     for beta in indexed_roots(rs)[0]:
         val = sum(a * b for a, b in zip(w, beta))
@@ -169,7 +168,7 @@ def is_hermitian(rrs):
     if len(rs.components) == 2 or (letter not in ("C", "BC")
                                    and rrs.type_label not in ("A1", "B2")):
         return False
-    sq = [inner_product(rs, v, v) for v in rrs.restricted_positive]
+    sq = [_form6(rs, v, v) for v in rrs.restricted_positive]
     longest = max(sq)
     return all(m == 1 for m, q in zip(rrs.multiplicities, sq) if q == longest)
 

@@ -13,13 +13,13 @@ from functools import lru_cache
 from .linalg import nullspace_line
 from .rootsystem import (
     MAX_AMBIENT_RANK,
+    _form6,
     VALID_RANKS,
     build_root_system,
     cartan_matrix,
     connected_components,
     highest_roots,
     identify_cartan,
-    inner_product,
     memoised,
     pairing,
     unit_vector,
@@ -261,6 +261,8 @@ class _Builder:
 
     def dynkin(self, typ, n):
         """Add n black nodes in Bourbaki order, joined as in cartan_matrix."""
+        if n > MAX_AMBIENT_RANK:
+            raise ValueError(f"rank {n} is above the ambient rank ceiling {MAX_AMBIENT_RANK}")
         ids = [self.node("b") for _ in range(n)]
         a = cartan_matrix(typ, n)
         for i in range(n):
@@ -296,7 +298,9 @@ def affine_diagram(typ, rank):
         a_i0 = -pairing(rs, i, theta)
         if a_i0:
             # theta is long: <theta^vee, alpha_i> = (theta, alpha_i)
-            b.edge(w, node, -int(inner_product(rs, theta, unit_vector(rank, i))), a_i0)
+            pair, r = divmod(_form6(rs, theta, unit_vector(rank, i)), 6)
+            assert not r, "theta is long, so (theta, alpha_i) is an integer"
+            b.edge(w, node, -pair, a_i0)
     return b.done()
 
 

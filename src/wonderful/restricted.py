@@ -38,12 +38,27 @@ class RestrictedRootSystem:
     doubled_index: object
     cartan: tuple
     theta_bar: tuple
-    theta_bar_covector: tuple
-    coroots: tuple
 
     @property
     def root_system(self):
         return self.involution.root_system
+
+    @property
+    @memoised
+    def theta_bar_covector(self):
+        """The coroot of theta_bar in simple-coroot coordinates."""
+        return coroot(self.root_system, self.theta_bar)
+
+    @property
+    @memoised
+    def coroots(self):
+        """(abar_vee, ahat_vee) per restricted simple root: its coroot and
+        the coroot of its longest multiple."""
+        rs, out = self.root_system, []
+        for k, v in enumerate(self.restricted_simple):
+            m = 2 if k == self.doubled_index else 1
+            out.append((coroot(rs, v), coroot(rs, tuple(m * x for x in v))))
+        return tuple(out)
 
 
 def restrict_root(inv, v):
@@ -153,12 +168,10 @@ def build_restricted(inv):
     if restrict_root(inv, theta) != theta_bar:
         raise ValueError("highest restricted root is not the restriction "
                          "of the highest root")
-    theta_bar_covector = coroot(rs, theta_bar)
 
     # coroot(u) = S(u) / 6(u, u) with S(u)_j = gram6[j][j] u_j; as
     # 6(sigma alpha_i, sigma alpha_i) = gram6[i][i], the case formula for a
     # white node i of fiber v gives S(v) / (den gram6[i][i])
-    coroots = []
     for idx, v in enumerate(dbar):
         per_member = set()
         for i in fibers[v]:
@@ -176,7 +189,6 @@ def build_restricted(inv):
         m = 2 if idx == doubled_index else 1
         if den * (2 if halved else 1) != m * sq6[idx]:
             raise ValueError("primitive coroot disagrees with the longest multiple")
-        coroots.append((coroot(rs, v), coroot(rs, tuple(m * x for x in v))))
 
     return RestrictedRootSystem(
         involution=inv,
@@ -190,14 +202,7 @@ def build_restricted(inv):
         doubled_index=doubled_index,
         cartan=tuple(map(tuple, cartan)),
         theta_bar=theta_bar,
-        theta_bar_covector=theta_bar_covector,
-        coroots=tuple(coroots),
     )
-
-
-def restricted_coroot(rrs, i):
-    """(abar_vee, ahat_vee) for the white node i."""
-    return rrs.coroots[fiber_index(rrs, i)]
 
 
 def fiber_index(rrs, i):

@@ -143,8 +143,8 @@ def build_root_system(components):
         lengths.extend(_symmetrizer(block))
         node_component.extend([ci] * n)
         offset += n
-    gram6 = tuple(tuple(int(6 * lengths[i]) * cartan[i][j] for j in range(total))
-                  for i in range(total))
+    scale = [int(6 * d) for d in lengths]
+    gram6 = tuple(tuple(scale[i] * cartan[i][j] for j in range(total)) for i in range(total))
     for i in range(total):
         for j in range(total):
             if gram6[i][j] != gram6[j][i]:
@@ -163,11 +163,6 @@ def pairing(rs, i, w):
     return sum(a * x for a, x in zip(rs.cartan[i], w))
 
 
-def pair_coweight(rs, cw, w):
-    """<c, w> for a coweight c in simple-coroot coordinates."""
-    return sum(c * pairing(rs, i, w) for i, c in enumerate(cw) if c)
-
-
 def _form6(rs, v, w):
     """6 (v, w); an integer for integer v and w."""
     total = 0
@@ -183,7 +178,9 @@ def inner_product(rs, v, w):
 
 
 def coroot(rs, root):
-    """Coroot 2*root/(root,root) in simple-coroot coordinates."""
+    """Coroot 2*root/(root,root) in simple-coroot coordinates.  The engine
+    pairs coroots without building them: <u^vee, w> = 2 _form6(u, w) /
+    _form6(u, u), a ratio of integers."""
     # 2 b_j d_j / (root, root) = b_j * gram6[j][j] / (6 (root, root))
     sq6 = _form6(rs, root, root)
     return tuple(Fraction(b * rs.gram6[j][j], sq6) for j, b in enumerate(root))

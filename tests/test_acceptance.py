@@ -25,10 +25,8 @@ from wonderful.catalog import (
 )
 from wonderful.cli import main
 from wonderful.curves import (
-    boundary_pairing,
     build_colors,
     minimal_covering_classes,
-    psi,
     pushforward_class,
 )
 from wonderful.invariants import (
@@ -51,11 +49,11 @@ from wonderful.rootsystem import (
     coroot,
     highest_roots,
     indexed_roots,
-    pair_coweight,
     root_set,
     two_rho,
 )
 from test_involution import _scan_data
+from coweights import boundary_pairing, pair_coweight, psi
 from weyl_words import longest_subsystem_word, sigma_matrix, word_matrix
 
 CAT = load_catalog()

@@ -1,24 +1,30 @@
 """Catalog loading, instantiation, validation, and enumeration."""
 
 import dataclasses
+import re
 import sys
+from fractions import Fraction
 
 import pytest
 import yaml
 
 from wonderful.catalog import (
     ALL_CHECKS,
-    _compile,
-    _eval,
     build_report,
     enumerate_records,
     instantiate,
     load_catalog,
     validate,
 )
-from wonderful.invariants import dimensions, nilpotent_orbit_dimension
+from wonderful.invariants import (
+    check_strong_orthogonality,
+    dimensions,
+    nilpotent_orbit_dimension,
+)
 from wonderful.curves import build_colors, minimal_covering_classes
+from wonderful.expressions import _BRACE, _compile, _eval
 from wonderful.kac import marked_diagrams
+from wonderful.rootsystem import indexed_roots
 
 CAT = load_catalog()
 
@@ -289,3 +295,142 @@ def test_catalog_expression_compiled_once_and_errors_not_cached():
     after = _compile.cache_info()
     # one miss and one hit for the valid expression, a miss per failed compile
     assert (after.misses - before.misses, after.hits - before.hits) == (3, 1)
+
+
+def _catalog_expressions(catalog):
+    """Every expression of a catalog: constraints, the evaluated fields and
+    the {...} parts of the name templates."""
+    exprs = set()
+    for t in catalog.templates:
+        exprs.update(t.constraints)
+        exprs.update(t.data[k] for k in ("ambient", "black", "arrows", "kac"))
+        for template in [t.data["gh"], t.data["restricted"], *t.data["hc"],
+                         *(t.data.get("vmrt") or ())]:
+            exprs.update(m.group(1) for m in _BRACE.finditer(template))
+    return exprs
+
+
+def test_every_shipped_expression_is_in_the_grammar():
+    exprs = _catalog_expressions(CAT)
+    assert len(exprs) == 118
+    for expr in exprs:
+        _compile(expr)
+
+
+@pytest.mark.parametrize("expr, reason", [
+    ("r.real", "Attribute is not allowed"),
+    ("[1, 2][r]", "Subscript is not allowed"),
+    ("r ** 2", "Pow is not allowed"),
+    ("(lambda: r)()", "call of 'lambda: r' is not allowed"),
+    ("list(*[r])", "Starred is not allowed"),
+    ("__name__", "name '__name__' is not defined"),
+    ("len([r])", "call of 'len' is not allowed"),
+    ("range(r, stop=3)", "keyword is not allowed"),
+    ("r and 2", "And is not allowed"),
+    ("{r: 1}", "Dict is not allowed"),
+    ("'%d' % r", "constant '%d' is not allowed here"),
+    ("[i for i in [1, 2]]", "a comprehension must read [x for name in range(...)] with no "
+                            "comprehension in x"),
+    ("[[j for j in range(r)] for i in range(r)]", "a comprehension must read [x for "
+                                                  "name in range(...)] with no comprehension in x"),
+])
+def test_expression_outside_the_grammar_is_refused_before_it_runs(expr, reason):
+    with pytest.raises(ValueError) as info:
+        _eval(expr, {"r": 2})
+    assert str(info.value) == f"catalog expression {expr!r}: {reason}"
+
+
+@pytest.mark.parametrize("expr, reason", [
+    ("[0] * 2", "* takes two ints, not list and int"),
+    ("r * (1,)", "* takes two ints, not int and tuple"),
+    ("list(range(r, 103 + r))", "range(2, 105) has more than 101 elements"),
+])
+def test_expression_is_bounded_when_it_runs(expr, reason):
+    with pytest.raises(ValueError) as info:
+        _eval(expr, {"r": 2})
+    assert str(info.value) == f"catalog expression {expr!r}: {reason}"
+    assert _eval("list(range(r, 101 + r))", {"r": 2}) == list(range(2, 103))
+
+
+def test_validate_and_report_build_no_fraction(monkeypatch):
+    enumerate_records(CAT, 8)  # builds every root system they use
+    records = enumerate_records(CAT, 8)
+    assert len(records) == 147
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for record in records:
+        assert validate(record) == []
+        build_report(record)
+    monkeypatch.undo()
+    assert built == []
+
+
+def _with_theta_bar(record, theta_bar):
+    return dataclasses.replace(record, restricted=dataclasses.replace(
+        record.restricted, theta_bar=theta_bar))
+
+
+def _failures(record):
+    return {(f.name, f.detail) for f in validate(record)}
+
+
+# each check that pairs the highest restricted covector, fed a wrong theta_bar
+@pytest.mark.parametrize("label, params, theta_bar, check, message", [
+    ("GroupB", {"r": 2}, (2, 0, 2, 0), "boundary-degree", "non-integral dimension pairing"),
+    ("AI", {"r": 3}, (1, 1, 1), "boundary-degree", "boundary degree 4 is not 1 or 2"),
+    ("AI", {"r": 3}, (2, 2, 0), "theta-bar",
+     "theta_bar covector inconsistent with the ambient highest root"),
+    ("GroupB", {"r": 2}, (2, 0, 2, 0), "primitivity", "2 theta_bar_covector is not integral"),
+    ("AI", {"r": 3}, (1, 1, 1), "primitivity", "2 theta_bar_covector is divisible"),
+    ("GroupB", {"r": 2}, (0, 1, 0, 1), "primitivity", "no simple restricted root pairs to 1"),
+    ("AI", {"r": 3}, (2, 2, 0), "minimal-classes", "expected 1 minimal classes, found 0"),
+    ("AIII", {"n": 4, "r": 1}, (1, 1, 1), "minimal-classes",
+     "expected 2 minimal classes, found 0"),
+], ids=["dimensions-non-integral", "dimensions-degree", "theta-bar", "primitivity-integral",
+        "primitivity-divisible", "primitivity-pairs-to-1", "minimal-classes",
+        "minimal-classes-exceptional"])
+def test_wrong_theta_bar_fails_the_check(label, params, theta_bar, check, message):
+    record = instantiate(CAT, label, params)
+    assert validate(record) == []
+    assert (check, message) in _failures(_with_theta_bar(record, theta_bar))
+
+
+def test_wrong_orbit_dimension_fails_the_kappa_identity(monkeypatch):
+    record = instantiate(CAT, "CII", {"n": 3, "r": 1})
+    s, dim_family, dim_orbit, dim_hc = dimensions(record.restricted)
+    monkeypatch.setattr("wonderful.catalog.dimensions",
+                        lambda rrs: (s, dim_family, dim_orbit + 2, dim_hc))
+    assert ("kappa-identity", "<theta_bar_covector, kappa> != <theta_bar_covector, 2 rho>") \
+        in _failures(record)
+
+
+def test_wrong_minimal_class_fails_the_pushforward(monkeypatch):
+    record = instantiate(CAT, "CII", {"n": 3, "r": 1})
+    (gamma,) = minimal_covering_classes(record.restricted, build_colors(record.involution))
+    monkeypatch.setattr("wonderful.curves.minimal_covering_classes",
+                        lambda rrs, colors: (tuple(c + 1 for c in gamma),))
+    assert ("pushforward", "pushforward class disagrees with the degree functional") \
+        in _failures(record)
+
+
+@pytest.mark.parametrize("image, message", [
+    ((2, 2, 1), "theta and sigma(theta) are not orthogonal"),
+    ((0, 0, -1), "-sigma(theta) is not the highest root of its component of the "
+                 "orthogonal subsystem"),
+], ids=["not-orthogonal", "not-highest"])
+def test_wrong_sigma_theta_fails_strong_orthogonality(image, message):
+    # C3 with theta = 2 alpha_1 + 2 alpha_2 + alpha_3; alpha_3 is orthogonal and
+    # strongly orthogonal to theta, but not the highest root of the C2 beside it
+    inv = instantiate(CAT, "CII", {"n": 3, "r": 1}).involution
+    check_strong_orthogonality(inv)
+    index = indexed_roots(inv.root_system)[1]
+    perm = list(range(len(index)))
+    perm[index[(2, 2, 1)]] = index[image]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_strong_orthogonality(dataclasses.replace(inv, sigma_perm=tuple(perm)))

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import types
@@ -223,6 +224,36 @@ def test_unevaluable_catalog_expression_exits_2(capsys, tmp_path, key, expr, mes
     assert err == f"error: catalog expression {expr!r}: {message}\n"
 
 
+# a constraint that reaches every class of the interpreter through attributes
+_ESCAPE = "len(().__class__.__base__.__subclasses__()) > 0 and 2 <= r"
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("constraints", [_ESCAPE], "And is not allowed"),
+    ("constraints", ["().__class__ or 2 <= r"], "Attribute is not allowed"),
+    ("black", "[0] * 1000000000", "* takes two ints, not list and int"),
+    ("black", "list(range(1000000000))",
+     "range(0, 1000000000) has more than 101 elements"),
+    ("arrows", "[(i, i + 1) for i in range(1, 1000000000)]",
+     "range(1, 1000000000) has more than 101 elements"),
+    ("kac", "kac_sym2(300)", "rank 150 is above the ambient rank ceiling 100"),
+], ids=["subclasses-escape", "attribute", "list-times-int", "long-range",
+        "long-comprehension", "builder-above-ceiling"])
+def test_catalog_expression_outside_the_grammar_or_its_bounds_exits_2(
+        tmp_path, key, value, reason):
+    path = _write_catalog(tmp_path / "bad.yaml",
+                          _set_field(key, value, label="GroupB")(_shipped_catalog()))
+    # GroupB r=2 has ambient rank 4; a run without the bounds would build lists
+    # of a billion entries, so the child may not map more than 1 GiB
+    proc = subprocess.run(
+        _cli_argv("check", "--max-rank", "4", "--catalog", path),
+        capture_output=True, text=True, env=_src_env(), timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    expr = value[0] if key == "constraints" else value
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", f"error: catalog expression {expr!r}: {reason}\n")
+
+
 def test_unparsable_catalog_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("version: 1\nfamilies: [\n", encoding="utf-8")
@@ -351,6 +382,26 @@ def test_output_is_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_DIGESTS[argv]
+
+
+# `roots` prints the highest restricted covector, which RestrictedRootSystem
+# computes on first read; these digests pin its printed coordinates for a
+# doubled (BC) restricted root, a C/BC type, an exceptional, a group case and
+# a high rank.
+ROOTS_DIGESTS = {
+    ("AIII", "n=7", "r=2"): "8e3d955819b8ea6733c8b332ed2923ac4f162858405a97412440bbb2c58d1b08",
+    ("CII", "n=20", "r=3"): "064e2c735fcec7b4e2d0e4b5f824fe80b5c2ca57ed94c52a3fc3b36f77b19c94",
+    ("EIII",): "34566740e776754f09c6e5d46369183ae4ebab533f90c793e2f7c22e6ba96609",
+    ("GroupE8",): "bc4409597e1c8c8c522ceb6a7bcc39b34882b71249e1a4778290e152ab90de46",
+    ("AI", "r=40"): "768b3404039513e42d015c9ad75e7dfcf93a1d970546766646724b141667c7ef",
+}
+
+
+@pytest.mark.parametrize("family", list(ROOTS_DIGESTS), ids="-".join)
+def test_roots_output_is_byte_identical(capsys, family):
+    code, out, _ = run(capsys, "roots", *family, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ROOTS_DIGESTS[family]
 
 
 # perfbench/run.py:per_layer reads fold["<module>.<function>"] for the

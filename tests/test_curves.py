@@ -6,14 +6,10 @@ import pytest
 
 from wonderful.catalog import enumerate_records, load_catalog
 from wonderful.curves import (
-    boundary_pairing,
     build_colors,
-    cocharacter_curve,
-    color_coroot,
     degree_functional,
     lambda_weight,
     minimal_covering_classes,
-    psi,
     pushforward_class,
 )
 from wonderful.involution import build_involution, make_satake, sigma_root
@@ -22,9 +18,9 @@ from wonderful.linalg import invert
 from wonderful.rootsystem import (
     build_root_system,
     minus_w0_permutation,
-    pair_coweight,
     unit_vector,
 )
+from coweights import boundary_pairing, cocharacter_curve, color_coroot, pair_coweight, psi
 from weyl_words import longest_subsystem_word, word_matrix
 
 

@@ -23,7 +23,8 @@ from wonderful.invariants import (
 )
 from wonderful.involution import build_involution, make_satake
 from wonderful.restricted import build_restricted
-from wonderful.rootsystem import build_root_system, pair_coweight, two_rho
+from wonderful.rootsystem import build_root_system, two_rho
+from coweights import pair_coweight
 
 
 def _setup(components, black=(), arrows=()):

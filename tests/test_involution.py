@@ -31,10 +31,10 @@ from wonderful.rootsystem import (
     longest_element,
     minus_w0_permutation,
     opposition,
-    pair_coweight,
     positive_roots,
     root_set,
 )
+from coweights import pair_coweight
 from weyl_words import sigma_matrix
 
 SCAN_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "satake-scan.json"

@@ -22,7 +22,6 @@ from wonderful.restricted import (
     fiber_index,
     is_exceptional,
     restrict_root,
-    restricted_coroot,
     theta_bar_expansion,
 )
 from wonderful.rootsystem import (
@@ -30,10 +29,10 @@ from wonderful.rootsystem import (
     coroot,
     highest_roots,
     inner_product,
-    pair_coweight,
     positive_roots,
     unit_vector,
 )
+from coweights import pair_coweight, restricted_coroot
 
 
 def _restricted(components, black=(), arrows=()):

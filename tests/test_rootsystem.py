@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wonderful.linalg import invert
 from wonderful.rootsystem import (
     VALID_RANKS,
+    _form6,
     build_root_system,
     cartan_matrix,
     connected_components,
@@ -24,7 +25,6 @@ from wonderful.rootsystem import (
     memoised,
     minus_w0_permutation,
     opposition,
-    pair_coweight,
     pairing,
     positive_roots,
     root_set,
@@ -33,6 +33,7 @@ from wonderful.rootsystem import (
     two_rho,
 )
 from cartan_search import identify_cartan as search_identify_cartan
+from coweights import pair_coweight
 from weyl_words import (
     longest_subsystem_word,
     matrix_opposition,
@@ -389,6 +390,18 @@ def test_cartan_integers(data):
         assert a.denominator == 1 and b.denominator == 1
         if tuple(alpha) != tuple(beta):
             assert int(a) * int(b) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("typ,rank", ALL_TYPES)
+def test_coroot_pairing_is_a_ratio_of_integer_forms(typ, rank):
+    # the engine pairs <u^vee, w> as 2 (u, w) / (u, u) without building u^vee
+    rs = build_root_system(((typ, rank),))
+    roots = indexed_roots(rs)[0]
+    rng = random.Random(f"{typ}{rank}")
+    for _ in range(40):
+        u, w = rng.choice(roots), rng.choice(roots)
+        assert Fraction(2 * _form6(rs, u, w), _form6(rs, u, u)) \
+            == pair_coweight(rs, coroot(rs, u), w)
 
 
 @dataclass(frozen=True)
