@@ -35,7 +35,7 @@ from .kac import (
     normalize_name,
     validate_diagram,
 )
-from .restricted import build_restricted, is_exceptional
+from .restricted import build_restricted
 from .rootsystem import (
     MAX_AMBIENT_RANK,
     _form6,
@@ -48,6 +48,9 @@ from .rootsystem import (
 # deepest collection nesting a catalog may have (the shipped one has 4); both
 # loaders compose recursively, libyaml in C, where deep input overflows the stack
 MAX_NESTING = 64
+# most parameters a family may take (the shipped AIII, BDI and CII take 2):
+# enumerate_records tries (2 max_rank + 1)^params value tuples
+MAX_PARAMS = 2
 
 @dataclass(frozen=True)
 class FamilyTemplate:
@@ -90,7 +93,6 @@ class SymmetricSpaceRecord:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     detail: str
 
 
@@ -128,6 +130,9 @@ def _check_family(index, entry):
         if value is not None and item and any(type(x) is not item for x in value):
             raise ValueError(f"catalog {where}: field {key!r} must be a list of "
                              f"{item.__name__}")
+    if len(entry.get("params") or ()) > MAX_PARAMS:
+        raise ValueError(f"catalog {where}: field 'params' lists "
+                         f"{len(entry['params'])} parameters, more than {MAX_PARAMS}")
     if entry.get("hermitian") not in (None, "e", "ne"):
         raise ValueError(f"catalog {where}: field 'hermitian' must be null, 'e' or 'ne'")
 
@@ -275,9 +280,7 @@ def validate(record):
     # theta_bar_covector = S(theta_bar) / top with S(u)_j = gram6[j][j] u_j,
     # so <theta_bar_covector, w> = 2 (theta_bar, w) / top, in 6-scaled forms
     top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
-
-    def exceptional():
-        return is_exceptional(rrs)[0]
+    exceptional = rrs.exceptional_pair is not None
 
     def check_restricted_type():
         got, want = canonical_type(rrs.type_label), canonical_type(stored.restricted_type)
@@ -286,7 +289,7 @@ def validate(record):
                              f"{stored.restricted_type}")
 
     def check_exceptional_flag():
-        got = (is_hermitian(rrs), exceptional())
+        got = (is_hermitian(rrs), exceptional)
         want = (stored.hermitian is not None, stored.hermitian == "e")
         if got != want:
             raise ValueError(f"computed (hermitian, exceptional) = {got}, "
@@ -310,7 +313,7 @@ def validate(record):
                              f"{letter}")
 
     def check_picard_rank():
-        want = rrs.rank + (1 if exceptional() else 0)
+        want = rrs.rank + (1 if exceptional else 0)
         got = build_colors(inv).picard_rank
         if got != want or len(build_colors(inv).colors) != want:
             raise ValueError(f"Picard rank {got}, expected {want}")
@@ -360,8 +363,8 @@ def validate(record):
         # minimal_covering_classes already requires 2 classes iff exceptional
         colors = build_colors(inv)
         classes = minimal_covering_classes(rrs, colors)
-        if exceptional():
-            _, (i, j) = is_exceptional(rrs)
+        if exceptional:
+            i, j = rrs.exceptional_pair
             idx_i = colors.colors.index((i,))
             idx_j = colors.colors.index((j,))
             pattern = {(c[idx_i], c[idx_j]) for c in classes}
@@ -401,7 +404,7 @@ def validate(record):
         if len(got) == len(want):
             if sorted(got) != sorted(want):
                 raise ValueError(f"descriptors {got} vs stored {want}")
-        elif exceptional() and len(want) == 1 and len(got) == 2:
+        elif exceptional and len(want) == 1 and len(got) == 2:
             if got[0] != got[1] or got[0] != want[0]:
                 raise ValueError(f"descriptors {got} vs stored {want}")
         else:
@@ -443,7 +446,7 @@ def validate(record):
         try:
             body()
         except ValueError as exc:
-            failures.append(CheckResult(name, False, str(exc)))
+            failures.append(CheckResult(name, str(exc)))
     return failures
 
 

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
-from .involution import sigma_root
-from .restricted import fiber_index, is_exceptional, theta_bar_expansion
+from .involution import REAL
 from .rootsystem import _form6, memoised, minus_w0_permutation, unit_vector
 
 
@@ -25,6 +24,8 @@ def build_colors(inv):
     """Colors: white nodes merged when beta = -sigma(alpha) with
     <alpha^vee, beta> = 0."""
     rs = inv.root_system
+    # -alpha_j sits at position j + N of the indexed roots, N positive roots
+    npos = len(inv.sigma_perm) // 2
     merged = []
     used = set()
     for i in inv.delta1:
@@ -32,9 +33,8 @@ def build_colors(inv):
             continue
         # sigma(alpha_i) = -alpha_j is possible only for j = sigma_bar(i)
         j = inv.sigma_bar[i]
-        minus_alpha_j = tuple(-x for x in unit_vector(rs.rank, j))
         if j != i and j not in used and rs.cartan[i][j] == 0 \
-                and sigma_root(inv, unit_vector(rs.rank, i)) == minus_alpha_j:
+                and inv.sigma_perm[i] == j + npos:
             merged.append(tuple(sorted((i, j))))
             used.update((i, j))
         else:
@@ -53,7 +53,7 @@ def lambda_weight(inv, color):
         return tuple(1 if k in color else 0 for k in range(n))
     i = color[0]
     e = unit_vector(n, i)
-    if sigma_root(inv, e) == tuple(-x for x in e):
+    if inv.cases[i] == REAL:
         return tuple(2 * x for x in e)
     return e
 
@@ -76,9 +76,8 @@ def degree_functional(rs, eta):
 def minimal_covering_classes(rrs, colors):
     """Curve classes gamma with psi(gamma) = theta_bar_covector,
     ordered with the lower-numbered exceptional color first."""
-    expansion = theta_bar_expansion(rrs)
-    exceptional, witness = is_exceptional(rrs)
-    color_fiber = [fiber_index(rrs, c[0]) for c in colors.colors]
+    expansion, witness = rrs.theta_bar_expansion, rrs.exceptional_pair
+    color_fiber = [rrs.node_fiber[c[0]] for c in colors.colors]
     per_index_colors = []
     for idx in range(rrs.rank):
         cols = [ci for ci, f in enumerate(color_fiber) if f == idx]
@@ -123,12 +122,12 @@ def minimal_covering_classes(rrs, colors):
         if total == target:
             classes.append(tuple(gamma))
     classes = tuple(sorted(classes, reverse=True))
-    expected = 2 if exceptional else 1
+    expected = 1 if witness is None else 2
     if len(classes) != expected:
         raise ValueError(f"expected {expected} minimal classes, "
                          f"found {len(classes)}")
-    if exceptional:
-        idx = fiber_index(rrs, witness[0])
+    if witness is not None:
+        idx = rrs.node_fiber[witness[0]]
         if expansion[idx] != 1 or len(per_index_colors[idx]) != 2:
             raise ValueError("exceptional index is not a simple split")
     return classes
@@ -138,9 +137,8 @@ def pushforward_class(rrs, colors):
     """Class of the theta_bar cocharacter curve over the color basis,
     verified against the degree functional on every color weight."""
     inv = rrs.involution
-    exceptional, _ = is_exceptional(rrs)
     classes = minimal_covering_classes(rrs, colors)
-    if exceptional:
+    if rrs.exceptional_pair is not None:
         expected = tuple(a + b for a, b in zip(classes[0], classes[1]))
     else:
         expected = tuple(2 * c for c in classes[0])

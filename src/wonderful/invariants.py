@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 from .curves import minimal_covering_classes
 from .involution import moved_root_count, sigma_root
-from .restricted import is_exceptional
 from .rootsystem import (
     _form6,
     connected_components,
@@ -223,7 +222,7 @@ def vmrt_report(rrs, colors, hc_components, embedding_degree):
     inv = rrs.involution
     s, dim_family, dim_orbit, dim_hc = dimensions(rrs)
     hermitian = is_hermitian(rrs)
-    exceptional = is_exceptional(rrs)[0]
+    exceptional = rrs.exceptional_pair is not None
     dim_p = dim_isotropy_complement(rrs)
     letter = rrs.type_label.rstrip("0123456789")
 

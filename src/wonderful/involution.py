@@ -17,12 +17,14 @@ from .rootsystem import (
     opposition,
     pairing,
     root_steps,
+    subsystem_roots,
     unit_vector,
 )
 
 REAL = "REAL"
 ORTHOGONAL = "ORTHOGONAL"
 NONREDUCED = "NONREDUCED"
+_CASES = {-2: REAL, 0: ORTHOGONAL, 1: NONREDUCED}
 
 
 class SatakeError(ValueError):
@@ -60,6 +62,7 @@ class Involution:
     tau: tuple
     delta1: tuple
     sigma_bar: tuple
+    cases: tuple  # REAL, ORTHOGONAL or NONREDUCED per white node, None per black
     # sigma as a permutation of the positions of indexed_roots
     sigma_perm: tuple = field(compare=False, repr=False)
 
@@ -163,35 +166,41 @@ def build_involution(sd):
     if any(images[iota[j]][i] != images[j][iota[i]] for i in range(n) for j in range(n)):
         _fail("sigma does not commute with w_0")
 
-    inv = Involution(
+    # the case of a white node is read off <alpha_i^vee, sigma(alpha_i)>
+    cases = [None] * n
+    for i in delta1:
+        p = pairing(rs, i, images[i])
+        if p == -2 and images[i] != tuple(-x for x in unit_vector(n, i)):
+            _fail("pairing -2 with sigma(alpha) != -alpha")
+        if p not in _CASES:
+            _fail(f"<alpha^vee, sigma(alpha)> = {p} is not in {{-2, 0, 1}}")
+        cases[i] = _CASES[p]
+
+    # Araki's condition (Araki 1962; Kolb, Adv. Math. 267, Def. 2.3):
+    # <alpha_j, rho_X^vee> is an integer for every white j without an arrow.
+    # 2 rho_X^vee = sum_i c_i alpha_i^vee over the black nodes, summing the
+    # coroots beta^vee = sum_i beta_i gram6[i][i] / 6(beta, beta) alpha_i^vee
+    # of the positive black roots, whose coefficients are integers; only the
+    # c_i of black nodes next to such a j are needed
+    fixed = [j for j in delta1 if sd.diagram_involution[j] == j]
+    c = dict.fromkeys((i for i in sd.black_nodes if any(rs.cartan[i][j] for j in fixed)), 0)
+    if c:
+        for beta in subsystem_roots(rs, sd.black_nodes):
+            s = sq6[index[beta]]
+            for i in c:
+                c[i] += beta[i] * rs.gram6[i][i] // s
+        if any(sum(x * rs.cartan[i][j] for i, x in c.items()) % 2 for j in fixed):
+            _fail("a white node without an arrow pairs to a half-integer with "
+                  "rho^vee of the black nodes (Araki's condition)")
+
+    return Involution(
         satake=sd,
         tau=tau,
         delta1=delta1,
         sigma_bar=tuple(sigma_bar.get(i, i) for i in range(n)),
+        cases=tuple(cases),
         sigma_perm=sigma_perm,
     )
-    for i in delta1:
-        classify_simple(inv, i)
-    return inv
-
-
-def classify_simple(inv, i):
-    """Case of a white simple root: REAL, ORTHOGONAL or NONREDUCED."""
-    rs = inv.root_system
-    if i not in inv.delta1:
-        raise ValueError(f"node {i} is not white")
-    e = unit_vector(rs.rank, i)
-    img = sigma_root(inv, e)
-    p = pairing(rs, i, img)
-    if p == -2:
-        if img != tuple(-x for x in e):
-            _fail("pairing -2 with sigma(alpha) != -alpha")
-        return REAL
-    if p == 0:
-        return ORTHOGONAL
-    if p == 1:
-        return NONREDUCED
-    _fail(f"<alpha^vee, sigma(alpha)> = {p} is not in {{-2, 0, 1}}")
 
 
 def is_inner(inv):

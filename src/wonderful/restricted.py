@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import solve_scaled
-from .involution import NONREDUCED, ORTHOGONAL, REAL, classify_simple, sigma_root
+from .involution import NONREDUCED, ORTHOGONAL, REAL, sigma_root
 from .rootsystem import (
     _form6,
     coroot,
@@ -21,7 +21,6 @@ from .rootsystem import (
     memoised,
     pairing,
     positive_roots,
-    unit_vector,
 )
 
 
@@ -29,7 +28,7 @@ from .rootsystem import (
 class RestrictedRootSystem:
     involution: object
     restricted_simple: tuple
-    fibers: tuple
+    node_fiber: tuple  # restricted index of each white node, None on a black one
     restricted_positive: tuple
     multiplicities: tuple  # [k]: positive roots restricting to restricted_positive[k]
     type_label: str
@@ -38,6 +37,11 @@ class RestrictedRootSystem:
     doubled_index: object
     cartan: tuple
     theta_bar: tuple
+    # the first (i, sigma_bar(i)) with i nonreduced and moved, else None
+    exceptional_pair: object
+    # nonnegative integer coefficients of theta_bar_covector over the
+    # primitive coroots {ahat_vee}
+    theta_bar_expansion: tuple
 
     @property
     def root_system(self):
@@ -48,17 +52,6 @@ class RestrictedRootSystem:
     def theta_bar_covector(self):
         """The coroot of theta_bar in simple-coroot coordinates."""
         return coroot(self.root_system, self.theta_bar)
-
-    @property
-    @memoised
-    def coroots(self):
-        """(abar_vee, ahat_vee) per restricted simple root: its coroot and
-        the coroot of its longest multiple."""
-        rs, out = self.root_system, []
-        for k, v in enumerate(self.restricted_simple):
-            m = 2 if k == self.doubled_index else 1
-            out.append((coroot(rs, v), coroot(rs, tuple(m * x for x in v))))
-        return tuple(out)
 
 
 def restrict_root(inv, v):
@@ -101,17 +94,22 @@ def expand(basis, v):
 def build_restricted(inv):
     """Build and validate the restricted root system of an involution."""
     rs = inv.root_system
+    (roots, index), sigma_perm = indexed_roots(rs), inv.sigma_perm
     fibers = {}
     for i in inv.delta1:
-        fibers.setdefault(restrict_root(inv, unit_vector(rs.rank, i)), []).append(i)
+        # alpha_i sits at position i of the indexed roots
+        v = tuple(a - b for a, b in zip(roots[i], roots[sigma_perm[i]]))
+        fibers.setdefault(v, []).append(i)
     dbar = list(fibers)
     rank = len(dbar)
     # sigma fixes the black simple roots and restriction is linear, so the
     # restriction of beta has coefficient sum(beta[i] for i in fiber k) on
     # the k-th restricted simple root
     fiber_of = [(i, k) for k, v in enumerate(dbar) for i in fibers[v]]
+    node_fiber = [None] * rs.rank
+    for i, k in fiber_of:
+        node_fiber[i] = k
 
-    roots, sigma_perm = indexed_roots(rs)[0], inv.sigma_perm
     mult = {}
     expansion = {}
     for k, beta in enumerate(positive_roots(rs)):
@@ -165,17 +163,19 @@ def build_restricted(inv):
         if any(a < b for a, b in zip(expansion[theta_bar], expansion[v])):
             raise ValueError("no dominance-maximal restricted root")
     theta = highest_roots(rs, 0)[0]
-    if restrict_root(inv, theta) != theta_bar:
+    if tuple(a - b for a, b in zip(theta, roots[sigma_perm[index[theta]]])) != theta_bar:
         raise ValueError("highest restricted root is not the restriction "
                          "of the highest root")
 
     # coroot(u) = S(u) / 6(u, u) with S(u)_j = gram6[j][j] u_j; as
     # 6(sigma alpha_i, sigma alpha_i) = gram6[i][i], the case formula for a
     # white node i of fiber v gives S(v) / (den gram6[i][i])
+    top = _form6(rs, theta_bar, theta_bar)
+    theta_bar_expansion = []
     for idx, v in enumerate(dbar):
         per_member = set()
         for i in fibers[v]:
-            case = classify_simple(inv, i)
+            case = inv.cases[i]
             den = {REAL: 4, ORTHOGONAL: 2, NONREDUCED: 1}[case] * rs.gram6[i][i]
             per_member.add((den, case == NONREDUCED))
         if len(per_member) != 1:
@@ -189,11 +189,19 @@ def build_restricted(inv):
         m = 2 if idx == doubled_index else 1
         if den * (2 if halved else 1) != m * sq6[idx]:
             raise ValueError("primitive coroot disagrees with the longest multiple")
+        # theta_bar = sum_k c_k v_k and ahat_vee_k = S(v_k) / (m_k 6(v_k, v_k))
+        # with S linear, so theta_bar_covector = S(theta_bar) / top has the
+        # coefficient below on ahat_vee_k
+        q, r = divmod(expansion[theta_bar][idx] * m * sq6[idx], top)
+        if r or q < 0:
+            raise ValueError("theta_bar covector is not a nonnegative integer "
+                             "combination of the primitive coroots")
+        theta_bar_expansion.append(q)
 
     return RestrictedRootSystem(
         involution=inv,
         restricted_simple=tuple(dbar),
-        fibers=tuple(tuple(fibers[v]) for v in dbar),
+        node_fiber=tuple(node_fiber),
         restricted_positive=tuple(mult),
         multiplicities=tuple(mult.values()),
         type_label=type_label,
@@ -202,44 +210,7 @@ def build_restricted(inv):
         doubled_index=doubled_index,
         cartan=tuple(map(tuple, cartan)),
         theta_bar=theta_bar,
+        exceptional_pair=next(((i, j) for i, j in enumerate(inv.sigma_bar)
+                               if j != i and inv.cases[i] == NONREDUCED), None),
+        theta_bar_expansion=tuple(theta_bar_expansion),
     )
-
-
-def fiber_index(rrs, i):
-    for idx, fiber in enumerate(rrs.fibers):
-        if i in fiber:
-            return idx
-    raise ValueError(f"node {i} is not white")
-
-
-@memoised
-def is_exceptional(rrs):
-    """Exceptional means some white node is nonreduced and not fixed by
-    sigma_bar; returns (flag, witness pair or None)."""
-    inv = rrs.involution
-    for i in inv.delta1:
-        j = inv.sigma_bar[i]
-        if j != i and classify_simple(inv, i) == NONREDUCED:
-            return True, (i, j)
-    return False, None
-
-
-@memoised
-def theta_bar_expansion(rrs):
-    """Nonnegative integer coefficients of theta_bar_covector over the
-    primitive coroots {ahat_vee}."""
-    # theta_bar = sum_k e_k v_k with e_k the sum of theta over fiber k, and
-    # ahat_vee_k = S(v_k) / (m_k 6(v_k, v_k)) with S linear, so the k-th
-    # coefficient of S(theta_bar) / 6(theta_bar, theta_bar) is as below
-    rs = rrs.root_system
-    theta = highest_roots(rs, 0)[0]
-    top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
-    coeffs = []
-    for k, (v, fiber) in enumerate(zip(rrs.restricted_simple, rrs.fibers)):
-        m = 2 if k == rrs.doubled_index else 1
-        q, r = divmod(sum(theta[i] for i in fiber) * m * _form6(rs, v, v), top)
-        if r or q < 0:
-            raise ValueError("theta_bar covector is not a nonnegative integer "
-                             "combination of the primitive coroots")
-        coeffs.append(q)
-    return tuple(coeffs)

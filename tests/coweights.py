@@ -11,8 +11,7 @@ compare the two.
 from fractions import Fraction
 
 from wonderful.curves import degree_functional
-from wonderful.restricted import fiber_index
-from wonderful.rootsystem import minus_w0_permutation, pairing
+from wonderful.rootsystem import coroot, minus_w0_permutation, pairing
 
 
 def pair_coweight(rs, cw, w):
@@ -20,9 +19,19 @@ def pair_coweight(rs, cw, w):
     return sum(c * pairing(rs, i, w) for i, c in enumerate(cw) if c)
 
 
+def coroots(rrs):
+    """(abar_vee, ahat_vee) per restricted simple root: its coroot and
+    the coroot of its longest multiple."""
+    rs, out = rrs.root_system, []
+    for k, v in enumerate(rrs.restricted_simple):
+        m = 2 if k == rrs.doubled_index else 1
+        out.append((coroot(rs, v), coroot(rs, tuple(m * x for x in v))))
+    return tuple(out)
+
+
 def restricted_coroot(rrs, i):
     """(abar_vee, ahat_vee) for the white node i."""
-    return rrs.coroots[fiber_index(rrs, i)]
+    return coroots(rrs)[rrs.node_fiber[i]]
 
 
 def color_coroot(rrs, color):

@@ -40,11 +40,10 @@ from wonderful.involution import (
     NONREDUCED,
     SatakeError,
     build_involution,
-    classify_simple,
     sigma_root,
 )
 from wonderful.kac import name_dimension
-from wonderful.restricted import expand, is_exceptional
+from wonderful.restricted import expand
 from wonderful.rootsystem import (
     coroot,
     highest_roots,
@@ -53,7 +52,7 @@ from wonderful.rootsystem import (
     two_rho,
 )
 from test_involution import _scan_data
-from coweights import boundary_pairing, pair_coweight, psi
+from coweights import boundary_pairing, coroots, pair_coweight, psi
 from weyl_words import longest_subsystem_word, sigma_matrix, word_matrix
 
 CAT = load_catalog()
@@ -173,7 +172,7 @@ def test_restricted_root_suite():
             assert rrs.cartan[i][i] == 2, label
 
         # nonreduced exactly when some white pair gives pairing one
-        has_pair_one = any(classify_simple(inv, i) == NONREDUCED
+        has_pair_one = any(inv.cases[i] == NONREDUCED
                            for i in inv.delta1)
         assert rrs.nonreduced == has_pair_one, label
         assert rrs.type_label.startswith("BC") == rrs.nonreduced, label
@@ -186,7 +185,7 @@ def test_restricted_root_suite():
 
         # exceptional = simply laced ambient type and nonreduced restriction
         simply_laced = all(t in "ADE" for t, _ in rs.components)
-        assert is_exceptional(rrs)[0] == (simply_laced and rrs.nonreduced), \
+        assert (rrs.exceptional_pair is not None) == (simply_laced and rrs.nonreduced), \
             label
 
         # strong orthogonality of the highest root and its image
@@ -241,7 +240,7 @@ def test_sigma_matrix_is_integral():
             involutions.append(build_involution(sd))
         except SatakeError:
             pass
-    assert len(involutions) == 147 + 102 + 19
+    assert len(involutions) == 147 + 88
     for inv in involutions:
         roots = indexed_roots(inv.root_system)[0]
         columns = [roots[inv.sigma_perm[j]] for j in range(inv.root_system.rank)]
@@ -282,9 +281,9 @@ def test_expand_matches_direct_solve():
             assert (coeffs is None) == (v in black), record.label
             assert coeffs is None or all(isinstance(c, Fraction)
                                          for c in coeffs), record.label
-        coroots = [ahat for _, ahat in rrs.coroots]
-        assert expand(coroots, rrs.theta_bar_covector) == \
-            _solve_by_elimination(coroots, rrs.theta_bar_covector), record.label
+        primitive = [ahat for _, ahat in coroots(rrs)]
+        assert expand(primitive, rrs.theta_bar_covector) == \
+            _solve_by_elimination(primitive, rrs.theta_bar_covector), record.label
 
 
 def test_curve_class_suite():
@@ -299,8 +298,8 @@ def test_curve_class_suite():
         matrix = boundary_pairing(rrs, colors)
         assert all(isinstance(v, int) for row in matrix for v in row), label
         push = pushforward_class(rrs, colors)
-        exceptional, witness = is_exceptional(rrs)
-        if exceptional:
+        witness = rrs.exceptional_pair
+        if witness is not None:
             assert len(classes) == 2, label
             assert push == tuple(a + b for a, b in zip(*classes)), label
             i, j = witness

@@ -211,6 +211,29 @@ def test_malformed_catalog_exits_2(capsys, tmp_path, corrupt, message):
     assert err == f"error: {message}\n"
 
 
+def test_family_with_more_than_two_params_exits_2(capsys, tmp_path):
+    # enumerate_records tries (2 max_rank + 1)^params tuples: GroupB with three
+    # parameters pinned to 1 would take 33^4 steps at --max-rank 16
+    doc = _shipped_catalog()
+    group_b = next(f for f in doc["families"] if f["label"] == "GroupB")
+    group_b["params"] = ["r", "a", "b", "c"]
+    group_b["constraints"] = ["2 <= r", "a <= 1", "b <= 1", "c <= 1"]
+    path = _write_catalog(tmp_path / "params.yaml", doc)
+    code, out, err = run(capsys, "check", "--max-rank", "16", "--catalog", path)
+    assert (code, out) == (2, "")
+    assert err == ("error: catalog family 'GroupB': field 'params' lists 4 "
+                   "parameters, more than 2\n")
+
+
+def test_satake_datum_failing_araki_exits_2(capsys, tmp_path):
+    # G2 with black node 2 is no real form's diagram: instantiating it fails
+    path = _write_catalog(tmp_path / "g2.yaml", _set_field("black", "[2]", label="G")(
+        _shipped_catalog()))
+    code, out, err = run(capsys, "report", "G", "--catalog", path)
+    assert (code, out) == (2, "")
+    assert "(Araki's condition)" in err
+
+
 @pytest.mark.parametrize("key, expr, message", [
     ("ambient", "__import__", "name '__import__' is not defined"),
     ("kac", "affine_diagram('B', r", "'(' was never closed (<catalog>, line 1)"),

@@ -16,7 +16,6 @@ from wonderful.involution import (
     SatakeError,
     apply_matrix,
     build_involution,
-    classify_simple,
     is_inner,
     make_satake,
     moved_root_count,
@@ -38,9 +37,9 @@ from coweights import pair_coweight
 from weyl_words import sigma_matrix
 
 SCAN_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "satake-scan.json"
-# SHA-256 of the outcome of every satake-scan datum: 102 accepted, 584
-# SatakeError, 19 ValueError from build_restricted
-SCAN_DIGEST = "d587806029bd3fde051eb7b64c6e4d686ea6c82a713ae0fd7140da172e1bef70"
+# SHA-256 of the outcome of every satake-scan datum: 88 accepted, 617
+# SatakeError
+SCAN_DIGEST = "8985ac7fa51d6ec917c61170e60852b8ef73b1ddd3f28dc8a344ac1a40663136"
 
 
 def _scan_data():
@@ -58,7 +57,7 @@ def _involution(components, black=(), arrows=()):
 def test_split_a2():
     inv = _involution((("A", 2),))
     assert sigma_root(inv, (1, 0)) == (-1, 0)
-    assert classify_simple(inv, 0) == REAL
+    assert inv.cases[0] == REAL
     assert inv.sigma_bar[0] == 0
     assert not is_inner(inv)
 
@@ -68,7 +67,7 @@ def test_quadric_b2():
     inv = _involution((("B", 2),), black=[1])
     assert sigma_root(inv, (1, 0)) == (-1, -2)
     assert sigma_root(inv, (0, 1)) == (0, 1)
-    assert classify_simple(inv, 0) == ORTHOGONAL
+    assert inv.cases[0] == ORTHOGONAL
     assert inv.sigma_bar[0] == 0
     assert is_inner(inv)
 
@@ -77,7 +76,7 @@ def test_a3_black_middle_with_arrows():
     # black alpha_2, arrows (1,3): sigma(alpha_1) = -(alpha_2 + alpha_3)
     inv = _involution((("A", 3),), black=[1], arrows=[(0, 2)])
     assert sigma_root(inv, (1, 0, 0)) == (0, -1, -1)
-    assert classify_simple(inv, 0) == NONREDUCED
+    assert inv.cases[0] == NONREDUCED
     assert inv.sigma_bar[0] == 2
     assert is_inner(inv)
 
@@ -86,7 +85,7 @@ def test_a3_black_ends():
     # black {alpha_1, alpha_3}: sigma(alpha_2) = -(alpha_1 + alpha_2 + alpha_3)
     inv = _involution((("A", 3),), black=[0, 2])
     assert sigma_root(inv, (0, 1, 0)) == (-1, -1, -1)
-    assert classify_simple(inv, 1) == ORTHOGONAL
+    assert inv.cases[1] == ORTHOGONAL
     assert not is_inner(inv)
 
 
@@ -94,8 +93,8 @@ def test_a4_quasi_split_arrows_only():
     # arrows (1,4),(2,3): nonreduced restriction in rank 2
     inv = _involution((("A", 4),), arrows=[(0, 3), (1, 2)])
     assert sigma_root(inv, (1, 0, 0, 0)) == (0, 0, 0, -1)
-    assert classify_simple(inv, 0) == ORTHOGONAL
-    assert classify_simple(inv, 1) == NONREDUCED
+    assert inv.cases[0] == ORTHOGONAL
+    assert inv.cases[1] == NONREDUCED
     assert inv.sigma_bar[0] == 3
     assert is_inner(inv)
 
@@ -104,7 +103,7 @@ def test_group_type_swap():
     rs = build_root_system((("A", 2), ("A", 2)))
     inv = build_involution(make_satake(rs, arrows=[(0, 2), (1, 3)]))
     assert sigma_root(inv, (1, 0, 0, 0)) == (0, 0, -1, 0)
-    assert classify_simple(inv, 0) == ORTHOGONAL
+    assert inv.cases[0] == ORTHOGONAL
     assert inv.sigma_bar[0] == 2
     assert not is_inner(inv)
     assert moved_root_count(inv) == 12
@@ -117,7 +116,7 @@ def test_black_component_opposition():
     assert inv.tau[1] == 2 and inv.tau[2] == 1
     assert sigma_root(inv, (0, 1, 0, 0)) == (0, 1, 0, 0)
     assert sigma_root(inv, (0, 0, 1, 0)) == (0, 0, 1, 0)
-    assert classify_simple(inv, 0) == NONREDUCED
+    assert inv.cases[0] == NONREDUCED
 
 
 def test_sigma_preserves_roots_and_squares_to_identity():
@@ -182,7 +181,7 @@ def test_build_involution_applies_no_matrix(monkeypatch):
             built += 1
         except SatakeError:
             pass
-    assert built == 102 + 19
+    assert built == 88
 
 
 def test_all_black_rejected():
@@ -196,7 +195,7 @@ def test_sigma_fixes_black_pointwise_eiv():
     for i in (1, 2, 3, 4):
         e = tuple(1 if k == i else 0 for k in range(6))
         assert sigma_root(inv, e) == e
-    assert classify_simple(inv, 0) == ORTHOGONAL
+    assert inv.cases[0] == ORTHOGONAL
     assert not is_inner(inv)
 
 
@@ -267,10 +266,25 @@ def test_satake_scan_outcomes_are_unchanged():
             rows.append(["accepted", None, None, rrs.type_label])
         except ValueError as exc:
             rows.append(["rejected", type(exc).__name__, str(exc), None])
-    assert sum(r[0] == "accepted" for r in rows) == 102
-    assert sum(r[1] == "SatakeError" for r in rows) == 584
-    assert sum(r[1] == "ValueError" for r in rows) == 19
+    assert sum(r[0] == "accepted" for r in rows) == 88
+    assert sum(r[1] == "SatakeError" for r in rows) == 617
+    assert sum(r[1] == "ValueError" for r in rows) == 0
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SCAN_DIGEST
+
+
+# <alpha_j, rho_X^vee> for the white node j without an arrow, worked by hand:
+# -3/2, -3/2, -1/2, -1/2 and -1/2; none is the diagram of a real form
+@pytest.mark.parametrize("components, black", [
+    ((("B", 3),), [0, 2]),
+    ((("D", 4),), [0, 2, 3]),
+    ((("G", 2),), [1]),
+    ((("B", 2),), [0]),
+    ((("C", 3),), [2]),
+], ids=["B3", "D4", "G2", "B2", "C3"])
+def test_araki_condition_rejects_a_half_integer_pairing(components, black):
+    with pytest.raises(SatakeError, match="half-integer with rho\\^vee of the black "
+                                          "nodes \\(Araki's condition\\)$"):
+        _involution(components, black=black)
 
 
 def test_one_black_longest_word_per_datum(monkeypatch):
@@ -301,4 +315,4 @@ def test_one_black_longest_word_per_datum(monkeypatch):
         # the completed diagram involution is rejected
         black = sd.black_nodes
         assert calls in ([], [("iota", black)], [("iota", black), ("w_L", black)]), sd
-    assert built == 102 + 19
+    assert built == 88

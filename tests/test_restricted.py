@@ -7,32 +7,32 @@ import pytest
 from test_involution import _scan_data
 
 from wonderful.catalog import build_report, enumerate_records, instantiate, load_catalog, validate
+from wonderful.curves import build_colors
 from wonderful.involution import (
     NONREDUCED,
     ORTHOGONAL,
     REAL,
+    _fail,
     build_involution,
-    classify_simple,
     make_satake,
     sigma_root,
 )
 from wonderful.restricted import (
     build_restricted,
     expand,
-    fiber_index,
-    is_exceptional,
     restrict_root,
-    theta_bar_expansion,
 )
 from wonderful.rootsystem import (
+    _form6,
     build_root_system,
     coroot,
     highest_roots,
     inner_product,
+    pairing,
     positive_roots,
     unit_vector,
 )
-from coweights import pair_coweight, restricted_coroot
+from coweights import coroots, pair_coweight, restricted_coroot
 
 
 def _restricted(components, black=(), arrows=()):
@@ -49,8 +49,8 @@ def test_bdii_rank_5():
     assert rrs.theta_bar_covector == (1, Fraction(1, 2))
     abar, ahat = restricted_coroot(rrs, 0)
     assert abar == (1, Fraction(1, 2)) and ahat == abar
-    assert theta_bar_expansion(rrs) == (1,)
-    assert is_exceptional(rrs) == (False, None)
+    assert rrs.theta_bar_expansion == (1,)
+    assert rrs.exceptional_pair is None
 
 
 def test_aiii_n4_r1():
@@ -63,10 +63,9 @@ def test_aiii_n4_r1():
     abar, ahat = restricted_coroot(rrs, 0)
     assert abar == (1, 1, 1)
     assert ahat == (Fraction(1, 2),) * 3
-    assert theta_bar_expansion(rrs) == (1,)
-    flag, witness = is_exceptional(rrs)
-    assert flag and witness == (0, 2)
-    assert fiber_index(rrs, 0) == fiber_index(rrs, 2) == 0
+    assert rrs.theta_bar_expansion == (1,)
+    assert rrs.exceptional_pair == (0, 2)
+    assert rrs.node_fiber[0] == rrs.node_fiber[2] == 0
 
 
 def test_group_a1():
@@ -74,7 +73,7 @@ def test_group_a1():
     assert rrs.restricted_simple == ((1, 1),)
     assert rrs.type_label == "A1"
     assert rrs.theta_bar_covector == (Fraction(1, 2), Fraction(1, 2))
-    assert theta_bar_expansion(rrs) == (1,)
+    assert rrs.theta_bar_expansion == (1,)
 
 
 def test_split_a1():
@@ -82,7 +81,7 @@ def test_split_a1():
     assert rrs.restricted_simple == ((2,),)
     assert not rrs.nonreduced
     assert restricted_coroot(rrs, 0)[0] == (Fraction(1, 2),)
-    assert theta_bar_expansion(rrs) == (1,)
+    assert rrs.theta_bar_expansion == (1,)
 
 
 def test_aii_rank2():
@@ -107,8 +106,7 @@ def test_quasi_split_a4_is_bc2():
     rrs = _restricted((("A", 4),), arrows=[(0, 3), (1, 2)])
     assert rrs.type_label == "BC2"
     assert rrs.doubled_index == 1
-    flag, witness = is_exceptional(rrs)
-    assert flag and witness == (1, 2)
+    assert rrs.exceptional_pair == (1, 2)
 
 
 def test_cartan_pairing_two():
@@ -119,26 +117,26 @@ def test_cartan_pairing_two():
         rrs = _restricted(*spec)
         rs = rrs.root_system
         for idx, v in enumerate(rrs.restricted_simple):
-            abar = rrs.coroots[idx][0]
+            abar = coroots(rrs)[idx][0]
             assert pair_coweight(rs, abar, v) == 2
 
 
 def test_eiii_is_bc2():
     rrs = _restricted((("E", 6),), black=[2, 3, 4], arrows=[(0, 5)])
     assert rrs.type_label == "BC2"
-    assert is_exceptional(rrs)[0]
+    assert rrs.exceptional_pair is not None
 
 
 def test_eiv_is_a2():
     rrs = _restricted((("E", 6),), black=[1, 2, 3, 4])
     assert rrs.type_label == "A2"
-    assert not is_exceptional(rrs)[0]
+    assert rrs.exceptional_pair is None
 
 
 def test_fii_is_bc1():
     rrs = _restricted((("F", 4),), black=[0, 1, 2])
     assert rrs.type_label == "BC1"
-    assert not is_exceptional(rrs)[0]
+    assert rrs.exceptional_pair is None
 
 
 def test_eii_is_f4():
@@ -160,7 +158,6 @@ def test_dominance_lemma():
     black = set(rrs.involution.satake.black_nodes)
     for v in rrs.restricted_simple:
         for b in black:
-            from wonderful.rootsystem import pairing
             assert pairing(rs, b, v) == 0
 
 
@@ -178,7 +175,7 @@ def test_exceptional_iff_simply_laced_and_nonreduced():
         rrs = _restricted(comps, black, arrows or ())
         rs = rrs.root_system
         simply_laced = all(rs.lengths[i] == 1 for i in range(rs.rank))
-        assert is_exceptional(rrs)[0] == expect
+        assert (rrs.exceptional_pair is not None) == expect
         assert expect == (simply_laced and rrs.nonreduced)
 
 
@@ -193,6 +190,73 @@ def test_multiplicities_align_with_the_restricted_positive_roots():
     assert mult == {alpha: 4, tuple(2 * x for x in alpha): 1}
 
 
+# The per-node facts as computed before build_involution and build_restricted
+# stored them: each white node classified and its fiber found again on every
+# call, sigma looked up on the simple root by vector.
+
+def _reference_fibers(inv):
+    """{restriction of alpha_i: the white nodes i with it}, ordered by
+    least node."""
+    rs = inv.root_system
+    fibers = {}
+    for i in inv.delta1:
+        fibers.setdefault(restrict_root(inv, unit_vector(rs.rank, i)), []).append(i)
+    return fibers
+
+
+def _classify_simple(inv, i):
+    """Case of a white simple root: REAL, ORTHOGONAL or NONREDUCED."""
+    rs = inv.root_system
+    if i not in inv.delta1:
+        raise ValueError(f"node {i} is not white")
+    e = unit_vector(rs.rank, i)
+    img = sigma_root(inv, e)
+    p = pairing(rs, i, img)
+    if p == -2:
+        if img != tuple(-x for x in e):
+            _fail("pairing -2 with sigma(alpha) != -alpha")
+        return REAL
+    if p == 0:
+        return ORTHOGONAL
+    if p == 1:
+        return NONREDUCED
+    _fail(f"<alpha^vee, sigma(alpha)> = {p} is not in {{-2, 0, 1}}")
+
+
+def _fiber_index(fibers, i):
+    for idx, fiber in enumerate(fibers):
+        if i in fiber:
+            return idx
+    raise ValueError(f"node {i} is not white")
+
+
+def _is_exceptional(inv):
+    """Exceptional means some white node is nonreduced and not fixed by
+    sigma_bar; returns (flag, witness pair or None)."""
+    for i in inv.delta1:
+        j = inv.sigma_bar[i]
+        if j != i and _classify_simple(inv, i) == NONREDUCED:
+            return True, (i, j)
+    return False, None
+
+
+def _theta_bar_expansion(rrs, fibers):
+    """Nonnegative integer coefficients of theta_bar_covector over the
+    primitive coroots {ahat_vee}."""
+    rs = rrs.root_system
+    theta = highest_roots(rs, 0)[0]
+    top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
+    coeffs = []
+    for k, (v, fiber) in enumerate(zip(rrs.restricted_simple, fibers)):
+        m = 2 if k == rrs.doubled_index else 1
+        q, r = divmod(sum(theta[i] for i in fiber) * m * _form6(rs, v, v), top)
+        if r or q < 0:
+            raise ValueError("theta_bar covector is not a nonnegative integer "
+                             "combination of the primitive coroots")
+        coeffs.append(q)
+    return tuple(coeffs)
+
+
 def _fraction_reference(inv):
     """(restricted_positive, multiplicities, cartan, coroots, theta_bar
     expansion) by the Fraction formulas: restrictions through sigma_root,
@@ -205,9 +269,7 @@ def _fraction_reference(inv):
         v = restrict_root(inv, beta)
         if any(v):
             mult[v] = mult.get(v, 0) + 1
-    fibers = {}
-    for i in inv.delta1:
-        fibers.setdefault(restrict_root(inv, unit_vector(rs.rank, i)), []).append(i)
+    fibers = _reference_fibers(inv)
     dbar = list(fibers)
     for v in mult:
         coeffs = expand(dbar, v)
@@ -216,7 +278,7 @@ def _fraction_reference(inv):
                          for w in dbar) for v in dbar)
     coroots = []
     for v in dbar:
-        case = classify_simple(inv, fibers[v][0])
+        case = _classify_simple(inv, fibers[v][0])
         e = unit_vector(rs.rank, fibers[v][0])
         den = {REAL: 4, ORTHOGONAL: 2, NONREDUCED: 1}[case]
         abar = tuple((a - b) / den
@@ -228,7 +290,9 @@ def _fraction_reference(inv):
     return tuple(mult), tuple(mult.values()), cartan, tuple(coroots), tuple(top)
 
 
-def test_integer_restricted_layer_matches_fraction_reference():
+def _restricted_systems():
+    """The restricted root systems of the 147 records of rank <= 8,
+    GroupE6-E8 and every satake-scan datum that builds."""
     catalog = load_catalog()
     records = enumerate_records(catalog, 8)
     assert len(records) == 147
@@ -239,22 +303,59 @@ def test_integer_restricted_layer_matches_fraction_reference():
             systems.append(build_restricted(build_involution(sd)))
         except ValueError:
             pass
-    assert len(systems) == 150 + 102
-    rejected = []
-    for rrs in systems:
+    assert len(systems) == 150 + 88
+    return systems
+
+
+def test_integer_restricted_layer_matches_fraction_reference():
+    for rrs in _restricted_systems():
         *ref, top = _fraction_reference(rrs.involution)
-        got = [rrs.restricted_positive, rrs.multiplicities, rrs.cartan, rrs.coroots]
+        got = [rrs.restricted_positive, rrs.multiplicities, rrs.cartan, coroots(rrs)]
         assert got == ref, rrs.involution.satake
-        if all(c.denominator == 1 and c >= 0 for c in top):
-            assert theta_bar_expansion(rrs) == top
-            assert all(type(c) is int for c in theta_bar_expansion(rrs))
-        else:
-            with pytest.raises(ValueError, match="not a nonnegative integer combination"):
-                theta_bar_expansion(rrs)
-            rejected.append(rrs.involution.satake)
-    # one scan datum, G2 with black node 2, has theta_bar_covector = 2/3 ahat_vee
-    assert [(sd.root_system.components, sd.black_nodes) for sd in rejected] == \
-        [((("G", 2),), (1,))]
+        assert all(c.denominator == 1 and c >= 0 for c in top), rrs.involution.satake
+        assert rrs.theta_bar_expansion == top
+        assert all(type(c) is int for c in rrs.theta_bar_expansion)
+
+
+def test_stored_node_facts_match_the_reference():
+    for rrs in _restricted_systems():
+        inv = rrs.involution
+        n = inv.root_system.rank
+        fibers = tuple(_reference_fibers(inv).values())
+        assert inv.cases == tuple(_classify_simple(inv, i) if i in inv.delta1 else None
+                                  for i in range(n)), inv.satake
+        assert rrs.exceptional_pair == _is_exceptional(inv)[1], inv.satake
+        assert rrs.node_fiber == tuple(_fiber_index(fibers, i) if i in inv.delta1 else None
+                                       for i in range(n)), inv.satake
+        assert rrs.theta_bar_expansion == _theta_bar_expansion(rrs, fibers), inv.satake
+
+
+def test_build_restricted_rejects_a_fractional_theta_bar_expansion(monkeypatch):
+    # G2 with black node 2 fails Araki's condition; let it through, and
+    # theta_bar_covector = 2/3 ahat_vee
+    monkeypatch.setattr("wonderful.involution.subsystem_roots", lambda rs, nodes: ())
+    inv = build_involution(make_satake(build_root_system((("G", 2),)), black=[1]))
+    assert inv.cases == (NONREDUCED, None)
+    with pytest.raises(ValueError, match="^theta_bar covector is not a nonnegative "
+                                         "integer combination of the primitive coroots$"):
+        build_restricted(inv)
+
+
+def test_curves_and_restricted_look_up_no_simple_root(monkeypatch):
+    def guarded(inv, v):
+        if sorted(v) == [0] * (len(v) - 1) + [1]:
+            raise AssertionError(f"sigma looked up on the simple root {v}")
+        return sigma_root(inv, v)
+
+    for module in ("curves", "restricted"):
+        monkeypatch.setattr(f"wonderful.{module}.sigma_root", guarded, raising=False)
+    records = enumerate_records(load_catalog(), 8)
+    assert len(records) == 147
+    for record in records:
+        build_restricted(record.involution)
+        build_colors(record.involution)
+        assert validate(record) == []
+        build_report(record)
 
 
 def test_build_restricted_solves_nothing(monkeypatch):
