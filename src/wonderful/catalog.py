@@ -1,19 +1,26 @@
 """Family catalog: load templates, instantiate records, validate, enumerate.
 
-Per family, the data file stores the engine's input (ambient type, Satake
-data, Kac diagram) and the expected classification columns.  validate()
-compares each derived column with its stored value: restricted, sigma_theta,
-fano, hermitian, hc, vmrt, and emb of restricted type A_r, r >= 2.  Stored
-for output only: gh (display) and emb elsewhere, which the engine has no rule
-for: build_report passes it through and validate() checks its factor count.
+The shipped data/catalog.json is parsed by json; PyYAML is imported only to
+read a `--catalog PATH` file as YAML (JSON is YAML too).  A catalog is
+{"version": 1, "families": [...]}; a family has the fields of _REQUIRED and
+_OPTIONAL: label, integer params, constraints on them, the engine's input
+(ambient -> [(type, rank), ...]; black -> compact nodes; arrows -> node pairs
+the diagram involution swaps; kac -> Kac diagram; nodes 1-based) and the
+expected columns.  Each constraint, -> field and {...} chunk of the name
+templates gh, restricted, hc and vmrt follows the expressions.py grammar with
+the parameters in scope; its callables are range, list and, in kac, the Kac
+builders.  validate() compares each derived column with its stored value:
+restricted, sigma_theta, fano, hermitian (null, "e" or "ne"), hc, vmrt
+(omitted: hc), and emb of restricted type A_r, r >= 2.  Stored for output only:
+gh (G/H), and emb (multidegree of O(1) on the VMRT) elsewhere: build_report
+passes it through and validate() checks its factor count.
 """
 
 import itertools
+import json
+import os
 from dataclasses import dataclass
-from importlib import resources
 from math import gcd
-
-import yaml
 
 from .curves import build_colors, minimal_covering_classes, pushforward_class
 from .expressions import _eval, _fmt
@@ -45,8 +52,8 @@ from .rootsystem import (
     two_rho,
 )
 
-# deepest collection nesting a catalog may have (the shipped one has 4); both
-# loaders compose recursively, libyaml in C, where deep input overflows the stack
+# deepest collection nesting a --catalog file may have (the shipped one has 4);
+# YAML loaders compose recursively: libyaml's C stack overflows on deep input
 MAX_NESTING = 64
 # most parameters a family may take (the shipped AIII, BDI and CII take 2):
 # enumerate_records tries (2 max_rank + 1)^params value tuples
@@ -138,23 +145,25 @@ def _check_family(index, entry):
 
 
 def load_catalog(path=None):
+    with open(os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+              if path is None else path, encoding="utf-8") as fh:
+        text = fh.read()
     if path is None:
-        text = (resources.files("wonderful") / "data" / "catalog.yaml") \
-            .read_text(encoding="utf-8")
+        raw = json.loads(text)
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    # libyaml when PyYAML was built with it, else the pure-Python loader
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    try:
-        # both loaders produce the event stream iteratively
-        steps = (isinstance(e, yaml.CollectionStartEvent) - isinstance(e, yaml.CollectionEndEvent)
-                 for e in yaml.parse(text, Loader=loader))
-        if any(depth > MAX_NESTING for depth in itertools.accumulate(steps)):
-            raise ValueError(f"catalog nests collections more than {MAX_NESTING} deep")
-        raw = yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
-        raise ValueError(f"catalog is not valid YAML: {exc}") from None
+        import yaml
+        # libyaml when PyYAML was built with it, else the pure-Python loader
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        try:
+            # both loaders produce the event stream iteratively
+            steps = (isinstance(e, yaml.CollectionStartEvent)
+                     - isinstance(e, yaml.CollectionEndEvent)
+                     for e in yaml.parse(text, Loader=loader))
+            if any(depth > MAX_NESTING for depth in itertools.accumulate(steps)):
+                raise ValueError(f"catalog nests collections more than {MAX_NESTING} deep")
+            raw = yaml.load(text, Loader=loader)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"catalog is not valid YAML: {exc}") from None
     if not isinstance(raw, dict) or "version" not in raw \
             or not isinstance(raw.get("families"), list):
         raise ValueError("catalog must be a mapping with a 'version' and a "
@@ -219,16 +228,12 @@ def instantiate(catalog, label, params=None):
                    for i, j in _eval(data["arrows"], params))
     inv = build_involution(make_satake(rs, black, arrows))
     rrs = build_restricted(inv)
-    kac_env = dict(params)
-    kac_env.update(KAC_BUILDERS)
-    kd = _eval(data["kac"], kac_env)
-    hc = tuple(_fmt(x, params) for x in data["hc"])
-    vmrt = tuple(_fmt(x, params) for x in data.get("vmrt") or data["hc"])
+    kd = _eval(data["kac"], {**params, **KAC_BUILDERS})
     stored = StoredColumns(
         gh=_fmt(data["gh"], params),
         restricted_type=_fmt(data["restricted"], params),
-        hc=hc,
-        vmrt=vmrt,
+        hc=tuple(_fmt(x, params) for x in data["hc"]),
+        vmrt=tuple(_fmt(x, params) for x in data.get("vmrt") or data["hc"]),
         emb=tuple(data["emb"]),
         sigma_theta=bool(data["sigma_theta"]),
         hermitian=data.get("hermitian"),

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import solve_scaled
-from .involution import NONREDUCED, ORTHOGONAL, REAL, sigma_root
+from .involution import NONREDUCED, ORTHOGONAL, REAL
 from .rootsystem import (
     _form6,
     coroot,
@@ -52,11 +52,6 @@ class RestrictedRootSystem:
     def theta_bar_covector(self):
         """The coroot of theta_bar in simple-coroot coordinates."""
         return coroot(self.root_system, self.theta_bar)
-
-
-def restrict_root(inv, v):
-    img = sigma_root(inv, v)
-    return tuple(a - b for a, b in zip(v, img))
 
 
 def _left_inverse(basis):

@@ -7,6 +7,7 @@ anchors, and proves the validator actually catches corrupted fixtures.
 """
 
 import dataclasses
+import json
 import time
 from fractions import Fraction
 from math import gcd
@@ -363,9 +364,9 @@ def test_negative_control_kac_color():
 
 
 def _load_raw_catalog():
-    text = (resources.files("wonderful") / "data" / "catalog.yaml") \
+    text = (resources.files("wonderful") / "data" / "catalog.json") \
         .read_text(encoding="utf-8")
-    return yaml.safe_load(text)
+    return json.loads(text)
 
 
 def test_negative_control_cli_satake_fixture(tmp_path, capsys):

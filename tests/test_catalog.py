@@ -1,13 +1,17 @@
 """Catalog loading, instantiation, validation, and enumeration."""
 
 import dataclasses
+import fnmatch
 import re
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import yaml
 
+import wonderful.catalog
 from wonderful.catalog import (
     ALL_CHECKS,
     build_report,
@@ -25,8 +29,10 @@ from wonderful.curves import build_colors, minimal_covering_classes
 from wonderful.expressions import _BRACE, _compile, _eval
 from wonderful.kac import marked_diagrams
 from wonderful.rootsystem import indexed_roots
+from test_cli import _src_env
 
 CAT = load_catalog()
+SHIPPED = Path(wonderful.catalog.__file__).parent / "data" / "catalog.json"
 
 # ambient-rank <= 8 reachable labels
 REACHABLE = {
@@ -46,14 +52,38 @@ def test_load():
 
 
 def test_pure_python_loader_reads_the_same_catalog(monkeypatch, tmp_path):
+    # the shipped JSON file read as YAML, by libyaml and by the pure-Python loader
+    fast = load_catalog(SHIPPED)
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    slow = load_catalog()
-    assert (slow.version, slow.templates) == (CAT.version, CAT.templates)
+    slow = load_catalog(SHIPPED)
+    for loaded in (fast, slow):
+        assert (loaded.version, loaded.templates) == (CAT.version, CAT.templates)
     # its composer recurses in Python: the nesting bound comes first
     path = tmp_path / "deep.yaml"
     path.write_text("version: 1\nfamilies: " + "[" * 5000 + "]" * 5000, encoding="utf-8")
     with pytest.raises(ValueError, match="^catalog nests collections more than 64 deep$"):
         load_catalog(path)
+
+
+def test_package_data_ships_every_data_file():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    package = SHIPPED.parents[1]
+    with open(package.parents[1] / "pyproject.toml", "rb") as fh:
+        patterns = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["wonderful"]
+    files = [p.relative_to(package).as_posix() for p in (package / "data").rglob("*")
+             if p.is_file()]
+    assert "data/catalog.json" in files
+    for name in files:
+        assert any(fnmatch.fnmatch(name, pattern) for pattern in patterns), name
+
+
+def test_default_load_does_not_import_yaml():
+    # PyYAML is imported only to read a --catalog PATH file
+    code = ("import sys, wonderful; wonderful.load_catalog(); print('yaml' in sys.modules); "
+            f"wonderful.load_catalog({str(SHIPPED)!r}); print('yaml' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_src_env(), timeout=60, check=True)
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_routing():

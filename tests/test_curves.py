@@ -12,8 +12,8 @@ from wonderful.curves import (
     minimal_covering_classes,
     pushforward_class,
 )
-from wonderful.involution import build_involution, make_satake, sigma_root
-from wonderful.restricted import build_restricted, restrict_root
+from wonderful.involution import build_involution, make_satake
+from wonderful.restricted import build_restricted
 from wonderful.linalg import invert
 from wonderful.rootsystem import (
     build_root_system,
@@ -21,6 +21,7 @@ from wonderful.rootsystem import (
     unit_vector,
 )
 from coweights import boundary_pairing, cocharacter_curve, color_coroot, pair_coweight, psi
+from test_restricted import restrict_root
 from weyl_words import longest_subsystem_word, word_matrix
 
 

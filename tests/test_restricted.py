@@ -17,11 +17,7 @@ from wonderful.involution import (
     make_satake,
     sigma_root,
 )
-from wonderful.restricted import (
-    build_restricted,
-    expand,
-    restrict_root,
-)
+from wonderful.restricted import build_restricted, expand
 from wonderful.rootsystem import (
     _form6,
     build_root_system,
@@ -33,6 +29,12 @@ from wonderful.rootsystem import (
     unit_vector,
 )
 from coweights import coroots, pair_coweight, restricted_coroot
+
+
+def restrict_root(inv, v):
+    """The restriction v - sigma(v), read from sigma_root: the reference the
+    fibers and theta_bar of build_restricted are checked against."""
+    return tuple(a - b for a, b in zip(v, sigma_root(inv, v)))
 
 
 def _restricted(components, black=(), arrows=()):
