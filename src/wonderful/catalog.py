@@ -1,7 +1,7 @@
 """Family catalog: load templates, instantiate records, validate, enumerate.
 
-The shipped data/catalog.json is parsed by json; PyYAML is imported only to
-read a `--catalog PATH` file as YAML (JSON is YAML too).  A catalog is
+The shipped data/catalog.json and a `--catalog PATH` file are both JSON, read
+up to MAX_CATALOG_CHARS and parsed by json.  A catalog is
 {"version": 1, "families": [...]}; a family has the fields of _REQUIRED and
 _OPTIONAL: label, integer params, constraints on them, the engine's input
 (ambient -> [(type, rank), ...]; black -> compact nodes; arrows -> node pairs
@@ -52,9 +52,8 @@ from .rootsystem import (
     two_rho,
 )
 
-# deepest collection nesting a --catalog file may have (the shipped one has 4);
-# YAML loaders compose recursively: libyaml's C stack overflows on deep input
-MAX_NESTING = 64
+# most characters read from a catalog, so /dev/zero cannot fill memory (shipped: 14,743)
+MAX_CATALOG_CHARS = 1_000_000
 # most parameters a family may take (the shipped AIII, BDI and CII take 2):
 # enumerate_records tries (2 max_rank + 1)^params value tuples
 MAX_PARAMS = 2
@@ -117,7 +116,7 @@ _REQUIRED = {"label": str, "ambient": str, "black": str, "arrows": str, "gh": st
              "restricted": str, "kac": str, "hc": list, "emb": list,
              "sigma_theta": bool, "fano": bool}
 _OPTIONAL = {"params": list, "constraints": list, "vmrt": list, "hermitian": str}
-# element types of the list fields; `type(x) is int` also rejects YAML booleans
+# element types of the list fields; `type(x) is int` also rejects JSON booleans
 _ITEMS = {"params": str, "constraints": str, "hc": str, "vmrt": str, "emb": int}
 
 
@@ -147,23 +146,16 @@ def _check_family(index, entry):
 def load_catalog(path=None):
     with open(os.path.join(os.path.dirname(__file__), "data", "catalog.json")
               if path is None else path, encoding="utf-8") as fh:
-        text = fh.read()
-    if path is None:
+        text = fh.read(MAX_CATALOG_CHARS + 1)
+    if len(text) > MAX_CATALOG_CHARS:
+        raise ValueError(f"catalog is longer than {MAX_CATALOG_CHARS} characters")
+    try:
         raw = json.loads(text)
-    else:
-        import yaml
-        # libyaml when PyYAML was built with it, else the pure-Python loader
-        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-        try:
-            # both loaders produce the event stream iteratively
-            steps = (isinstance(e, yaml.CollectionStartEvent)
-                     - isinstance(e, yaml.CollectionEndEvent)
-                     for e in yaml.parse(text, Loader=loader))
-            if any(depth > MAX_NESTING for depth in itertools.accumulate(steps)):
-                raise ValueError(f"catalog nests collections more than {MAX_NESTING} deep")
-            raw = yaml.load(text, Loader=loader)
-        except yaml.YAMLError as exc:
-            raise ValueError(f"catalog is not valid YAML: {exc}") from None
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+        raise ValueError(f"catalog is not valid JSON: {exc}") from None
+    except RecursionError:
+        # the decoder recurses once per level, up to the interpreter's limit
+        raise ValueError("catalog nests collections too deep") from None
     if not isinstance(raw, dict) or "version" not in raw \
             or not isinstance(raw.get("families"), list):
         raise ValueError("catalog must be a mapping with a 'version' and a "
@@ -182,18 +174,19 @@ def load_catalog(path=None):
 
 def _route(label, params):
     """Send parameter values that belong to a sibling Table row there."""
-    if label == "GroupA" and params.get("r") == 1:
+    r, n = params.get("r"), params.get("n")
+    if label == "GroupA" and r == 1:
         return "GroupA1", {}
-    if label == "AI" and params.get("r") == 1:
+    if label == "AI" and r == 1:
         return "AI1", {}
-    if label == "AIII" and params.get("n") == 2 * params.get("r", 0):
-        return "AIIIeq", {"r": params["r"]}
-    if label == "BDI" and params.get("r") == 2:
-        return "BDI2", {"n": params["n"]}
-    if label == "BDI" and params.get("r") == 1:
-        return "BDII", {"n": params["n"]}
-    if label == "CII" and params.get("n") == 2 * params.get("r", 0):
-        return "CIIeq", {"r": params["r"]}
+    if label == "AIII" and r is not None and n == 2 * r:
+        return "AIIIeq", {"r": r}
+    if label == "BDI" and r == 2 and n is not None:
+        return "BDI2", {"n": n}
+    if label == "BDI" and r == 1 and n is not None:
+        return "BDII", {"n": n}
+    if label == "CII" and r is not None and n == 2 * r:
+        return "CIIeq", {"r": r}
     return label, params
 
 
@@ -209,8 +202,13 @@ def instantiate(catalog, label, params=None):
     for name, value in params.items():
         if not isinstance(value, int):
             raise ValueError(f"parameter {name} must be an integer")
-    label, params = _route(label, params)
-    template = catalog.by_label[label]
+    routed, sibling_params = _route(label, params)
+    template = catalog.by_label.get(routed)
+    if template is None or set(sibling_params) != set(template.params):
+        raise ValueError(f"family {label} with {params} belongs to family {routed} "
+                         f"with parameters {sorted(sibling_params)}, which the "
+                         f"catalog lacks")
+    label, params = routed, sibling_params
     for cond in template.constraints:
         if not _eval(cond, params):
             raise ValueError(

@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-import yaml
 from importlib import resources
 
 from wonderful.catalog import (
@@ -374,8 +373,8 @@ def test_negative_control_cli_satake_fixture(tmp_path, capsys):
     for fam in raw["families"]:
         if fam["label"] == "AIII":
             fam["black"] = "list(range(r + 2, n - r))"
-    path = tmp_path / "corrupt_satake.yaml"
-    path.write_text(yaml.safe_dump(raw))
+    path = tmp_path / "corrupt_satake.json"
+    path.write_text(json.dumps(raw))
     code = main(["check", "--max-rank", "3", "--catalog", str(path)])
     out = capsys.readouterr().out
     assert code == 1
@@ -387,8 +386,8 @@ def test_negative_control_cli_kac_fixture(tmp_path, capsys):
     for fam in raw["families"]:
         if fam["label"] == "BDII":
             fam["kac"] = "kac_sym2(2)"
-    path = tmp_path / "corrupt_kac.yaml"
-    path.write_text(yaml.safe_dump(raw))
+    path = tmp_path / "corrupt_kac.json"
+    path.write_text(json.dumps(raw))
     code = main(["check", "--max-rank", "3", "--catalog", str(path)])
     out = capsys.readouterr().out
     assert code == 1

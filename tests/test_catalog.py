@@ -9,7 +9,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-import yaml
 
 import wonderful.catalog
 from wonderful.catalog import (
@@ -51,18 +50,24 @@ def test_load():
     assert REACHABLE <= set(CAT.by_label)
 
 
-def test_pure_python_loader_reads_the_same_catalog(monkeypatch, tmp_path):
-    # the shipped JSON file read as YAML, by libyaml and by the pure-Python loader
-    fast = load_catalog(SHIPPED)
-    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    slow = load_catalog(SHIPPED)
-    for loaded in (fast, slow):
-        assert (loaded.version, loaded.templates) == (CAT.version, CAT.templates)
-    # its composer recurses in Python: the nesting bound comes first
-    path = tmp_path / "deep.yaml"
-    path.write_text("version: 1\nfamilies: " + "[" * 5000 + "]" * 5000, encoding="utf-8")
-    with pytest.raises(ValueError, match="^catalog nests collections more than 64 deep$"):
+def test_load_from_path_reads_the_same_catalog(tmp_path):
+    loaded = load_catalog(SHIPPED)
+    assert (loaded.version, loaded.templates) == (CAT.version, CAT.templates)
+    # the decoder recurses once per level and stops at the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text('{"version": 1, "families": ' + "[" * 5000 + "]" * 5000 + "}",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="^catalog nests collections too deep$"):
         load_catalog(path)
+
+
+def test_catalog_at_the_length_bound_loads(tmp_path):
+    # the shipped catalog padded with spaces to the bound; one more character
+    # is refused (tests/test_cli.py)
+    path = tmp_path / "padded.json"
+    path.write_text(SHIPPED.read_text(encoding="utf-8")
+                    .ljust(wonderful.catalog.MAX_CATALOG_CHARS), encoding="utf-8")
+    assert load_catalog(path).templates == CAT.templates
 
 
 def test_package_data_ships_every_data_file():
@@ -78,12 +83,15 @@ def test_package_data_ships_every_data_file():
 
 
 def test_default_load_does_not_import_yaml():
-    # PyYAML is imported only to read a --catalog PATH file
-    code = ("import sys, wonderful; wonderful.load_catalog(); print('yaml' in sys.modules); "
-            f"wonderful.load_catalog({str(SHIPPED)!r}); print('yaml' in sys.modules)")
+    # with yaml blocked, both catalog sources and a --catalog check still run
+    code = ("import sys; sys.modules['yaml'] = None; import wonderful; "
+            "from wonderful.cli import main; wonderful.load_catalog(); "
+            f"wonderful.load_catalog({str(SHIPPED)!r}); "
+            f"sys.exit(main(['check', '--max-rank', '3', '--catalog', {str(SHIPPED)!r}]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_src_env(), timeout=60, check=True)
-    assert proc.stdout.split() == ["False", "True"]
+                          env=_src_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("all checks passed\n")
 
 
 def test_routing():

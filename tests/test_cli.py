@@ -11,7 +11,6 @@ import types
 from pathlib import Path
 
 import pytest
-import yaml
 
 import wonderful
 from wonderful.catalog import instantiate, load_catalog, validate
@@ -160,12 +159,12 @@ def test_constraint_violation_exits_2(capsys):
 
 
 def test_missing_catalog_exits_2(capsys):
-    code, _, err = run(capsys, "check", "--catalog", "/no/such/file.yaml")
+    code, _, err = run(capsys, "check", "--catalog", "/no/such/file.json")
     assert code == 2
 
 
 def _write_catalog(path, doc):
-    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -205,7 +204,7 @@ def _set_field(key, value, label=None):
 ], ids=["no-ambient", "top-level-list", "no-label", "hc-not-str", "emb-not-int",
         "hermitian-not-e-or-ne"])
 def test_malformed_catalog_exits_2(capsys, tmp_path, corrupt, message):
-    path = _write_catalog(tmp_path / "bad.yaml", corrupt(_shipped_catalog()))
+    path = _write_catalog(tmp_path / "bad.json", corrupt(_shipped_catalog()))
     code, _, err = run(capsys, "check", "--max-rank", "3", "--catalog", path)
     assert code == 2
     assert err == f"error: {message}\n"
@@ -218,7 +217,7 @@ def test_family_with_more_than_two_params_exits_2(capsys, tmp_path):
     group_b = next(f for f in doc["families"] if f["label"] == "GroupB")
     group_b["params"] = ["r", "a", "b", "c"]
     group_b["constraints"] = ["2 <= r", "a <= 1", "b <= 1", "c <= 1"]
-    path = _write_catalog(tmp_path / "params.yaml", doc)
+    path = _write_catalog(tmp_path / "params.json", doc)
     code, out, err = run(capsys, "check", "--max-rank", "16", "--catalog", path)
     assert (code, out) == (2, "")
     assert err == ("error: catalog family 'GroupB': field 'params' lists 4 "
@@ -227,7 +226,7 @@ def test_family_with_more_than_two_params_exits_2(capsys, tmp_path):
 
 def test_satake_datum_failing_araki_exits_2(capsys, tmp_path):
     # G2 with black node 2 is no real form's diagram: instantiating it fails
-    path = _write_catalog(tmp_path / "g2.yaml", _set_field("black", "[2]", label="G")(
+    path = _write_catalog(tmp_path / "g2.json", _set_field("black", "[2]", label="G")(
         _shipped_catalog()))
     code, out, err = run(capsys, "report", "G", "--catalog", path)
     assert (code, out) == (2, "")
@@ -239,7 +238,7 @@ def test_satake_datum_failing_araki_exits_2(capsys, tmp_path):
     ("kac", "affine_diagram('B', r", "'(' was never closed (<catalog>, line 1)"),
 ], ids=["name-error", "syntax-error"])
 def test_unevaluable_catalog_expression_exits_2(capsys, tmp_path, key, expr, message):
-    path = _write_catalog(tmp_path / "bad.yaml",
+    path = _write_catalog(tmp_path / "bad.json",
                           _set_field(key, expr)(_shipped_catalog()))
     code, _, err = run(capsys, "report", "GroupB", "r=2", "--catalog", path)
     assert code == 2
@@ -264,7 +263,7 @@ _ESCAPE = "len(().__class__.__base__.__subclasses__()) > 0 and 2 <= r"
         "long-comprehension", "builder-above-ceiling"])
 def test_catalog_expression_outside_the_grammar_or_its_bounds_exits_2(
         tmp_path, key, value, reason):
-    path = _write_catalog(tmp_path / "bad.yaml",
+    path = _write_catalog(tmp_path / "bad.json",
                           _set_field(key, value, label="GroupB")(_shipped_catalog()))
     # GroupB r=2 has ambient rank 4; a run without the bounds would build lists
     # of a billion entries, so the child may not map more than 1 GiB
@@ -278,15 +277,24 @@ def test_catalog_expression_outside_the_grammar_or_its_bounds_exits_2(
 
 
 def test_unparsable_catalog_exits_2(capsys, tmp_path):
-    path = tmp_path / "bad.yaml"
-    path.write_text("version: 1\nfamilies: [\n", encoding="utf-8")
-    code, _, err = run(capsys, "report", "G", "--catalog", str(path))
+    path = _write_catalog(tmp_path / "bad.json", _shipped_catalog())
+    with open(path, "r+", encoding="utf-8") as fh:
+        fh.truncate(100)
+    code, _, err = run(capsys, "report", "G", "--catalog", path)
     assert code == 2
-    assert err.startswith("error: catalog is not valid YAML")
+    assert err.startswith("error: catalog is not valid JSON: ")
+
+
+def test_catalog_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
+    path = tmp_path / "digits.json"
+    path.write_text('{"version": ' + "9" * 5000 + ', "families": []}', encoding="utf-8")
+    code, out, err = run(capsys, "check", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: catalog is not valid JSON: Exceeds the limit")
 
 
 def _nested_catalog(path, depth):
-    path.write_text("version: 1\nfamilies: " + "[" * depth + "]" * depth + "\n",
+    path.write_text('{"version": 1, "families": ' + "[" * depth + "]" * depth + "}\n",
                     encoding="utf-8")
     return str(path)
 
@@ -305,18 +313,70 @@ def _src_env():
 
 @pytest.mark.parametrize("depth", [5000, 100000])
 def test_deeply_nested_catalog_exits_2(tmp_path, depth):
-    # libyaml composes a document recursively in C, where too deep a one
-    # overflows the stack: run in a subprocess, so that a crash fails here
-    path = _nested_catalog(tmp_path / "deep.yaml", depth)
+    # json's decoder recurses once per level: run in a subprocess, so that a
+    # crash fails here
+    path = _nested_catalog(tmp_path / "deep.json", depth)
     proc = subprocess.run(
         _cli_argv("check", "--max-rank", "3", "--catalog", path),
         capture_output=True, text=True, env=_src_env(), timeout=300)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
-        (2, "", "error: catalog nests collections more than 64 deep\n")
+        (2, "", "error: catalog nests collections too deep\n")
+
+
+def test_aliased_yaml_catalog_exits_2(tmp_path):
+    # 10.5 KB of YAML whose version is 10**8 aliases of one string: a YAML loader
+    # builds it in milliseconds, and formatting that version exhausts memory
+    lines = ["a0: &a0 " + "x" * 10000]
+    lines += [f"a{k}: &a{k} [" + ", ".join([f"*a{k - 1}"] * 10) + "]" for k in range(1, 9)]
+    path = tmp_path / "aliases.yaml"
+    path.write_text("\n".join(lines + ["version: *a8", "families: []", ""]),
+                    encoding="utf-8")
+    proc = subprocess.run(
+        _cli_argv("check", "--max-rank", "2", "--catalog", str(path)),
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: catalog is not valid JSON: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_catalog_longer_than_the_bound_exits_2(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(" " * 1_000_001, encoding="utf-8")
+    proc = subprocess.run(
+        _cli_argv("check", "--max-rank", "3", "--catalog", str(path)),
+        capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", "error: catalog is longer than 1000000 characters\n")
+
+
+def _drop_family(label):
+    def corrupt(doc):
+        doc["families"] = [f for f in doc["families"] if f["label"] != label]
+        return doc
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, argv, message", [
+    (_drop_family("AI1"), ["AI", "r=1"],
+     "family AI with {'r': 1} belongs to family AI1 with parameters [], "
+     "which the catalog lacks"),
+    (_set_field("params", ["m"], label="BDI2"), ["BDI", "n=7", "r=2"],
+     "family BDI with {'n': 7, 'r': 2} belongs to family BDI2 with parameters "
+     "['n'], which the catalog lacks"),
+    # a BDI without n is not routed, so its own condition decides
+    (_set_field("params", ["r"], label="BDI"), ["BDI", "r=2"],
+     "family BDI: condition '3 <= r' fails for {'r': 2}"),
+], ids=["missing", "other-params", "unrouted"])
+def test_catalog_without_a_routed_family_exits_2(capsys, tmp_path, corrupt, argv,
+                                                 message):
+    path = _write_catalog(tmp_path / "routed.json", corrupt(_shipped_catalog()))
+    code, out, err = run(capsys, "report", *argv, "--catalog", path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_stored_name_above_the_rank_ceiling_is_a_failed_check(capsys, tmp_path):
-    path = _write_catalog(tmp_path / "big.yaml",
+    path = _write_catalog(tmp_path / "big.json",
                           _set_field("hc", ["Gr(2,120)"], label="GroupB")(_shipped_catalog()))
     code, out, err = run(capsys, "check", "--max-rank", "4", "--catalog", path)
     assert (code, err) == (1, "")
@@ -333,7 +393,7 @@ def test_family_head_lines(capsys, tmp_path):
     doc = _shipped_catalog()
     bdii = next(f for f in doc["families"] if f["label"] == "BDII")
     bdii["fano"] = not bdii["fano"]
-    path = _write_catalog(tmp_path / "fano.yaml", doc)
+    path = _write_catalog(tmp_path / "fano.json", doc)
     code, out, _ = run(capsys, "check", "--max-rank", "3", "--catalog", path)
     assert code == 1
     assert "  BDII n=5: fano: computed True, stored False\n" in out
