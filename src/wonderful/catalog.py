@@ -160,6 +160,9 @@ def load_catalog(path=None):
             or not isinstance(raw.get("families"), list):
         raise ValueError("catalog must be a mapping with a 'version' and a "
                          "'families' list")
+    # check prints the version raw; `type(x) is int` also rejects JSON booleans
+    if type(raw["version"]) is not int:
+        raise ValueError("catalog field 'version' must be an int")
     templates = []
     for index, entry in enumerate(raw["families"]):
         _check_family(index, entry)

@@ -186,6 +186,8 @@ def cmd_table(args, out):
 def cmd_check(args, out):
     catalog = load_catalog(args.catalog)
     records = enumerate_records(catalog, args.max_rank)
+    if not records:  # nothing checked is not a pass
+        raise ValueError(f"no catalog instance has ambient rank <= {args.max_rank}")
     fail_count = {name: 0 for name in ALL_CHECKS}
     details = []
     for record in records:

@@ -10,7 +10,6 @@ from .rootsystem import (
     highest_roots,
     indexed_roots,
     memoised,
-    root_set,
     subsystem_roots,
     two_rho,
     unit_vector,
@@ -20,7 +19,6 @@ O_MIN = "O_min"
 O_SUM = "O_sum_sigma"
 
 
-@memoised
 def kappa_and_sigma(rrs):
     """(kappa, Sigma): the sum of positive roots sent to negatives, and
     the sum of the restricted simple roots."""
@@ -79,7 +77,7 @@ def check_strong_orthogonality(inv):
         raise ValueError("sigma(theta) = -theta: nothing to check")
     if _form6(rs, theta, img) != 0:
         raise ValueError("theta and sigma(theta) are not orthogonal")
-    roots = root_set(rs)
+    roots = indexed_roots(rs)[1]
     for comb in (tuple(a + b for a, b in zip(theta, img)),
                  tuple(a - b for a, b in zip(theta, img))):
         if comb in roots:
@@ -110,7 +108,6 @@ def dim_minimal_orbit(rs, component=0):
     return dim
 
 
-@memoised
 def nilpotent_orbit_dimension(inv):
     """Dimension of the nilpotent orbit attached to the family, computed
     independently of kappa."""

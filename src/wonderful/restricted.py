@@ -19,7 +19,6 @@ from .rootsystem import (
     identify_cartan,
     indexed_roots,
     memoised,
-    pairing,
     positive_roots,
 )
 
@@ -178,9 +177,6 @@ def build_restricted(inv):
         den, halved = per_member.pop()
         if den != sq6[idx]:
             raise ValueError("case formula disagrees with the metric coroot")
-        # <S(v) / den, v> == 2
-        if sum(rs.gram6[j][j] * x * pairing(rs, j, v) for j, x in enumerate(v) if x) != 2 * den:
-            raise ValueError("restricted coroot does not pair to 2")
         m = 2 if idx == doubled_index else 1
         if den * (2 if halved else 1) != m * sq6[idx]:
             raise ValueError("primitive coroot disagrees with the longest multiple")

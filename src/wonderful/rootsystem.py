@@ -25,7 +25,8 @@ MAX_AMBIENT_RANK = 100
 
 
 def _edges(typ, n):
-    """Bonds of the Dynkin diagram as (i, j, a_ij, a_ji), 0-based chain order."""
+    """Bonds of the Dynkin diagram as (i, j, a_ij, a_ji), 0-based chain order;
+    each bond's near end i is a node of an earlier bond, or node 0."""
     if typ == "A":
         return [(i, i + 1, -1, -1) for i in range(n - 1)]
     if typ == "B":
@@ -46,7 +47,7 @@ def _edges(typ, n):
         # chain 1-3-4-5-6(-7)(-8) with 2 attached to 4
         chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
         e = [(chain[k], chain[k + 1], -1, -1) for k in range(len(chain) - 1)]
-        e.append((1, 3, -1, -1))
+        e.append((3, 1, -1, -1))
         return e
     if typ == "F":
         # alpha_1, alpha_2 long; <alpha_3^vee, alpha_2> = -2
@@ -83,20 +84,6 @@ def cartan_matrix(typ, n):
     return a
 
 
-def _symmetrizer(a):
-    """d_i = (alpha_i, alpha_i)/2 of an irreducible Cartan matrix a, from
-    d_i a_ij = d_j a_ji, normalized so long roots have d = 1."""
-    n = len(a)
-    d = [Fraction(1)] + [None] * (n - 1)
-    for _ in range(n):
-        for i in range(n):
-            for j in range(n):
-                if a[i][j] and d[i] is not None and d[j] is None:
-                    d[j] = d[i] * a[i][j] / a[j][i]
-    top = max(d)
-    return [x / top for x in d]
-
-
 @dataclass(frozen=True)
 class RootSystem:
     components: tuple
@@ -131,19 +118,20 @@ def build_root_system(components):
     if total > MAX_AMBIENT_RANK:
         raise ValueError(f"rank {total} is above the ambient rank ceiling "
                          f"{MAX_AMBIENT_RANK}")
-    cartan = [[0] * total for _ in range(total)]
-    lengths = []
+    cartan = [[2 * (i == j) for j in range(total)] for i in range(total)]
+    scale = []  # 6 d_i, so 6 on a long root
     node_component = []
-    offset = 0
     for ci, (typ, n) in enumerate(components):
-        block = cartan_matrix(typ, n)
-        for i in range(n):
-            for j in range(n):
-                cartan[offset + i][offset + j] = block[i][j]
-        lengths.extend(_symmetrizer(block))
-        node_component.extend([ci] * n)
-        offset += n
-    scale = [int(6 * d) for d in lengths]
+        offset = len(scale)
+        d = [6] * n
+        for i, j, aij, aji in _edges(typ, n):
+            cartan[offset + i][offset + j] = aij
+            cartan[offset + j][offset + i] = aji
+            # d_i a_ij = d_j a_ji, exact as at most one bond is multiple
+            d[j] = d[i] * aij // aji
+        top = max(d)
+        scale += [6 * x // top for x in d]
+        node_component += [ci] * n
     gram6 = tuple(tuple(scale[i] * cartan[i][j] for j in range(total)) for i in range(total))
     for i in range(total):
         for j in range(total):
@@ -152,7 +140,7 @@ def build_root_system(components):
     return RootSystem(
         components=tuple(components),
         cartan=tuple(tuple(row) for row in cartan),
-        lengths=tuple(lengths),
+        lengths=tuple(Fraction(x, 6) for x in scale),
         node_component=tuple(node_component),
         gram6=gram6,
     )
@@ -245,11 +233,6 @@ def root_steps(rs):
 
 
 @lru_cache(maxsize=None)
-def root_set(rs):
-    return frozenset(indexed_roots(rs)[0])
-
-
-@lru_cache(maxsize=None)
 def highest_roots(rs, component=0):
     """(highest root, highest short root) of one irreducible component: the
     last of its roots by height, and the last as short as its shortest simple
@@ -266,7 +249,6 @@ def two_rho(rs):
     return tuple(map(sum, zip(*positive_roots(rs))))
 
 
-@lru_cache(maxsize=4096)
 def subsystem_roots(rs, nodes):
     """The positive roots supported on nodes (a sorted tuple), by height."""
     outside = [j for j in range(rs.rank) if j not in nodes]

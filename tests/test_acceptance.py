@@ -48,7 +48,6 @@ from wonderful.rootsystem import (
     coroot,
     highest_roots,
     indexed_roots,
-    root_set,
     two_rho,
 )
 from test_involution import _scan_data
@@ -125,7 +124,7 @@ def test_nilpotent_orbit_oracle():
             eta = tuple(a - b for a, b in
                         zip(coroot(rs, theta), coroot(rs, image)))
             one = two = 0
-            for beta in root_set(rs):
+            for beta in indexed_roots(rs)[1]:
                 p = pair_coweight(rs, eta, beta)
                 if p == 1:
                     one += 1

@@ -249,7 +249,7 @@ def test_validate_and_report_apply_no_sigma_matrix(monkeypatch, label, params):
 
 def _body_runs(funcs, action):
     """How often the undecorated body of each function ran during action()."""
-    codes = {f.__wrapped__.__code__: f.__name__ for f in funcs}
+    codes = {getattr(f, "__wrapped__", f).__code__: f.__name__ for f in funcs}
     runs = dict.fromkeys(codes.values(), 0)
 
     def profile(frame, event, arg):

@@ -210,6 +210,27 @@ def test_malformed_catalog_exits_2(capsys, tmp_path, corrupt, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("version", ["1\nall checks passed\n", True],
+                         ids=["forged-line", "true"])
+def test_catalog_version_not_an_int_exits_2(capsys, tmp_path, version):
+    # check prints the version: a string could forge a line of its report
+    doc = dict(_shipped_catalog(), version=version)
+    path = _write_catalog(tmp_path / "version.json", doc)
+    code, out, err = run(capsys, "check", "--max-rank", "2", "--catalog", path)
+    assert (code, out) == (2, "")
+    assert err == "error: catalog field 'version' must be an int\n"
+
+
+def test_check_of_no_instance_exits_2(capsys, tmp_path):
+    path = _write_catalog(tmp_path / "empty.json", {"version": 1, "families": []})
+    code, out, err = run(capsys, "check", "--max-rank", "8", "--catalog", path)
+    assert (code, out) == (2, "")
+    assert err == "error: no catalog instance has ambient rank <= 8\n"
+    code, out, _ = run(capsys, "table", "--max-rank", "8", "--catalog", path)
+    assert code == 0
+    assert out.endswith("0 instances, ambient rank <= 8\n")
+
+
 def test_family_with_more_than_two_params_exits_2(capsys, tmp_path):
     # enumerate_records tries (2 max_rank + 1)^params tuples: GroupB with three
     # parameters pinned to 1 would take 33^4 steps at --max-rank 16
@@ -455,12 +476,27 @@ OUTPUT_DIGESTS = {
         "ffe610cb2476fa35c379fb573aab9830dd2385b3396756bfb66e23f46ba9cccd",
     ("report", "DIIIodd", "r=10", "--format", "json"):
         "43eedc3588e565188327cda92ad2508c7f99b6cba8b988b4c5f03d4a8e580bf0",
+    ("report", "AIII", "n=7", "r=2"):
+        "32b2c1512c6b742d5d75e1762eb26aaaae00a994156d95e81d2dfda8f7f71829",
+    ("report", "AIII", "n=4", "r=1", "--ascii"):
+        "75d9dd744c8f8b9140f705815009b27db3c0864ccb63131a3b1a0772f9bb4c33",
+    ("report", "EVII"):
+        "356b1e814bab936eda0f1fde2168feba7b242f294f21cb2cdcef6380a3942c8e",
+    ("report", "CI", "r=3"):
+        "0dc0c86bf9a4974851907f283dfeeadfeb318d3f57f6f93fd7182ff800fdba69",
+    ("table", "--max-rank", "8"):
+        "777c50d262315e3a160a6e63301f0e4f8ce977607161dbd1fd66cc64e6996eb9",
+    # every B, C and D of rank <= 16 and E6-E8 read their root lengths
+    ("check", "--max-rank", "16"):
+        "584e6a16b9cf20e694ee1e9fb17ef38d15c25a762882b621744406dded4aeb19",
 }
 
 
 @pytest.mark.parametrize("argv", list(OUTPUT_DIGESTS),
                          ids=["table", "check", "GroupE6", "GroupE7", "GroupE8",
-                              "AI-r40", "AIII-n40-r3", "CII-n20-r3", "DIIIodd-r10"])
+                              "AI-r40", "AIII-n40-r3", "CII-n20-r3", "DIIIodd-r10",
+                              "AIII-n7-r2-text", "AIII-n4-r1-ascii", "EVII-text",
+                              "CI-r3-text", "table-text", "check-r16"])
 def test_output_is_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0

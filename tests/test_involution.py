@@ -31,7 +31,6 @@ from wonderful.rootsystem import (
     minus_w0_permutation,
     opposition,
     positive_roots,
-    root_set,
 )
 from coweights import pair_coweight
 from weyl_words import sigma_matrix
@@ -122,7 +121,7 @@ def test_black_component_opposition():
 def test_sigma_preserves_roots_and_squares_to_identity():
     inv = _involution((("E", 6),), black=[2, 3, 4], arrows=[(0, 5)])
     rs = inv.root_system
-    roots = root_set(rs)
+    roots = indexed_roots(rs)[1]
     for beta in roots:
         img = sigma_root(inv, beta)
         assert img in roots
@@ -215,7 +214,7 @@ def _reference_nilpotent_orbit_dimension(inv):
     if len(rs.components) == 2 or img == tuple(-x for x in theta):
         return None
     h = tuple(a - b for a, b in zip(coroot(rs, theta), coroot(rs, img)))
-    values = [pair_coweight(rs, h, beta) for beta in root_set(rs)]
+    values = [pair_coweight(rs, h, beta) for beta in indexed_roots(rs)[1]]
     return values.count(Fraction(1)) + 2 * values.count(Fraction(2))
 
 
