@@ -28,6 +28,7 @@ from .catalog import (
 )
 from .involution import is_inner
 from .kac import marked_diagrams
+from .rootsystem import coroot
 
 
 def _parse_params(pairs):
@@ -230,7 +231,7 @@ def cmd_roots(args, out):
         "restricted_type": rrs.type_label,
         "restricted_simple": [_vec(a) for a in rrs.restricted_simple],
         "theta_bar": _vec(rrs.theta_bar),
-        "theta_bar_covector": _vec(rrs.theta_bar_covector),
+        "theta_bar_covector": _vec(coroot(record.root_system, rrs.theta_bar)),
     }
     if args.format == "json":
         _print_json(doc, out)
@@ -247,8 +248,7 @@ def cmd_roots(args, out):
     for k, a in enumerate(rrs.restricted_simple, 1):
         out.write(f"  {k}: ({', '.join(_vec(a))})\n")
     out.write(f"highest restricted root: ({', '.join(_vec(rrs.theta_bar))})\n")
-    cov = ", ".join(_vec(rrs.theta_bar_covector))
-    out.write(f"highest root covector: ({cov})\n")
+    out.write(f"highest root covector: ({', '.join(doc['theta_bar_covector'])})\n")
     return 0
 
 
@@ -261,11 +261,12 @@ def build_parser():
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=True):
+    def common(p, with_ascii=True, with_format=True):
         p.add_argument("--catalog", default=None, metavar="PATH",
                        help="alternate catalog data file")
-        p.add_argument("--ascii", action="store_true",
-                       help="ASCII-only output")
+        if with_ascii:
+            p.add_argument("--ascii", action="store_true",
+                           help="ASCII-only output")
         if with_format:
             p.add_argument("--format", choices=("text", "json"),
                            default="text")
@@ -284,13 +285,13 @@ def build_parser():
     p = sub.add_parser("check", help="validate the catalog against "
                                      "recomputed invariants")
     p.add_argument("--max-rank", type=int, default=6)
-    common(p, with_format=False)
+    common(p, with_ascii=False, with_format=False)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("roots", help="ambient and restricted root data")
     p.add_argument("family")
     p.add_argument("params", nargs="*", metavar="name=value")
-    common(p)
+    common(p, with_ascii=False)
     p.set_defaults(func=cmd_roots)
     return parser
 

@@ -5,7 +5,6 @@ vectors over the colors; the class of a covering family of minimal
 rational curves solves psi(gamma) = theta_bar_covector.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
@@ -13,16 +12,10 @@ from .involution import REAL
 from .rootsystem import _form6, memoised, minus_w0_permutation, unit_vector
 
 
-@dataclass(frozen=True)
-class ColorSet:
-    colors: tuple
-    picard_rank: int
-
-
 @memoised
 def build_colors(inv):
-    """Colors: white nodes merged when beta = -sigma(alpha) with
-    <alpha^vee, beta> = 0."""
+    """Colors, sorted tuples of white nodes merged when beta = -sigma(alpha)
+    with <alpha^vee, beta> = 0; their number is the Picard rank."""
     rs = inv.root_system
     # -alpha_j sits at position j + N of the indexed roots, N positive roots
     npos = len(inv.sigma_perm) // 2
@@ -40,8 +33,7 @@ def build_colors(inv):
         else:
             merged.append((i,))
             used.add(i)
-    colors = tuple(sorted(merged))
-    return ColorSet(colors=colors, picard_rank=len(colors))
+    return tuple(sorted(merged))
 
 
 def lambda_weight(inv, color):
@@ -77,7 +69,7 @@ def minimal_covering_classes(rrs, colors):
     """Curve classes gamma with psi(gamma) = theta_bar_covector,
     ordered with the lower-numbered exceptional color first."""
     expansion, witness = rrs.theta_bar_expansion, rrs.exceptional_pair
-    color_fiber = [rrs.node_fiber[c[0]] for c in colors.colors]
+    color_fiber = [rrs.node_fiber[c[0]] for c in colors]
     per_index_colors = []
     for idx in range(rrs.rank):
         cols = [ci for ci, f in enumerate(color_fiber) if f == idx]
@@ -98,28 +90,19 @@ def minimal_covering_classes(rrs, colors):
     scaled = [tuple(top * (common // den) * x for x in v)
               for den, v in zip(dens, rrs.restricted_simple)]
     target = [common * x for x in rrs.theta_bar]
-
-    choices = []
-    for idx, cols in enumerate(per_index_colors):
-        m = expansion[idx]
-        if len(cols) == 1:
-            choices.append([(m,)])
-        else:
-            parts = [p for p in product(range(m + 1), repeat=len(cols))
-                     if sum(p) == m]
-            choices.append(parts)
+    # every class splits each fiber's m_k among that fiber's colors, so
+    # psi(gamma) is sum_k m_k ahat_vee_k for all of them: all solve, or none
+    total = [sum(m * v[j] for m, v in zip(expansion, scaled)) for j in range(rs.rank)]
 
     classes = []
-    for combo in product(*choices):
-        gamma = [0] * len(colors.colors)
-        for cols, part in zip(per_index_colors, combo):
-            for ci, coeff in zip(cols, part):
-                gamma[ci] = coeff
-        total = [0] * rs.rank
-        for idx, coeff in zip(color_fiber, gamma):
-            if coeff:
-                total = [a + coeff * b for a, b in zip(total, scaled[idx])]
-        if total == target:
+    if total == target:
+        choices = [[p for p in product(range(m + 1), repeat=len(cols)) if sum(p) == m]
+                   for m, cols in zip(expansion, per_index_colors)]
+        for combo in product(*choices):
+            gamma = [0] * len(colors)
+            for cols, part in zip(per_index_colors, combo):
+                for ci, coeff in zip(cols, part):
+                    gamma[ci] = coeff
             classes.append(tuple(gamma))
     classes = tuple(sorted(classes, reverse=True))
     expected = 1 if witness is None else 2
@@ -146,7 +129,7 @@ def pushforward_class(rrs, colors):
     rs = rrs.root_system
     top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
     degree = degree_functional(rs, [rs.gram6[j][j] * x for j, x in enumerate(rrs.theta_bar)])
-    for ci, c in enumerate(colors.colors):
+    for ci, c in enumerate(colors):
         if degree(lambda_weight(inv, c)) != expected[ci] * top:
             raise ValueError("pushforward class disagrees with the degree "
                              "functional")

@@ -256,7 +256,7 @@ def vmrt_report(rrs, colors, hc_components, embedding_degree):
         hermitian=hermitian,
         exceptional=exceptional,
         fano=is_fano(rrs),
-        picard_rank=colors.picard_rank,
+        picard_rank=len(colors),
         minimal_classes=minimal_covering_classes(rrs, colors),
         vmrt_components=components,
         embedding_degree=embedding_degree,

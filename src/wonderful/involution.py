@@ -17,7 +17,6 @@ from .rootsystem import (
     opposition,
     pairing,
     root_steps,
-    subsystem_roots,
     unit_vector,
 )
 
@@ -180,15 +179,15 @@ def build_involution(sd):
     # <alpha_j, rho_X^vee> is an integer for every white j without an arrow.
     # 2 rho_X^vee = sum_i c_i alpha_i^vee over the black nodes, summing the
     # coroots beta^vee = sum_i beta_i gram6[i][i] / 6(beta, beta) alpha_i^vee
-    # of the positive black roots, whose coefficients are integers; only the
-    # c_i of black nodes next to such a j are needed
+    # of the positive roots with black support, whose coefficients are
+    # integers; only the c_i of black nodes next to such a j are needed
     fixed = [j for j in delta1 if sd.diagram_involution[j] == j]
     c = dict.fromkeys((i for i in sd.black_nodes if any(rs.cartan[i][j] for j in fixed)), 0)
     if c:
-        for beta in subsystem_roots(rs, sd.black_nodes):
-            s = sq6[index[beta]]
-            for i in c:
-                c[i] += beta[i] * rs.gram6[i][i] // s
+        for beta, s in zip(_root_generation(rs)[0], sq6):
+            if not any(beta[j] for j in delta1):
+                for i in c:
+                    c[i] += beta[i] * rs.gram6[i][i] // s
         if any(sum(x * rs.cartan[i][j] for i, x in c.items()) % 2 for j in fixed):
             _fail("a white node without an arrow pairs to a half-integer with "
                   "rho^vee of the black nodes (Araki's condition)")

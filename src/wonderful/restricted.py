@@ -14,11 +14,9 @@ from .linalg import solve_scaled
 from .involution import NONREDUCED, ORTHOGONAL, REAL
 from .rootsystem import (
     _form6,
-    coroot,
     highest_roots,
     identify_cartan,
     indexed_roots,
-    memoised,
     positive_roots,
 )
 
@@ -32,7 +30,6 @@ class RestrictedRootSystem:
     multiplicities: tuple  # [k]: positive roots restricting to restricted_positive[k]
     type_label: str
     rank: int
-    nonreduced: bool
     doubled_index: object
     cartan: tuple
     theta_bar: tuple
@@ -45,12 +42,6 @@ class RestrictedRootSystem:
     @property
     def root_system(self):
         return self.involution.root_system
-
-    @property
-    @memoised
-    def theta_bar_covector(self):
-        """The coroot of theta_bar in simple-coroot coordinates."""
-        return coroot(self.root_system, self.theta_bar)
 
 
 def _left_inverse(basis):
@@ -197,7 +188,6 @@ def build_restricted(inv):
         multiplicities=tuple(mult.values()),
         type_label=type_label,
         rank=rank,
-        nonreduced=nonreduced,
         doubled_index=doubled_index,
         cartan=tuple(map(tuple, cartan)),
         theta_bar=theta_bar,

@@ -88,9 +88,8 @@ def cartan_matrix(typ, n):
 class RootSystem:
     components: tuple
     cartan: tuple
-    lengths: tuple
-    node_component: tuple
-    # integer symmetrised form 6 * d_i * a_ij, i.e. six times (alpha_i, alpha_j)
+    # integer symmetrised form 6 * d_i * a_ij, i.e. six times (alpha_i, alpha_j);
+    # the diagonal holds the root lengths, 12 on a long simple root
     gram6: tuple = field(compare=False, repr=False)
 
     def __hash__(self):
@@ -103,7 +102,8 @@ class RootSystem:
         return len(self.cartan)
 
     def component_nodes(self, c):
-        return tuple(i for i in range(self.rank) if self.node_component[i] == c)
+        start = sum(n for _, n in self.components[:c])
+        return tuple(range(start, start + self.components[c][1]))
 
 
 @lru_cache(maxsize=None)
@@ -120,8 +120,7 @@ def build_root_system(components):
                          f"{MAX_AMBIENT_RANK}")
     cartan = [[2 * (i == j) for j in range(total)] for i in range(total)]
     scale = []  # 6 d_i, so 6 on a long root
-    node_component = []
-    for ci, (typ, n) in enumerate(components):
+    for typ, n in components:
         offset = len(scale)
         d = [6] * n
         for i, j, aij, aji in _edges(typ, n):
@@ -131,7 +130,6 @@ def build_root_system(components):
             d[j] = d[i] * aij // aji
         top = max(d)
         scale += [6 * x // top for x in d]
-        node_component += [ci] * n
     gram6 = tuple(tuple(scale[i] * cartan[i][j] for j in range(total)) for i in range(total))
     for i in range(total):
         for j in range(total):
@@ -140,8 +138,6 @@ def build_root_system(components):
     return RootSystem(
         components=tuple(components),
         cartan=tuple(tuple(row) for row in cartan),
-        lengths=tuple(Fraction(x, 6) for x in scale),
-        node_component=tuple(node_component),
         gram6=gram6,
     )
 
@@ -183,7 +179,7 @@ def _root_generation(rs):
     adds column i of the Cartan matrix, and gram6[i][i] (p + 1) to 6 (beta, beta)."""
     n = rs.rank
     columns = [tuple(row[i] for row in rs.cartan) for i in range(n)]
-    short = {i for i in range(n) if rs.lengths[i] != 1}
+    short = {i for i in range(n) if rs.gram6[i][i] != 12}
     ordered, pairings = [unit_vector(n, i) for i in range(n)], columns[:]
     sq6 = [rs.gram6[i][i] for i in range(n)]
     position = {b: k for k, b in enumerate(ordered)}

@@ -43,7 +43,7 @@ def psi(rrs, colors, gamma):
     """Image of a curve class under psi: sum of gamma_c * ahat_vee(c)."""
     rs = rrs.root_system
     total = [Fraction(0)] * rs.rank
-    for c, coeff in zip(colors.colors, gamma):
+    for c, coeff in zip(colors, gamma):
         vee = color_coroot(rrs, c)[1]
         for k in range(rs.rank):
             total[k] += coeff * vee[k]
@@ -56,7 +56,7 @@ def boundary_pairing(rrs, colors):
     rows = []
     for v in rrs.restricted_simple:
         row = []
-        for c in colors.colors:
+        for c in colors:
             val = pair_coweight(rs, color_coroot(rrs, c)[1], v)
             if val.denominator != 1:
                 raise ValueError("boundary pairing is not integral")

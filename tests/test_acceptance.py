@@ -94,7 +94,7 @@ def test_dimension_identities():
     for record in _all_records():
         rrs = record.restricted
         rs = rrs.root_system
-        tbc = rrs.theta_bar_covector
+        tbc = coroot(rs, rrs.theta_bar)
         kappa, sigma_sum = kappa_and_sigma(rrs)
         t = pair_coweight(rs, tbc, kappa)
         s = pair_coweight(rs, tbc, sigma_sum)
@@ -173,8 +173,9 @@ def test_restricted_root_suite():
         # nonreduced exactly when some white pair gives pairing one
         has_pair_one = any(inv.cases[i] == NONREDUCED
                            for i in inv.delta1)
-        assert rrs.nonreduced == has_pair_one, label
-        assert rrs.type_label.startswith("BC") == rrs.nonreduced, label
+        nonreduced = rrs.doubled_index is not None
+        assert nonreduced == has_pair_one, label
+        assert rrs.type_label.startswith("BC") == nonreduced, label
 
         # at most one doubled simple restricted root
         doubled = [i for i, a in enumerate(basis)
@@ -184,7 +185,7 @@ def test_restricted_root_suite():
 
         # exceptional = simply laced ambient type and nonreduced restriction
         simply_laced = all(t in "ADE" for t, _ in rs.components)
-        assert (rrs.exceptional_pair is not None) == (simply_laced and rrs.nonreduced), \
+        assert (rrs.exceptional_pair is not None) == (simply_laced and nonreduced), \
             label
 
         # strong orthogonality of the highest root and its image
@@ -194,10 +195,11 @@ def test_restricted_root_suite():
 
         # primitivity of the doubled covector above rank-one type A
         if rrs.type_label not in ("A1", "B1", "C1"):
-            doubled_cov = [2 * Fraction(x) for x in rrs.theta_bar_covector]
+            tbc = coroot(rs, rrs.theta_bar)
+            doubled_cov = [2 * Fraction(x) for x in tbc]
             assert all(x.denominator == 1 for x in doubled_cov), label
             assert gcd(*(abs(int(x)) for x in doubled_cov)) == 1, label
-            assert any(pair_coweight(rs, rrs.theta_bar_covector, a) == 1
+            assert any(pair_coweight(rs, tbc, a) == 1
                        for a in basis), label
 
 
@@ -281,8 +283,8 @@ def test_expand_matches_direct_solve():
             assert coeffs is None or all(isinstance(c, Fraction)
                                          for c in coeffs), record.label
         primitive = [ahat for _, ahat in coroots(rrs)]
-        assert expand(primitive, rrs.theta_bar_covector) == \
-            _solve_by_elimination(primitive, rrs.theta_bar_covector), record.label
+        tbc = coroot(rrs.root_system, rrs.theta_bar)
+        assert expand(primitive, tbc) == _solve_by_elimination(primitive, tbc), record.label
 
 
 def test_curve_class_suite():
@@ -291,9 +293,10 @@ def test_curve_class_suite():
         label = record.label
         colors = build_colors(record.involution)
         classes = minimal_covering_classes(rrs, colors)
+        tbc = coroot(rrs.root_system, rrs.theta_bar)
         for gamma in classes:
             assert all(isinstance(c, int) and c >= 0 for c in gamma), label
-            assert psi(rrs, colors, gamma) == rrs.theta_bar_covector, label
+            assert psi(rrs, colors, gamma) == tbc, label
         matrix = boundary_pairing(rrs, colors)
         assert all(isinstance(v, int) for row in matrix for v in row), label
         push = pushforward_class(rrs, colors)
@@ -302,8 +305,8 @@ def test_curve_class_suite():
             assert len(classes) == 2, label
             assert push == tuple(a + b for a, b in zip(*classes)), label
             i, j = witness
-            ci = colors.colors.index((i,))
-            cj = colors.colors.index((j,))
+            ci = colors.index((i,))
+            cj = colors.index((j,))
             pattern = {(g[ci], g[cj]) for g in classes}
             assert pattern == {(1, 0), (0, 1)}, label
         else:
@@ -326,7 +329,7 @@ def test_anchor_projective_space():
 def test_anchor_rank_one_group():
     record = instantiate(CAT, "GroupA1", {})
     assert dimensions(record.restricted) == (2, 2, 4, 1)
-    assert build_colors(record.involution).picard_rank == 1
+    assert len(build_colors(record.involution)) == 1
 
 
 @pytest.mark.parametrize("label, rank", [("GroupE6", 12), ("GroupE7", 14),

@@ -445,6 +445,15 @@ def test_closed_pipe_exits_141_without_a_message():
     assert (proc.wait(timeout=300), err) == (141, b"")
 
 
+@pytest.mark.parametrize("argv", [("check", "--ascii"), ("roots", "AI", "r=2", "--ascii")],
+                         ids=["check", "roots"])
+def test_ascii_is_refused_where_no_text_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ascii" in capsys.readouterr().err
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -503,8 +512,8 @@ def test_output_is_byte_identical(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTPUT_DIGESTS[argv]
 
 
-# `roots` prints the highest restricted covector, which RestrictedRootSystem
-# computes on first read; these digests pin its printed coordinates for a
+# `roots` prints the highest restricted covector, the one coroot the CLI
+# builds from theta_bar; these digests pin its printed coordinates for a
 # doubled (BC) restricted root, a C/BC type, an exceptional, a group case and
 # a high rank.
 ROOTS_DIGESTS = {

@@ -17,6 +17,7 @@ from wonderful.restricted import build_restricted
 from wonderful.linalg import invert
 from wonderful.rootsystem import (
     build_root_system,
+    coroot,
     minus_w0_permutation,
     unit_vector,
 )
@@ -34,8 +35,7 @@ def _setup(components, black=(), arrows=()):
 
 def test_bdii_single_color():
     inv, rrs, colors = _setup((("B", 2),), black=[1])
-    assert colors.colors == ((0,),)
-    assert colors.picard_rank == 1
+    assert colors == ((0,),)
     assert lambda_weight(inv, (0,)) == (1, 0)
     assert boundary_pairing(rrs, colors) == ((2,),)
     assert minimal_covering_classes(rrs, colors) == ((1,),)
@@ -44,19 +44,17 @@ def test_bdii_single_color():
 
 def test_aiii_exceptional_two_colors():
     inv, rrs, colors = _setup((("A", 3),), black=[1], arrows=[(0, 2)])
-    assert colors.colors == ((0,), (2,))
-    assert colors.picard_rank == 2
+    assert colors == ((0,), (2,))
     assert lambda_weight(inv, (0,)) == (1, 0, 0)
     classes = minimal_covering_classes(rrs, colors)
     assert classes == ((1, 0), (0, 1))
-    assert psi(rrs, colors, classes[0]) == rrs.theta_bar_covector
+    assert psi(rrs, colors, classes[0]) == coroot(rrs.root_system, rrs.theta_bar)
     assert pushforward_class(rrs, colors) == (1, 1)
 
 
 def test_group_a1_merged_color():
     inv, rrs, colors = _setup((("A", 1), ("A", 1)), arrows=[(0, 1)])
-    assert colors.colors == ((0, 1),)
-    assert colors.picard_rank == 1
+    assert colors == ((0, 1),)
     assert lambda_weight(inv, (0, 1)) == (1, 1)
     assert minimal_covering_classes(rrs, colors) == ((1,),)
     assert pushforward_class(rrs, colors) == (2,)
@@ -64,7 +62,7 @@ def test_group_a1_merged_color():
 
 def test_split_a1_real_color():
     inv, rrs, colors = _setup((("A", 1),))
-    assert colors.colors == ((0,),)
+    assert colors == ((0,),)
     assert lambda_weight(inv, (0,)) == (2,)
     assert pushforward_class(rrs, colors) == (2,)
 
@@ -73,8 +71,7 @@ def test_quasi_split_a4_no_merge_on_adjacent():
     # arrows (0,3),(1,2): sigma(alpha_1) = -alpha_2 but they are adjacent,
     # so they are separate colors and the class splits there
     inv, rrs, colors = _setup((("A", 4),), arrows=[(0, 3), (1, 2)])
-    assert colors.colors == ((0, 3), (1,), (2,))
-    assert colors.picard_rank == 3
+    assert colors == ((0, 3), (1,), (2,))
     classes = minimal_covering_classes(rrs, colors)
     assert classes == ((1, 1, 0), (1, 0, 1))
 
@@ -93,7 +90,7 @@ def test_minus_w0_compatible_with_restriction():
 
 def test_cocharacter_curve_data():
     inv, rrs, colors = _setup((("B", 2),), black=[1])
-    data = cocharacter_curve(rrs, rrs.theta_bar_covector)
+    data = cocharacter_curve(rrs, coroot(rrs.root_system, rrs.theta_bar))
     assert data["orbit_at_zero"] == (0,)
     assert data["orbit_at_infinity"] == (0,)
     assert not data["is_embedding"]
@@ -161,9 +158,9 @@ def _assert_permutation_forms_match(rrs, etas, lams):
 def test_permutation_forms_match_w0_matrix_on_catalog():
     for record in enumerate_records(load_catalog(), 8):
         inv, rrs = record.involution, record.restricted
-        colors = build_colors(inv).colors
+        colors = build_colors(inv)
         lams = [lambda_weight(inv, c) for c in colors]
-        _assert_permutation_forms_match(rrs, [rrs.theta_bar_covector], lams)
+        _assert_permutation_forms_match(rrs, [coroot(rrs.root_system, rrs.theta_bar)], lams)
         _assert_permutation_forms_match(rrs, [color_coroot(rrs, c)[1] for c in colors], [])
 
 
@@ -174,5 +171,5 @@ def test_permutation_forms_match_w0_matrix_where_iota_moves(components):
     assert minus_w0_permutation(rs) != tuple(range(rs.rank))
     units = [unit_vector(rs.rank, i) for i in range(rs.rank)]
     ramp = tuple(range(1, rs.rank + 1))
-    _assert_permutation_forms_match(rrs, units + [ramp, rrs.theta_bar_covector],
+    _assert_permutation_forms_match(rrs, units + [ramp, coroot(rs, rrs.theta_bar)],
                                     units + [ramp])

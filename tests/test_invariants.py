@@ -23,7 +23,7 @@ from wonderful.invariants import (
 )
 from wonderful.involution import build_involution, make_satake
 from wonderful.restricted import build_restricted
-from wonderful.rootsystem import build_root_system, two_rho
+from wonderful.rootsystem import build_root_system, coroot, two_rho
 from coweights import pair_coweight
 
 
@@ -80,7 +80,7 @@ def test_kappa_identity_when_theta_not_real():
         assert not sigma_theta_is_minus_theta(inv)
         rs = rrs.root_system
         kappa, _ = kappa_and_sigma(rrs)
-        eta = rrs.theta_bar_covector
+        eta = coroot(rrs.root_system, rrs.theta_bar)
         assert pair_coweight(rs, eta, kappa) == pair_coweight(rs, eta, two_rho(rs))
 
 

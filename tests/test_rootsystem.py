@@ -88,18 +88,23 @@ def _bourbaki_lengths(typ, n):
             "F": [one, one, half, half], "G": [Fraction(1, 3), one]}[typ]
 
 
+def _lengths(rs):
+    """d_i read off the diagonal of the 6-scaled form, 6 (alpha_i, alpha_i)."""
+    return tuple(Fraction(rs.gram6[i][i], 12) for i in range(rs.rank))
+
+
 # E6-E8 list their branch bond from the chain node; rank 100 is the ceiling
 @pytest.mark.parametrize("typ,rank", ALL_TYPES + [(t, 100) for t in "ABCD"])
 def test_lengths_match_bourbaki(typ, rank):
     rs = build_root_system(((typ, rank),))
-    assert rs.lengths == tuple(_bourbaki_lengths(typ, rank))
-    assert all(type(d) is Fraction for d in rs.lengths)
+    assert _lengths(rs) == tuple(_bourbaki_lengths(typ, rank))
 
 
 def test_lengths_per_component():
     rs = build_root_system((("G", 2), ("B", 3), ("A", 1)))
-    assert rs.lengths == tuple(_bourbaki_lengths("G", 2) + _bourbaki_lengths("B", 3)
-                               + _bourbaki_lengths("A", 1))
+    assert _lengths(rs) == tuple(_bourbaki_lengths("G", 2) + _bourbaki_lengths("B", 3)
+                                 + _bourbaki_lengths("A", 1))
+    assert [rs.component_nodes(c) for c in range(3)] == [(0, 1), (2, 3, 4), (5,)]
 
 
 @pytest.mark.parametrize("typ,rank", ALL_TYPES)
@@ -188,9 +193,10 @@ def test_inner_product_normalization():
 def test_inner_product_matches_fraction_formula(typ, n):
     rs = build_root_system(((typ, n),))
     pos = positive_roots(rs)
+    d = _bourbaki_lengths(typ, n)
     for v in pos:
         for w in pos:
-            want = sum((v[i] * w[j] * rs.lengths[i] * rs.cartan[i][j]
+            want = sum((v[i] * w[j] * d[i] * rs.cartan[i][j]
                         for i in range(n) for j in range(n)), Fraction(0))
             got = inner_product(rs, v, w)
             assert isinstance(got, Fraction)
