@@ -21,11 +21,11 @@ def build_colors(inv):
     npos = len(inv.sigma_perm) // 2
     merged = []
     used = set()
-    for i in inv.delta1:
+    for i in inv.satake.white_nodes:
         if i in used:
             continue
-        # sigma(alpha_i) = -alpha_j is possible only for j = sigma_bar(i)
-        j = inv.sigma_bar[i]
+        # sigma(alpha_i) = -alpha_j is possible only for j = tau(i)
+        j = inv.tau[i]
         if j != i and j not in used and rs.cartan[i][j] == 0 \
                 and inv.sigma_perm[i] == j + npos:
             merged.append(tuple(sorted((i, j))))
@@ -70,12 +70,8 @@ def minimal_covering_classes(rrs, colors):
     ordered with the lower-numbered exceptional color first."""
     expansion, witness = rrs.theta_bar_expansion, rrs.exceptional_pair
     color_fiber = [rrs.node_fiber[c[0]] for c in colors]
-    per_index_colors = []
-    for idx in range(rrs.rank):
-        cols = [ci for ci, f in enumerate(color_fiber) if f == idx]
-        per_index_colors.append(cols)
-        if not cols:
-            raise ValueError("restricted index without a color")
+    per_index_colors = [[ci for ci, f in enumerate(color_fiber) if f == idx]
+                        for idx in range(rrs.rank)]
 
     # psi(gamma) = sum_c gamma_c ahat_vee(c) with ahat_vee_k = S(v_k) / den_k,
     # den_k = m_k 6(v_k, v_k), and theta_bar_covector = S(theta_bar) / top for

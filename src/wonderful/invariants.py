@@ -10,9 +10,9 @@ from .rootsystem import (
     highest_roots,
     indexed_roots,
     memoised,
+    pairing,
     subsystem_roots,
     two_rho,
-    unit_vector,
 )
 
 O_MIN = "O_min"
@@ -84,7 +84,7 @@ def check_strong_orthogonality(inv):
             raise ValueError("theta and sigma(theta) are not strongly "
                              "orthogonal")
     neg = tuple(-x for x in img)
-    orth = {i for i in range(rs.rank) if _form6(rs, unit_vector(rs.rank, i), theta) == 0}
+    orth = {i for i in range(rs.rank) if pairing(rs, i, theta) == 0}
     support = {i for i in range(rs.rank) if neg[i] != 0}
     if not support <= orth:
         raise ValueError("-sigma(theta) is not supported on the "
@@ -149,8 +149,6 @@ def is_fano(rrs):
     split = not sd.black_nodes and all(
         sd.diagram_involution[i] == i for i in range(rrs.root_system.rank))
     letter = rrs.type_label.rstrip("0123456789")
-    if letter == "BC" and split:
-        raise ValueError("split datum with nonreduced restriction")
     return not (split and letter not in ("A", "B"))
 
 

@@ -172,7 +172,7 @@ def test_restricted_root_suite():
 
         # nonreduced exactly when some white pair gives pairing one
         has_pair_one = any(inv.cases[i] == NONREDUCED
-                           for i in inv.delta1)
+                           for i in inv.satake.white_nodes)
         nonreduced = rrs.doubled_index is not None
         assert nonreduced == has_pair_one, label
         assert rrs.type_label.startswith("BC") == nonreduced, label

@@ -80,7 +80,7 @@ def test_minus_w0_compatible_with_restriction():
     inv, rrs, colors = _setup((("E", 6),), black=[2, 3, 4], arrows=[(0, 5)])
     rs = rrs.root_system
     perm = minus_w0_permutation(rs)
-    for i in inv.delta1:
+    for i in inv.satake.white_nodes:
         e = tuple(1 if k == i else 0 for k in range(rs.rank))
         ei = tuple(1 if k == perm[i] else 0 for k in range(rs.rank))
         lhs = restrict_root(inv, ei)

@@ -1,6 +1,8 @@
 """Involutions from Satake data: completion, validation, case analysis."""
 
 import hashlib
+import importlib.util
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +25,7 @@ from wonderful.involution import (
 )
 from wonderful.restricted import build_restricted
 from wonderful.rootsystem import (
+    _form6,
     build_root_system,
     coroot,
     highest_roots,
@@ -31,6 +34,7 @@ from wonderful.rootsystem import (
     minus_w0_permutation,
     opposition,
     positive_roots,
+    unit_vector,
 )
 from coweights import pair_coweight
 from weyl_words import sigma_matrix
@@ -39,6 +43,12 @@ SCAN_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "satake
 # SHA-256 of the outcome of every satake-scan datum: 88 accepted, 617
 # SatakeError
 SCAN_DIGEST = "8985ac7fa51d6ec917c61170e60852b8ef73b1ddd3f28dc8a344ac1a40663136"
+WORKLOADS = SCAN_DATA.parents[1] / "workloads.py"
+# the ordered pairs of these types make the two-component raw data
+PAIR_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2), ("B", 3), ("C", 3))
+# SHA-256 of the outcome of every _raw_data datum: 244 accepted, 4,030
+# rejected
+RAW_DIGEST = "8c083de435101308139af464c1886143261882622bd8d8cdf3a731ad78e0c6a8"
 
 
 def _scan_data():
@@ -46,6 +56,28 @@ def _scan_data():
         for op in json.load(f)["ops"]:
             rs = build_root_system(((op["type"], op["rank"]),))
             yield make_satake(rs, op["black"], [tuple(a) for a in op["arrows"]])
+
+
+def _raw_data():
+    """The benchmark's scan_data(8), the distinct raw data of the classical
+    types of rank <= 8, E6, F4 and G2 with each black set and involutive
+    diagram automorphism; then each ordered pair of PAIR_TYPES with every
+    black set, and with and without the swap of two equal components as
+    arrows between white nodes."""
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for typ, n, black, arrows in workloads.scan_data(8):
+        yield make_satake(build_root_system(((typ, n),)), black, arrows)
+    for x, y in itertools.product(PAIR_TYPES, repeat=2):
+        rs = build_root_system((x, y))
+        for bits in itertools.product((False, True), repeat=rs.rank):
+            black = [i for i, b in enumerate(bits) if b]
+            yield make_satake(rs, black)
+            if x == y:
+                n = x[1]
+                yield make_satake(rs, black, [(i, i + n) for i in range(n)
+                                              if not bits[i] and not bits[i + n]])
 
 
 def _involution(components, black=(), arrows=()):
@@ -57,7 +89,7 @@ def test_split_a2():
     inv = _involution((("A", 2),))
     assert sigma_root(inv, (1, 0)) == (-1, 0)
     assert inv.cases[0] == REAL
-    assert inv.sigma_bar[0] == 0
+    assert inv.tau[0] == 0
     assert not is_inner(inv)
 
 
@@ -67,7 +99,7 @@ def test_quadric_b2():
     assert sigma_root(inv, (1, 0)) == (-1, -2)
     assert sigma_root(inv, (0, 1)) == (0, 1)
     assert inv.cases[0] == ORTHOGONAL
-    assert inv.sigma_bar[0] == 0
+    assert inv.tau[0] == 0
     assert is_inner(inv)
 
 
@@ -76,7 +108,7 @@ def test_a3_black_middle_with_arrows():
     inv = _involution((("A", 3),), black=[1], arrows=[(0, 2)])
     assert sigma_root(inv, (1, 0, 0)) == (0, -1, -1)
     assert inv.cases[0] == NONREDUCED
-    assert inv.sigma_bar[0] == 2
+    assert inv.tau[0] == 2
     assert is_inner(inv)
 
 
@@ -94,7 +126,7 @@ def test_a4_quasi_split_arrows_only():
     assert sigma_root(inv, (1, 0, 0, 0)) == (0, 0, 0, -1)
     assert inv.cases[0] == ORTHOGONAL
     assert inv.cases[1] == NONREDUCED
-    assert inv.sigma_bar[0] == 3
+    assert inv.tau[0] == 3
     assert is_inner(inv)
 
 
@@ -103,7 +135,7 @@ def test_group_type_swap():
     inv = build_involution(make_satake(rs, arrows=[(0, 2), (1, 3)]))
     assert sigma_root(inv, (1, 0, 0, 0)) == (0, 0, -1, 0)
     assert inv.cases[0] == ORTHOGONAL
-    assert inv.sigma_bar[0] == 2
+    assert inv.tau[0] == 2
     assert not is_inner(inv)
     assert moved_root_count(inv) == 12
 
@@ -269,6 +301,67 @@ def test_satake_scan_outcomes_are_unchanged():
     assert sum(r[1] == "SatakeError" for r in rows) == 617
     assert sum(r[1] == "ValueError" for r in rows) == 0
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SCAN_DIGEST
+
+
+def test_raw_data_outcomes_are_unchanged():
+    rows = []
+    for sd in _raw_data():
+        try:
+            rows.append(build_restricted(build_involution(sd)).type_label)
+        except ValueError as exc:
+            rows.append(f"{type(exc).__name__}: {exc}")
+    assert len(rows) == 2586 + 1688
+    assert sum(":" not in r for r in rows) == 244
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == RAW_DIGEST
+
+
+def test_sigma_bar_is_tau_and_the_construction_holds_on_every_accepted_datum():
+    """sigma = -w_L tau (Araki 1962) guarantees what build_involution and
+    build_restricted do not check: read through sigma_root alone, over the
+    catalog records and every raw datum that builds."""
+    systems = [record.restricted for record in _catalog_records()]
+    for sd in _raw_data():
+        try:
+            systems.append(build_restricted(build_involution(sd)))
+        except ValueError:
+            pass
+    assert len(systems) == 150 + 244
+    case_den = {REAL: 4, ORTHOGONAL: 2, NONREDUCED: 1}
+    for rrs in systems:
+        inv = rrs.involution
+        rs, tau, white = inv.root_system, inv.tau, inv.satake.white_nodes
+        n, where = rs.rank, inv.satake
+        simple = [sigma_root(inv, unit_vector(n, i)) for i in range(n)]
+        assert all(tau[tau[i]] == i for i in range(n)), where
+        # an isometry: 6(sigma alpha_i, sigma alpha_j) = gram6[i][j]
+        assert all(_form6(rs, simple[i], simple[j]) == rs.gram6[i][j]
+                   for i in range(n) for j in range(n)), where
+        for i in range(n):
+            e = unit_vector(n, i)
+            if i not in white:
+                assert simple[i] == e, where
+                continue
+            # -sigma(alpha_i) is alpha_tau(i) plus black roots: sigma_bar = tau
+            neg = tuple(-x for x in simple[i])
+            assert min(neg) >= 0, where
+            assert {k: neg[k] for k in white if neg[k]} == {tau[i]: 1}, where
+            if inv.cases[i] == REAL:
+                assert neg == e, where
+            # the fibers are the tau-orbits, and the case formula's coroot
+            # is the metric one on every member of a fiber
+            k = rrs.node_fiber[i]
+            v = rrs.restricted_simple[k]
+            assert v == tuple(a + b for a, b in zip(e, neg)), where
+            assert [j for j in white if rrs.node_fiber[j] == k] == sorted({i, tau[i]}), where
+            assert case_den[inv.cases[i]] * rs.gram6[i][i] == _form6(rs, v, v), where
+        # each restriction is its fiber sums over the restricted simple roots
+        for beta in positive_roots(rs):
+            coeffs = [0] * rrs.rank
+            for i in white:
+                coeffs[rrs.node_fiber[i]] += beta[i]
+            span = tuple(sum(c * v[j] for c, v in zip(coeffs, rrs.restricted_simple))
+                         for j in range(n))
+            assert span == tuple(a - b for a, b in zip(beta, sigma_root(inv, beta))), where
 
 
 # <alpha_j, rho_X^vee> for the white node j without an arrow, worked by hand:

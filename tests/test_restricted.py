@@ -201,7 +201,7 @@ def _reference_fibers(inv):
     least node."""
     rs = inv.root_system
     fibers = {}
-    for i in inv.delta1:
+    for i in inv.satake.white_nodes:
         fibers.setdefault(restrict_root(inv, unit_vector(rs.rank, i)), []).append(i)
     return fibers
 
@@ -209,7 +209,7 @@ def _reference_fibers(inv):
 def _classify_simple(inv, i):
     """Case of a white simple root: REAL, ORTHOGONAL or NONREDUCED."""
     rs = inv.root_system
-    if i not in inv.delta1:
+    if i not in inv.satake.white_nodes:
         raise ValueError(f"node {i} is not white")
     e = unit_vector(rs.rank, i)
     img = sigma_root(inv, e)
@@ -234,9 +234,13 @@ def _fiber_index(fibers, i):
 
 def _is_exceptional(inv):
     """Exceptional means some white node is nonreduced and not fixed by
-    sigma_bar; returns (flag, witness pair or None)."""
-    for i in inv.delta1:
-        j = inv.sigma_bar[i]
+    sigma_bar, the white node in the support of -sigma(alpha_i); returns
+    (flag, witness pair or None)."""
+    rs = inv.root_system
+    white = inv.satake.white_nodes
+    for i in white:
+        img = sigma_root(inv, unit_vector(rs.rank, i))
+        (j,) = (k for k in white if img[k])
         if j != i and _classify_simple(inv, i) == NONREDUCED:
             return True, (i, j)
     return False, None
@@ -322,12 +326,12 @@ def test_integer_restricted_layer_matches_fraction_reference():
 def test_stored_node_facts_match_the_reference():
     for rrs in _restricted_systems():
         inv = rrs.involution
-        n = inv.root_system.rank
+        n, white = inv.root_system.rank, inv.satake.white_nodes
         fibers = tuple(_reference_fibers(inv).values())
-        assert inv.cases == tuple(_classify_simple(inv, i) if i in inv.delta1 else None
+        assert inv.cases == tuple(_classify_simple(inv, i) if i in white else None
                                   for i in range(n)), inv.satake
         assert rrs.exceptional_pair == _is_exceptional(inv)[1], inv.satake
-        assert rrs.node_fiber == tuple(_fiber_index(fibers, i) if i in inv.delta1 else None
+        assert rrs.node_fiber == tuple(_fiber_index(fibers, i) if i in white else None
                                        for i in range(n)), inv.satake
         assert rrs.theta_bar_expansion == _theta_bar_expansion(rrs, fibers), inv.satake
 
