@@ -6,7 +6,6 @@ rational curves solves psi(gamma) = theta_bar_covector.
 """
 
 from itertools import product
-from math import lcm
 
 from .involution import REAL
 from .rootsystem import _form6, memoised, minus_w0_permutation, unit_vector
@@ -73,33 +72,18 @@ def minimal_covering_classes(rrs, colors):
     per_index_colors = [[ci for ci, f in enumerate(color_fiber) if f == idx]
                         for idx in range(rrs.rank)]
 
-    # psi(gamma) = sum_c gamma_c ahat_vee(c) with ahat_vee_k = S(v_k) / den_k,
-    # den_k = m_k 6(v_k, v_k), and theta_bar_covector = S(theta_bar) / top for
-    # the diagonal S(u)_j = gram6[j][j] u_j; S is invertible, so over the
-    # common denominator L of the den_k, psi(gamma) = theta_bar_covector iff
-    # sum_c gamma_c top (L / den_k) v_k = L theta_bar
-    rs = rrs.root_system
-    top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
-    dens = [(2 if k == rrs.doubled_index else 1) * _form6(rs, v, v)
-            for k, v in enumerate(rrs.restricted_simple)]
-    common = lcm(*dens)
-    scaled = [tuple(top * (common // den) * x for x in v)
-              for den, v in zip(dens, rrs.restricted_simple)]
-    target = [common * x for x in rrs.theta_bar]
-    # every class splits each fiber's m_k among that fiber's colors, so
-    # psi(gamma) is sum_k m_k ahat_vee_k for all of them: all solve, or none
-    total = [sum(m * v[j] for m, v in zip(expansion, scaled)) for j in range(rs.rank)]
-
+    # psi(gamma) = sum_c gamma_c ahat_vee(c), and every class splits each
+    # fiber's coefficient c_k among that fiber's colors, so psi(gamma) =
+    # sum_k c_k ahat_vee_k = theta_bar_covector, as build_restricted proved
+    choices = [[p for p in product(range(m + 1), repeat=len(cols)) if sum(p) == m]
+               for m, cols in zip(expansion, per_index_colors)]
     classes = []
-    if total == target:
-        choices = [[p for p in product(range(m + 1), repeat=len(cols)) if sum(p) == m]
-                   for m, cols in zip(expansion, per_index_colors)]
-        for combo in product(*choices):
-            gamma = [0] * len(colors)
-            for cols, part in zip(per_index_colors, combo):
-                for ci, coeff in zip(cols, part):
-                    gamma[ci] = coeff
-            classes.append(tuple(gamma))
+    for combo in product(*choices):
+        gamma = [0] * len(colors)
+        for cols, part in zip(per_index_colors, combo):
+            for ci, coeff in zip(cols, part):
+                gamma[ci] = coeff
+        classes.append(tuple(gamma))
     classes = tuple(sorted(classes, reverse=True))
     expected = 1 if witness is None else 2
     if len(classes) != expected:

@@ -136,10 +136,7 @@ def nilpotent_orbit_dimension(inv):
 def dim_isotropy_complement(rrs):
     """Dimension of the -1 eigenspace: restricted rank plus half the
     number of moved roots."""
-    moved = moved_root_count(rrs.involution)
-    if moved % 2:
-        raise ValueError("odd number of moved roots")
-    return rrs.rank + moved // 2
+    return rrs.rank + moved_root_count(rrs.involution) // 2
 
 
 def is_fano(rrs):

@@ -87,28 +87,16 @@ def build_restricted(inv):
         fibers.setdefault(v, []).append(i)
     dbar = list(fibers)
     rank = len(dbar)
-    # sigma fixes the black simple roots and is linear, as root_steps builds
-    # it, so the restriction of beta is the nonnegative combination with
-    # coefficient sum(beta[i] for i in fiber k) on the k-th restricted
-    # simple root
-    fiber_of = [(i, k) for k, v in enumerate(dbar) for i in fibers[v]]
     node_fiber = [None] * rs.rank
-    for i, k in fiber_of:
-        node_fiber[i] = k
+    for k, v in enumerate(dbar):
+        for i in fibers[v]:
+            node_fiber[i] = k
 
     mult = {}
-    expansion = {}
     for k, beta in enumerate(positive_roots(rs)):
         v = tuple(a - b for a, b in zip(beta, roots[sigma_perm[k]]))
-        if not any(v):
-            continue
-        if v not in mult:
-            mult[v] = 0
-            coeffs = [0] * rank
-            for i, f in fiber_of:
-                coeffs[f] += beta[i]
-            expansion[v] = coeffs
-        mult[v] += 1
+        if any(v):
+            mult[v] = mult.get(v, 0) + 1
     _left_inverse(dbar)  # raises on a dependent restricted simple system
 
     doubled = [i for i, v in enumerate(dbar)
@@ -118,10 +106,10 @@ def build_restricted(inv):
     doubled_index = doubled[0] if doubled else None
 
     sq6 = [_form6(rs, v, v) for v in dbar]
-    cartan = [[divmod(2 * _form6(rs, v, w), s) for w in dbar] for v, s in zip(dbar, sq6)]
-    if any(r for row in cartan for _, r in row):
-        raise ValueError("restricted Cartan matrix is not integral")
-    cartan = [[q for q, _ in row] for row in cartan]
+    # for i in fiber k of case pairing p, 2(v_k, v_l)/(v_k, v_k) =
+    # 2<alpha_i^vee, v_l>/(2 - p): an integer for p = 1 and p = 0, and for
+    # p = -2, sigma(alpha_i) = -alpha_i gives <alpha_i^vee, v_l> = 2 a_ij
+    cartan = [[2 * _form6(rs, v, w) // s for w in dbar] for v, s in zip(dbar, sq6)]
     ident = identify_cartan(cartan)
     if ident is None:
         raise ValueError("restricted simple system has no Cartan type")
@@ -134,12 +122,16 @@ def build_restricted(inv):
     else:
         type_label = f"{letter}{rank}"
 
-    theta_bar = max(mult, key=lambda v: sum(expansion[v]))
-    for v in mult:
-        if any(a < b for a, b in zip(expansion[theta_bar], expansion[v])):
-            raise ValueError("no dominance-maximal restricted root")
+    # sigma fixes the black simple roots and is linear, as root_steps builds
+    # it, so the restriction of beta is the nonnegative combination with
+    # coefficient sum(beta[i] for i in fiber k) on the k-th restricted
+    # simple root.  Every restricted positive root is res(beta) with
+    # beta <= theta, on one component or in a group datum (fibers
+    # {i, i + n}), so res(theta) dominates; it is 0 when theta's component
+    # is black
     theta = highest_roots(rs, 0)[0]
-    if tuple(a - b for a, b in zip(theta, roots[sigma_perm[index[theta]]])) != theta_bar:
+    theta_bar = tuple(a - b for a, b in zip(theta, roots[sigma_perm[index[theta]]]))
+    if not any(theta_bar):
         raise ValueError("highest restricted root is not the restriction "
                          "of the highest root")
 
@@ -156,8 +148,8 @@ def build_restricted(inv):
         # theta_bar = sum_k c_k v_k and ahat_vee_k = S(v_k) / (m_k 6(v_k, v_k))
         # with S linear, so theta_bar_covector = S(theta_bar) / top has the
         # coefficient below on ahat_vee_k
-        q, r = divmod(expansion[theta_bar][idx] * m * sq6[idx], top)
-        if r or q < 0:
+        q, r = divmod(sum(theta[i] for i in fibers[v]) * m * sq6[idx], top)
+        if r:
             raise ValueError("theta_bar covector is not a nonnegative integer "
                              "combination of the primitive coroots")
         theta_bar_expansion.append(q)

@@ -430,16 +430,23 @@ def _failures(record):
     ("GroupB", {"r": 2}, (2, 0, 2, 0), "primitivity", "2 theta_bar_covector is not integral"),
     ("AI", {"r": 3}, (1, 1, 1), "primitivity", "2 theta_bar_covector is divisible"),
     ("GroupB", {"r": 2}, (0, 1, 0, 1), "primitivity", "no simple restricted root pairs to 1"),
-    ("AI", {"r": 3}, (2, 2, 0), "minimal-classes", "expected 1 minimal classes, found 0"),
-    ("AIII", {"n": 4, "r": 1}, (1, 1, 1), "minimal-classes",
-     "expected 2 minimal classes, found 0"),
+    ("AIII", {"n": 4, "r": 1}, (1, 1, 1), "theta-bar",
+     "theta_bar covector inconsistent with the ambient highest root"),
 ], ids=["dimensions-non-integral", "dimensions-degree", "theta-bar", "primitivity-integral",
-        "primitivity-divisible", "primitivity-pairs-to-1", "minimal-classes",
-        "minimal-classes-exceptional"])
+        "primitivity-divisible", "primitivity-pairs-to-1", "theta-bar-exceptional"])
 def test_wrong_theta_bar_fails_the_check(label, params, theta_bar, check, message):
     record = instantiate(CAT, label, params)
     assert validate(record) == []
     assert (check, message) in _failures(_with_theta_bar(record, theta_bar))
+
+
+def test_wrong_theta_bar_expansion_fails_the_minimal_classes_check():
+    # the enumeration reads theta_bar_expansion: BC1's (1,) read as (2,)
+    # splits 2 over the two exceptional colors in 3 ways
+    record = instantiate(CAT, "AIII", {"n": 4, "r": 1})
+    forged = dataclasses.replace(record, restricted=dataclasses.replace(
+        record.restricted, theta_bar_expansion=(2,)))
+    assert ("minimal-classes", "expected 2 minimal classes, found 3") in _failures(forged)
 
 
 def test_wrong_orbit_dimension_fails_the_kappa_identity(monkeypatch):

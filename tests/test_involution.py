@@ -354,14 +354,36 @@ def test_sigma_bar_is_tau_and_the_construction_holds_on_every_accepted_datum():
             assert v == tuple(a + b for a, b in zip(e, neg)), where
             assert [j for j in white if rrs.node_fiber[j] == k] == sorted({i, tau[i]}), where
             assert case_den[inv.cases[i]] * rs.gram6[i][i] == _form6(rs, v, v), where
-        # each restriction is its fiber sums over the restricted simple roots
-        for beta in positive_roots(rs):
+        # theta_bar is the restriction of theta
+        theta = highest_roots(rs, 0)[0]
+        assert rrs.theta_bar == tuple(a - b for a, b in zip(theta, sigma_root(inv, theta))), where
+        top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
+
+        def fiber_sums(beta):
             coeffs = [0] * rrs.rank
             for i in white:
                 coeffs[rrs.node_fiber[i]] += beta[i]
+            return coeffs
+
+        # each restriction is its fiber sums over the restricted simple roots,
+        # and theta's dominate
+        theta_sums = fiber_sums(theta)
+        for beta in positive_roots(rs):
+            coeffs = fiber_sums(beta)
             span = tuple(sum(c * v[j] for c, v in zip(coeffs, rrs.restricted_simple))
                          for j in range(n))
             assert span == tuple(a - b for a, b in zip(beta, sigma_root(inv, beta))), where
+            assert all(a <= b for a, b in zip(coeffs, theta_sums)), where
+        # the restricted Cartan matrix is integral
+        sq6 = [_form6(rs, v, v) for v in rrs.restricted_simple]
+        assert all(2 * _form6(rs, v, w) % s == 0 for v, s in zip(rrs.restricted_simple, sq6)
+                   for w in rrs.restricted_simple), where
+        # sum_k c_k ahat_vee_k = theta_bar_covector: over S, sum_k c_k top v_k /
+        # (m_k 6(v_k, v_k)) = theta_bar
+        mults = [2 if k == rrs.doubled_index else 1 for k in range(rrs.rank)]
+        assert tuple(sum(Fraction(c * top * v[j], m * s) for c, v, m, s in
+                         zip(rrs.theta_bar_expansion, rrs.restricted_simple, mults, sq6))
+                     for j in range(n)) == rrs.theta_bar, where
 
 
 # <alpha_j, rho_X^vee> for the white node j without an arrow, worked by hand:

@@ -1,5 +1,6 @@
 """Restricted root systems: simple restrictions, coroots, types."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -348,6 +349,27 @@ def test_build_restricted_rejects_a_fractional_theta_bar_expansion(monkeypatch):
     assert inv.cases == (NONREDUCED, None)
     with pytest.raises(ValueError, match="^theta_bar covector is not a nonnegative "
                                          "integer combination of the primitive coroots$"):
+        build_restricted(inv)
+
+
+def test_build_restricted_rejects_a_doubled_root_on_a_non_nonreduced_fiber():
+    # AIII n=4 r=1 restricts to BC1; its fiber read as ORTHOGONAL has the
+    # doubled restricted root but not the nonreduced case
+    inv = instantiate(load_catalog(), "AIII", {"n": 4, "r": 1}).involution
+    assert inv.cases == (NONREDUCED, None, NONREDUCED)
+    forged = dataclasses.replace(inv, cases=(ORTHOGONAL, None, ORTHOGONAL))
+    with pytest.raises(ValueError, match="^primitive coroot disagrees with the "
+                                         "longest multiple$"):
+        build_restricted(forged)
+
+
+def test_build_restricted_rejects_a_nonreduced_c_shape(monkeypatch):
+    # AIII n=6 r=2 restricts to BC2; report its B2 Cartan matrix as C2
+    inv = instantiate(load_catalog(), "AIII", {"n": 6, "r": 2}).involution
+    assert build_restricted(inv).type_label == "BC2"
+    monkeypatch.setattr("wonderful.restricted.identify_cartan",
+                        lambda mat: ("C", len(mat), list(range(len(mat)))))
+    with pytest.raises(ValueError, match="^nonreduced restriction without B/BC shape$"):
         build_restricted(inv)
 
 
