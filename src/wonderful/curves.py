@@ -16,7 +16,7 @@ def build_colors(inv):
     """Colors, sorted tuples of white nodes merged when beta = -sigma(alpha)
     with <alpha^vee, beta> = 0; their number is the Picard rank."""
     rs = inv.root_system
-    # -alpha_j sits at position j + N of the indexed roots, N positive roots
+    # -alpha_j sits at position j + N of the root codes, N positive roots
     npos = len(inv.sigma_perm) // 2
     merged = []
     used = set()

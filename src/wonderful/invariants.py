@@ -8,11 +8,14 @@ from .rootsystem import (
     _form6,
     connected_components,
     highest_roots,
-    indexed_roots,
     memoised,
+    pack,
     pairing,
+    positive_roots,
+    root_codes,
     subsystem_roots,
     two_rho,
+    unpack,
 )
 
 O_MIN = "O_min"
@@ -24,17 +27,14 @@ def kappa_and_sigma(rrs):
     the sum of the restricted simple roots."""
     inv = rrs.involution
     rs = inv.root_system
-    roots = indexed_roots(rs)[0]
-    npos = len(roots) // 2
-    kappa = [0] * rs.rank
-    for k in range(npos):
-        if inv.sigma_perm[k] >= npos:
-            kappa = [a + b for a, b in zip(kappa, roots[k])]
+    codes = root_codes(rs)[0]
+    npos = len(codes) // 2
+    kappa = sum(codes[k] for k in range(npos) if inv.sigma_perm[k] >= npos)
     sigma_sum = [0] * rs.rank
     for v in rrs.restricted_simple:
         for k in range(rs.rank):
             sigma_sum[k] += v[k]
-    return tuple(kappa), tuple(sigma_sum)
+    return unpack(kappa, rs.rank), tuple(sigma_sum)
 
 
 @memoised
@@ -77,12 +77,9 @@ def check_strong_orthogonality(inv):
         raise ValueError("sigma(theta) = -theta: nothing to check")
     if _form6(rs, theta, img) != 0:
         raise ValueError("theta and sigma(theta) are not orthogonal")
-    roots = indexed_roots(rs)[1]
-    for comb in (tuple(a + b for a, b in zip(theta, img)),
-                 tuple(a - b for a, b in zip(theta, img))):
-        if comb in roots:
-            raise ValueError("theta and sigma(theta) are not strongly "
-                             "orthogonal")
+    index = root_codes(rs)[1]
+    if pack(theta) + pack(img) in index or pack(theta) - pack(img) in index:
+        raise ValueError("theta and sigma(theta) are not strongly orthogonal")
     neg = tuple(-x for x in img)
     orth = {i for i in range(rs.rank) if pairing(rs, i, theta) == 0}
     support = {i for i in range(rs.rank) if neg[i] != 0}
@@ -124,8 +121,9 @@ def nilpotent_orbit_dimension(inv):
     d = t6 * i6
     w = [2 * sum(x * g for x, g in zip(u, col) if x) for col in zip(*rs.gram6)]
     g1 = g2 = 0
-    for beta in indexed_roots(rs)[0]:
-        val = sum(a * b for a, b in zip(w, beta))
+    # -beta pairs to -<w, beta>, so a positive root counts for the pair
+    for beta in positive_roots(rs):
+        val = abs(sum(a * b for a, b in zip(w, beta)))
         if val == d:
             g1 += 1
         elif val == 2 * d:

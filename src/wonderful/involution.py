@@ -11,12 +11,14 @@ from dataclasses import dataclass, field
 
 from .rootsystem import (
     _root_generation,
-    indexed_roots,
     longest_element,
     minus_w0_permutation,
     opposition,
+    pack,
     pairing,
+    root_codes,
     root_steps,
+    unpack,
 )
 
 REAL = "REAL"
@@ -59,7 +61,7 @@ class Involution:
     satake: object
     tau: tuple  # the Satake involution sigma_bar on the white nodes
     cases: tuple  # REAL, ORTHOGONAL or NONREDUCED per white node, None per black
-    # sigma as a permutation of the positions of indexed_roots
+    # sigma as a permutation of the positions of root_codes
     sigma_perm: tuple = field(compare=False, repr=False)
 
     @property
@@ -73,11 +75,13 @@ def apply_matrix(mat, v):
 
 def sigma_root(inv, v):
     """sigma(v) for a root v, read from sigma_perm."""
-    roots, index = indexed_roots(inv.root_system)
-    k = index.get(v)
-    if k is None:
+    n = inv.root_system.rank
+    codes, index = root_codes(inv.root_system)
+    k = index.get(pack(v))
+    # a vector of another length or outside the code's range may share a code
+    if k is None or unpack(codes[k], n) != tuple(v):
         raise ValueError(f"{v} is not a root")
-    return roots[inv.sigma_perm[k]]
+    return unpack(codes[inv.sigma_perm[k]], n)
 
 
 def _check_satake(sd):
@@ -123,21 +127,10 @@ def build_involution(sd):
     n = rs.rank
     black_iota = opposition(rs, sd.black_nodes)
     tau = _complete_tau(sd, black_iota)
-    # sigma(alpha_j) = -w_L(alpha_tau(j)) on the simple roots, then by
-    # height: sigma(beta' + alpha_i) is sigma(beta') + sigma(alpha_i)
+    # sigma(alpha_j) = -w_L(alpha_tau(j)) on the simple roots; every check
+    # that reads only these runs before sigma is extended to all roots
     wl = longest_element(rs, black_iota)
     images = [tuple(-x for x in wl[tau[j]]) for j in range(n)]
-    for k, i in root_steps(rs):
-        images.append(tuple(a + b for a, b in zip(images[k], images[i])))
-    index = indexed_roots(rs)[1]
-    perm = [index.get(img) for img in images]
-    if None in perm:
-        _fail("sigma does not preserve the root system")
-    npos = len(perm)
-    sigma_perm = tuple(perm) + tuple((k + npos) % (2 * npos) for k in perm)
-    # the positive roots span, so sigma^2 = 1 once it fixes each of them
-    if any(sigma_perm[j] != k for k, j in enumerate(perm)):
-        _fail("sigma is not an involution")
 
     # w_0 = -iota on simple roots, so sigma w_0 = w_0 sigma permutes entries
     iota = minus_w0_permutation(rs)
@@ -163,7 +156,7 @@ def build_involution(sd):
     fixed = [j for j in white if sd.diagram_involution[j] == j]
     c = dict.fromkeys((i for i in sd.black_nodes if any(rs.cartan[i][j] for j in fixed)), 0)
     if c:
-        roots, _, sq6 = _root_generation(rs)
+        roots, _, sq6, _, _ = _root_generation(rs)
         for beta, s in zip(roots, sq6):
             if not any(beta[j] for j in white):
                 for i in c:
@@ -171,6 +164,21 @@ def build_involution(sd):
         if any(sum(x * rs.cartan[i][j] for i, x in c.items()) % 2 for j in fixed):
             _fail("a white node without an arrow pairs to a half-integer with "
                   "rho^vee of the black nodes (Araki's condition)")
+
+    # by height, on packed codes: sigma(beta' + alpha_i) is sigma(beta') +
+    # sigma(alpha_i)
+    codes = [pack(img) for img in images]
+    for k, i in root_steps(rs):
+        codes.append(codes[k] + codes[i])
+    index = root_codes(rs)[1]
+    perm = [index.get(code) for code in codes]
+    if None in perm:
+        _fail("sigma does not preserve the root system")
+    npos = len(perm)
+    sigma_perm = tuple(perm) + tuple((k + npos) % (2 * npos) for k in perm)
+    # the positive roots span, so sigma^2 = 1 once it fixes each of them
+    if any(sigma_perm[j] != k for k, j in enumerate(perm)):
+        _fail("sigma is not an involution")
 
     return Involution(
         satake=sd,

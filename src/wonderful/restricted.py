@@ -16,8 +16,9 @@ from .rootsystem import (
     _form6,
     highest_roots,
     identify_cartan,
-    indexed_roots,
-    positive_roots,
+    pack,
+    root_codes,
+    unpack,
 )
 
 
@@ -79,28 +80,26 @@ def expand(basis, v):
 def build_restricted(inv):
     """Build and validate the restricted root system of an involution."""
     rs = inv.root_system
-    (roots, index), sigma_perm = indexed_roots(rs), inv.sigma_perm
+    (codes, index), sigma_perm = root_codes(rs), inv.sigma_perm
     fibers = {}
     for i in inv.satake.white_nodes:
-        # alpha_i sits at position i of the indexed roots
-        v = tuple(a - b for a, b in zip(roots[i], roots[sigma_perm[i]]))
-        fibers.setdefault(v, []).append(i)
-    dbar = list(fibers)
+        # alpha_i sits at position i of the root codes
+        fibers.setdefault(codes[i] - codes[sigma_perm[i]], []).append(i)
+    dbar = [unpack(v, rs.rank) for v in fibers]
     rank = len(dbar)
     node_fiber = [None] * rs.rank
-    for k, v in enumerate(dbar):
-        for i in fibers[v]:
+    for k, v in enumerate(fibers.values()):
+        for i in v:
             node_fiber[i] = k
 
     mult = {}
-    for k, beta in enumerate(positive_roots(rs)):
-        v = tuple(a - b for a, b in zip(beta, roots[sigma_perm[k]]))
-        if any(v):
+    for k in range(len(codes) // 2):
+        v = codes[k] - codes[sigma_perm[k]]
+        if v:
             mult[v] = mult.get(v, 0) + 1
     _left_inverse(dbar)  # raises on a dependent restricted simple system
 
-    doubled = [i for i, v in enumerate(dbar)
-               if tuple(2 * x for x in v) in mult]
+    doubled = [i for i, v in enumerate(fibers) if 2 * v in mult]
     if len(doubled) > 1:
         raise ValueError("more than one doubled restricted simple root")
     doubled_index = doubled[0] if doubled else None
@@ -130,7 +129,8 @@ def build_restricted(inv):
     # {i, i + n}), so res(theta) dominates; it is 0 when theta's component
     # is black
     theta = highest_roots(rs, 0)[0]
-    theta_bar = tuple(a - b for a, b in zip(theta, roots[sigma_perm[index[theta]]]))
+    k = index[pack(theta)]
+    theta_bar = unpack(codes[k] - codes[sigma_perm[k]], rs.rank)
     if not any(theta_bar):
         raise ValueError("highest restricted root is not the restriction "
                          "of the highest root")
@@ -141,14 +141,14 @@ def build_restricted(inv):
     # agrees across a fiber, a tau-orbit; it is halved on a nonreduced one
     top = _form6(rs, theta_bar, theta_bar)
     theta_bar_expansion = []
-    for idx, v in enumerate(dbar):
+    for idx, fiber in enumerate(fibers.values()):
         m = 2 if idx == doubled_index else 1
-        if (inv.cases[fibers[v][0]] == NONREDUCED) != (m == 2):
+        if (inv.cases[fiber[0]] == NONREDUCED) != (m == 2):
             raise ValueError("primitive coroot disagrees with the longest multiple")
         # theta_bar = sum_k c_k v_k and ahat_vee_k = S(v_k) / (m_k 6(v_k, v_k))
         # with S linear, so theta_bar_covector = S(theta_bar) / top has the
         # coefficient below on ahat_vee_k
-        q, r = divmod(sum(theta[i] for i in fibers[v]) * m * sq6[idx], top)
+        q, r = divmod(sum(theta[i] for i in fiber) * m * sq6[idx], top)
         if r:
             raise ValueError("theta_bar covector is not a nonnegative integer "
                              "combination of the primitive coroots")
@@ -158,7 +158,7 @@ def build_restricted(inv):
         involution=inv,
         restricted_simple=tuple(dbar),
         node_fiber=tuple(node_fiber),
-        restricted_positive=tuple(mult),
+        restricted_positive=tuple(unpack(v, rs.rank) for v in mult),
         multiplicities=tuple(mult.values()),
         type_label=type_label,
         rank=rank,

@@ -6,6 +6,7 @@ Coweights are tuples of coordinates over the simple coroots.  All node
 indices in this package are 0-based.
 """
 
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -20,7 +21,11 @@ VALID_RANKS = {
     "G": lambda n: n == 2,
 }
 
-# largest rank build_root_system accepts; the root table grows like rank^3
+# largest rank build_root_system accepts; the root table grows like rank^3.
+# pack is injective on vectors of one length with coordinates in [-2^15,
+# 2^15).  The engine packs roots and sums of two or four of them (at most 24),
+# sigma(beta) = sum_i beta_i sigma(alpha_i) (at most 6 ht(beta) < 1200) and
+# kappa <= 2 rho, whose largest coordinate at this rank is 10,098 (C100)
 MAX_AMBIENT_RANK = 100
 
 
@@ -74,6 +79,20 @@ def memoised(f):
 def unit_vector(n, i):
     """The i-th standard basis vector of length n, e.g. the simple root alpha_i."""
     return tuple(1 if k == i else 0 for k in range(n))
+
+
+def pack(v):
+    """The code sum_i v_i 2^(16 i) of v, in balanced base-2^16 digits: linear,
+    so a root plus alpha_i is code + pack(alpha_i)."""
+    return sum(x << 16 * i for i, x in enumerate(v) if x)
+
+
+def unpack(code, n):
+    """The vector of length n that pack sends to code."""
+    half = int.from_bytes(b"\0\x80" * n, "little")  # 2^15 in every digit
+    # adding half makes every digit nonnegative; xor takes 2^15 off again,
+    # leaving each digit in two's complement
+    return struct.unpack(f"<{n}h", ((code + half) ^ half).to_bytes(2 * n, "little"))
 
 
 def cartan_matrix(typ, n):
@@ -172,17 +191,20 @@ def coroot(rs, root):
 
 @lru_cache(maxsize=None)
 def _root_generation(rs):
-    """(positive roots by height, steps, 6 (beta, beta) per root): beta +
-    alpha_i is a root when the alpha_i-string through beta goes on up, and
-    its step (position of beta, i) is recorded when it is first reached.
-    The pairings p = <alpha_i^vee, beta> ride along with each root: a step
-    adds column i of the Cartan matrix, and gram6[i][i] (p + 1) to 6 (beta, beta)."""
+    """(positive roots by height, steps, 6 (beta, beta) per root, codes,
+    index): beta + alpha_i is a root when the alpha_i-string through beta
+    goes on up, and its step (position of beta, i) is recorded when it is
+    first reached.  The pairings p = <alpha_i^vee, beta> ride along with each
+    root: a step adds column i of the Cartan matrix, and gram6[i][i] (p + 1)
+    to 6 (beta, beta).  codes are the packed positive roots followed by
+    their negatives, and index maps each code to its position there."""
     n = rs.rank
     columns = [tuple(row[i] for row in rs.cartan) for i in range(n)]
     short = {i for i in range(n) if rs.gram6[i][i] != 12}
-    ordered, pairings = [unit_vector(n, i) for i in range(n)], columns[:]
+    unit = [1 << 16 * i for i in range(n)]
+    ordered, pairings, codes = [unit_vector(n, i) for i in range(n)], columns[:], unit[:]
     sq6 = [rs.gram6[i][i] for i in range(n)]
-    position = {b: k for k, b in enumerate(ordered)}
+    index = {c: k for k, c in enumerate(codes)}
     steps = []
     # breadth first: the loop also visits the roots appended inside it
     for k, beta in enumerate(ordered):
@@ -191,19 +213,20 @@ def _root_generation(rs):
             # along a long alpha_i it holds at most two roots, so it goes up
             # exactly when p < 0
             down = 0
-            while p >= 0 and i in short and beta[i] > down \
-                    and beta[:i] + (beta[i] - down - 1,) + beta[i + 1:] in position:
+            while p >= 0 and i in short and codes[k] - (down + 1) * unit[i] in index:
                 down += 1
-            if down <= p:
+            if down <= p or codes[k] + unit[i] in index:
                 continue
-            up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-            if up not in position:
-                position[up] = len(ordered)
-                ordered.append(up)
-                steps.append((k, i))
-                pairings.append(tuple(a + b for a, b in zip(pairings[k], columns[i])))
-                sq6.append(sq6[k] + rs.gram6[i][i] * (p + 1))
-    return tuple(ordered), tuple(steps), tuple(sq6)
+            index[codes[k] + unit[i]] = len(ordered)
+            codes.append(codes[k] + unit[i])
+            ordered.append(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
+            steps.append((k, i))
+            pairings.append(tuple(a + b for a, b in zip(pairings[k], columns[i])))
+            sq6.append(sq6[k] + rs.gram6[i][i] * (p + 1))
+    npos = len(codes)
+    codes += [-c for c in codes]
+    index.update((codes[k], k) for k in range(npos, 2 * npos))
+    return tuple(ordered), tuple(steps), tuple(sq6), tuple(codes), index
 
 
 def positive_roots(rs):
@@ -211,20 +234,17 @@ def positive_roots(rs):
     return _root_generation(rs)[0]
 
 
-@lru_cache(maxsize=None)
-def indexed_roots(rs):
-    """(roots, index): the positive roots in height order followed by their
-    negatives, so roots[k + N] == -roots[k] for N positive roots, and the
-    map from each root to its position."""
-    pos = positive_roots(rs)
-    roots = pos + tuple(tuple(-x for x in b) for b in pos)
-    return roots, {b: k for k, b in enumerate(roots)}
+def root_codes(rs):
+    """(codes, index): the packed positive roots in height order followed by
+    their negatives, so codes[k + N] == -codes[k] for N positive roots, and
+    the map from each code to its position."""
+    return _root_generation(rs)[3:]
 
 
 def root_steps(rs):
-    """(k, i) for each non-simple positive root, in the order of
-    indexed_roots from position rank on: roots[k] + alpha_i is that root
-    and k is an earlier position."""
+    """(k, i) for each non-simple positive root, in the order of root_codes
+    from position rank on: roots[k] + alpha_i is that root and k is an
+    earlier position."""
     return _root_generation(rs)[1]
 
 
@@ -234,7 +254,7 @@ def highest_roots(rs, component=0):
     last of its roots by height, and the last as short as its shortest simple
     root; both are dominant, so they have the component's full support."""
     nodes = rs.component_nodes(component)
-    roots, _, sq6 = _root_generation(rs)
+    roots, _, sq6, _, _ = _root_generation(rs)
     mine = [k for k, b in enumerate(roots) if b[nodes[0]]]
     short = min(rs.gram6[i][i] for i in nodes)
     return roots[mine[-1]], roots[next(k for k in reversed(mine) if sq6[k] == short)]
@@ -271,7 +291,8 @@ def opposition(rs, nodes):
     D_n for odd n, and the identity on the other types (Bourbaki, Plates)."""
     perm = {}
     for comp in connected_components(nodes, lambda i, j: rs.cartan[i][j] != 0):
-        typ, order = _bourbaki_order([[rs.cartan[i][j] for j in comp] for i in comp])
+        typ, order = (("A", [0]) if len(comp) == 1
+                      else _bourbaki_order([[rs.cartan[i][j] for j in comp] for i in comp]))
         n = len(comp)
         std = (range(n - 1, -1, -1) if typ == "A"
                else (*range(n - 2), n - 1, n - 2) if typ == "D" and n % 2
@@ -289,18 +310,17 @@ def longest_element(rs, iota):
     of the roots alpha_j + (sums over L), which is irreducible with simple
     weights, and w_L sends it to the highest: the root reached by adding
     simple roots of L while the sum stays a root."""
-    index = indexed_roots(rs)[1]
+    codes, index = root_codes(rs)
     cols = []
     for j in range(rs.rank):
-        top = unit_vector(rs.rank, iota.get(j, j))
+        top = codes[iota.get(j, j)]
         grown = j not in iota
         while grown:
             grown = False
             for i in iota:
-                up = top[:i] + (top[i] + 1,) + top[i + 1:]
-                if up in index:
-                    top, grown = up, True
-        cols.append(tuple(-x for x in top) if j in iota else top)
+                if top + codes[i] in index:
+                    top, grown = top + codes[i], True
+        cols.append(unpack(-top if j in iota else top, rs.rank))
     return cols
 
 

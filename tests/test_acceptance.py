@@ -47,8 +47,9 @@ from wonderful.restricted import expand
 from wonderful.rootsystem import (
     coroot,
     highest_roots,
-    indexed_roots,
+    root_codes,
     two_rho,
+    unpack,
 )
 from test_involution import _scan_data
 from coweights import boundary_pairing, coroots, pair_coweight, psi
@@ -124,7 +125,7 @@ def test_nilpotent_orbit_oracle():
             eta = tuple(a - b for a, b in
                         zip(coroot(rs, theta), coroot(rs, image)))
             one = two = 0
-            for beta in indexed_roots(rs)[1]:
+            for beta in (unpack(c, rs.rank) for c in root_codes(rs)[0]):
                 p = pair_coweight(rs, eta, beta)
                 if p == 1:
                     one += 1
@@ -232,7 +233,7 @@ def test_paper_statements_over_the_enumeration():
 
 
 def test_sigma_matrix_is_integral():
-    # the columns roots[sigma_perm[j]] of sigma's matrix are integer and equal
+    # the columns codes[sigma_perm[j]] of sigma's matrix are integer and equal
     # -w_L . tau built from the black Weyl word, for every catalog record and
     # every involution the satake scan builds
     involutions = [record.involution for record in _all_records()]
@@ -243,8 +244,8 @@ def test_sigma_matrix_is_integral():
             pass
     assert len(involutions) == 147 + 88
     for inv in involutions:
-        roots = indexed_roots(inv.root_system)[0]
-        columns = [roots[inv.sigma_perm[j]] for j in range(inv.root_system.rank)]
+        n, codes = inv.root_system.rank, root_codes(inv.root_system)[0]
+        columns = [unpack(codes[inv.sigma_perm[j]], n) for j in range(n)]
         assert all(type(x) is int for col in columns for x in col), inv.satake
         assert [list(row) for row in zip(*columns)] == sigma_matrix(inv), inv.satake
 

@@ -27,7 +27,7 @@ from wonderful.invariants import (
 from wonderful.curves import build_colors, minimal_covering_classes
 from wonderful.expressions import _BRACE, _compile, _eval
 from wonderful.kac import marked_diagrams
-from wonderful.rootsystem import build_root_system, indexed_roots
+from wonderful.rootsystem import build_root_system, pack, root_codes
 from test_cli import _src_env
 
 CAT = load_catalog()
@@ -477,8 +477,8 @@ def test_wrong_sigma_theta_fails_strong_orthogonality(image, message):
     # strongly orthogonal to theta, but not the highest root of the C2 beside it
     inv = instantiate(CAT, "CII", {"n": 3, "r": 1}).involution
     check_strong_orthogonality(inv)
-    index = indexed_roots(inv.root_system)[1]
+    index = root_codes(inv.root_system)[1]
     perm = list(range(len(index)))
-    perm[index[(2, 2, 1)]] = index[image]
+    perm[index[pack((2, 2, 1))]] = index[pack(image)]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         check_strong_orthogonality(dataclasses.replace(inv, sigma_perm=tuple(perm)))

@@ -29,12 +29,14 @@ from wonderful.rootsystem import (
     build_root_system,
     coroot,
     highest_roots,
-    indexed_roots,
     longest_element,
     minus_w0_permutation,
     opposition,
     positive_roots,
+    root_codes,
+    root_steps,
     unit_vector,
+    unpack,
 )
 from coweights import pair_coweight
 from weyl_words import sigma_matrix
@@ -49,6 +51,11 @@ PAIR_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2), ("B", 3), ("C", 
 # SHA-256 of the outcome of every _raw_data datum: 244 accepted, 4,030
 # rejected
 RAW_DIGEST = "8c083de435101308139af464c1886143261882622bd8d8cdf3a731ad78e0c6a8"
+
+
+def _roots(rs):
+    """The roots in the order of root_codes, as coordinate tuples."""
+    return [unpack(c, rs.rank) for c in root_codes(rs)[0]]
 
 
 def _scan_data():
@@ -153,7 +160,7 @@ def test_black_component_opposition():
 def test_sigma_preserves_roots_and_squares_to_identity():
     inv = _involution((("E", 6),), black=[2, 3, 4], arrows=[(0, 5)])
     rs = inv.root_system
-    roots = indexed_roots(rs)[1]
+    roots = _roots(rs)
     for beta in roots:
         img = sigma_root(inv, beta)
         assert img in roots
@@ -181,21 +188,23 @@ def test_first_node_black_does_not_commute_with_w0(components):
 
 
 def test_sigma_sending_a_root_off_the_root_system_is_rejected(monkeypatch):
-    # sigma = diag(-1, 1) on A2 squares to 1 and fixes the simple roots up to
-    # sign, but sends alpha_1 + alpha_2 to -alpha_1 + alpha_2, which is no root
+    # w_L patched to columns (0, -2), (-2, 0) on A2: sigma(alpha_1) = 2 alpha_2
+    # and sigma(alpha_2) = 2 alpha_1 commute with w_0 and pair to -2, but
+    # sigma(alpha_1 + alpha_2) = 2 alpha_1 + 2 alpha_2 is no root
     monkeypatch.setattr("wonderful.involution.longest_element",
-                        lambda rs, iota: [[1, 0], [0, -1]])
+                        lambda rs, iota: [(0, -2), (-2, 0)])
     rs = build_root_system((("A", 2),))
     with pytest.raises(SatakeError, match="does not preserve the root system"):
         build_involution(make_satake(rs))
 
 
 def test_sigma_permuting_the_roots_but_not_an_involution_is_rejected(monkeypatch):
-    # w_L patched to the A2 Coxeter element, of order 3: sigma = -w_L
-    # permutes the roots, but sigma^2 sends alpha_1 to -alpha_1 - alpha_2
+    # w_L patched to the rotation with columns (0, -1), (1, 0) on A1 x A1, of
+    # order 4: sigma = -w_L permutes the roots, commutes with w_0 = -1 and
+    # pairs each simple root to 0, but sigma^2 sends alpha_1 to -alpha_1
     monkeypatch.setattr("wonderful.involution.longest_element",
-                        lambda rs, iota: [(0, 1), (-1, -1)])
-    rs = build_root_system((("A", 2),))
+                        lambda rs, iota: [(0, -1), (1, 0)])
+    rs = build_root_system((("A", 1), ("A", 1)))
     with pytest.raises(SatakeError, match="sigma is not an involution"):
         build_involution(make_satake(rs))
 
@@ -213,6 +222,26 @@ def test_build_involution_applies_no_matrix(monkeypatch):
         except SatakeError:
             pass
     assert built == 88
+
+
+def test_rejected_data_never_extend_sigma(monkeypatch):
+    # root_steps is read only to extend sigma past the simple roots, which
+    # runs after every check on the simple images
+    extended = []
+
+    def counted_steps(rs):
+        extended.append(rs)
+        return root_steps(rs)
+
+    monkeypatch.setattr("wonderful.involution.root_steps", counted_steps)
+    built = 0
+    for sd in _scan_data():
+        try:
+            build_involution(sd)
+            built += 1
+        except SatakeError:
+            pass
+    assert built == len(extended) == 88
 
 
 def test_all_black_rejected():
@@ -246,7 +275,7 @@ def _reference_nilpotent_orbit_dimension(inv):
     if len(rs.components) == 2 or img == tuple(-x for x in theta):
         return None
     h = tuple(a - b for a, b in zip(coroot(rs, theta), coroot(rs, img)))
-    values = [pair_coweight(rs, h, beta) for beta in indexed_roots(rs)[1]]
+    values = [pair_coweight(rs, h, beta) for beta in _roots(rs)]
     return values.count(Fraction(1)) + 2 * values.count(Fraction(2))
 
 
@@ -257,7 +286,7 @@ def test_sigma_perm_is_the_matrix_on_indexed_roots():
     for record in records:
         inv, rrs = record.involution, record.restricted
         rs = inv.root_system
-        roots, _ = indexed_roots(rs)
+        roots = _roots(rs)
         npos = len(roots) // 2
         perm = inv.sigma_perm
         assert len(perm) == 2 * npos, record.label

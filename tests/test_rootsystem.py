@@ -19,17 +19,19 @@ from wonderful.rootsystem import (
     coroot,
     highest_roots,
     identify_cartan,
-    indexed_roots,
     inner_product,
     longest_element,
     memoised,
     minus_w0_permutation,
     opposition,
+    pack,
     pairing,
     positive_roots,
+    root_codes,
     root_steps,
     subsystem_roots,
     two_rho,
+    unpack,
 )
 from cartan_search import identify_cartan as search_identify_cartan
 from coweights import pair_coweight
@@ -77,7 +79,7 @@ def rho(rs):
 def test_root_counts(typ, rank):
     rs = build_root_system(((typ, rank),))
     assert 2 * len(positive_roots(rs)) == ROOT_COUNTS[(typ, rank)]
-    assert len(indexed_roots(rs)[1]) == ROOT_COUNTS[(typ, rank)]
+    assert len(root_codes(rs)[1]) == ROOT_COUNTS[(typ, rank)]
 
 
 def _bourbaki_lengths(typ, n):
@@ -110,16 +112,31 @@ def test_lengths_per_component():
 @pytest.mark.parametrize("typ,rank", ALL_TYPES)
 def test_indexed_roots_and_steps(typ, rank):
     rs = build_root_system(((typ, rank),))
-    roots, index = indexed_roots(rs)
-    npos = len(roots) // 2
-    assert roots[:npos] == positive_roots(rs)
-    assert all(roots[k + npos] == tuple(-x for x in roots[k]) for k in range(npos))
-    assert all(index[b] == k for k, b in enumerate(roots)) and len(index) == len(roots)
+    codes, index = root_codes(rs)
+    roots = positive_roots(rs)
+    npos = len(roots)
+    assert codes[:npos] == tuple(map(pack, roots))
+    assert all(codes[k + npos] == -codes[k] for k in range(npos))
+    assert all(index[c] == k for k, c in enumerate(codes)) and len(index) == 2 * npos
     steps = root_steps(rs)
     assert len(steps) == npos - rank
     for m, (k, i) in enumerate(steps, start=rank):
         assert k < m
         assert tuple(x + (j == i) for j, x in enumerate(roots[k])) == roots[m]
+
+
+@pytest.mark.parametrize("typ,rank", [(t, 100) for t in "ABCD"] + [("E", 8)])
+def test_pack_is_an_injective_linear_round_trip(typ, rank):
+    rs = build_root_system(((typ, rank),))
+    pos = positive_roots(rs)
+    roots = pos + tuple(tuple(-x for x in b) for b in pos)
+    codes = [pack(b) for b in roots]
+    assert [unpack(c, rank) for c in codes] == list(roots)
+    assert len(set(codes)) == len(roots)
+    # each root against the one as far from the end as it is from the start
+    for a, b, ca, cb in zip(roots, reversed(roots), codes, reversed(codes)):
+        assert pack(tuple(x + y for x, y in zip(a, b))) == ca + cb
+        assert pack(tuple(x - y for x, y in zip(a, b))) == ca - cb
 
 
 def test_equal_root_systems_hash_equal():
@@ -380,9 +397,9 @@ def _root_system_and_root(draw):
 @given(_root_system_and_root())
 def test_reflection_stability(data):
     rs, beta = data
-    roots = indexed_roots(rs)[1]
+    index = root_codes(rs)[1]
     for i in range(rs.rank):
-        assert reflect(rs, i, beta) in roots
+        assert pack(reflect(rs, i, beta)) in index
 
 
 @settings(max_examples=60, deadline=None)
@@ -402,7 +419,7 @@ def test_cartan_integers(data):
 def test_coroot_pairing_is_a_ratio_of_integer_forms(typ, rank):
     # the engine pairs <u^vee, w> as 2 (u, w) / (u, u) without building u^vee
     rs = build_root_system(((typ, rank),))
-    roots = indexed_roots(rs)[0]
+    roots = [unpack(c, rank) for c in root_codes(rs)[0]]
     rng = random.Random(f"{typ}{rank}")
     for _ in range(40):
         u, w = rng.choice(roots), rng.choice(roots)
