@@ -132,8 +132,7 @@ def build_restricted(inv):
     k = index[pack(theta)]
     theta_bar = unpack(codes[k] - codes[sigma_perm[k]], rs.rank)
     if not any(theta_bar):
-        raise ValueError("highest restricted root is not the restriction "
-                         "of the highest root")
+        raise ValueError("the highest root's component has no white node")
 
     # coroot(u) = S(u) / 6(u, u) with S(u)_j = gram6[j][j] u_j.  For a white
     # node i of case pairing p, 6(v, v) = (2 - p) gram6[i][i], so the case
