@@ -1,6 +1,7 @@
 """Numerical invariants of the minimal rational curve families."""
 
 from dataclasses import dataclass
+from operator import mul
 
 from .curves import minimal_covering_classes
 from .involution import moved_root_count, sigma_root
@@ -51,6 +52,7 @@ def dimensions(rrs):
     return s, t + s - 2, 2 * t, t - 1
 
 
+@memoised
 def sigma_theta_is_minus_theta(inv):
     """Whether sigma sends the highest root to its negative; group type
     (two ambient components swapped by sigma) counts as yes."""
@@ -123,7 +125,7 @@ def nilpotent_orbit_dimension(inv):
     g1 = g2 = 0
     # -beta pairs to -<w, beta>, so a positive root counts for the pair
     for beta in positive_roots(rs):
-        val = abs(sum(a * b for a, b in zip(w, beta)))
+        val = abs(sum(map(mul, w, beta)))
         if val == d:
             g1 += 1
         elif val == 2 * d:

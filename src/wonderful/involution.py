@@ -52,6 +52,9 @@ def make_satake(rs, black=(), arrows=()):
     black = tuple(sorted(set(black)))
     perm = list(range(rs.rank))
     for a, b in arrows:
+        # a negative index would wrap to a node from the end
+        if not (0 <= a < rs.rank and 0 <= b < rs.rank):
+            _fail("node index out of range")
         perm[a], perm[b] = b, a
     return SatakeData(rs, black, tuple(perm))
 

@@ -83,6 +83,7 @@ def _positive_count(typ, n):
             "E": {6: 36, 7: 63, 8: 120}.get(n), "F": 24, "G": 6}[typ]
 
 
+@lru_cache(maxsize=4096)  # bounded like _factors
 def _factor_dim(typ, rank, crossed):
     """dim G/P = |Phi+| - |Phi+_L|, L the uncrossed nodes, from the counts
     of the diagram's type and of the type of each component of L."""
@@ -235,6 +236,7 @@ def _factors(name):
         else tuple(_canonical(*d) for d in _parse_factor(name))
 
 
+@lru_cache(maxsize=4096)  # bounded like _factors
 def normalize_name(name):
     """Canonical sorted factor tuple of a product name."""
     return tuple(sorted(_name_factor(*d) for d in _factors(name)))

@@ -10,6 +10,7 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, wraps
+from operator import mul
 
 VALID_RANKS = {
     "A": lambda n: n >= 1,
@@ -163,16 +164,12 @@ def build_root_system(components):
 
 def pairing(rs, i, w):
     """<alpha_i^vee, w> for w in simple-root coordinates."""
-    return sum(a * x for a, x in zip(rs.cartan[i], w))
+    return sum(map(mul, rs.cartan[i], w))
 
 
 def _form6(rs, v, w):
     """6 (v, w); an integer for integer v and w."""
-    total = 0
-    for vi, row in zip(v, rs.gram6):
-        if vi:
-            total += vi * sum(g * wj for g, wj in zip(row, w) if wj)
-    return total
+    return sum([vi * sum(map(mul, row, w)) for vi, row in zip(v, rs.gram6) if vi])
 
 
 def inner_product(rs, v, w):
@@ -291,8 +288,8 @@ def opposition(rs, nodes):
     D_n for odd n, and the identity on the other types (Bourbaki, Plates)."""
     perm = {}
     for comp in connected_components(nodes, lambda i, j: rs.cartan[i][j] != 0):
-        typ, order = (("A", [0]) if len(comp) == 1
-                      else _bourbaki_order([[rs.cartan[i][j] for j in comp] for i in comp]))
+        typ, _, order = (("A", 1, [0]) if len(comp) == 1
+                         else identify_cartan([[rs.cartan[i][j] for j in comp] for i in comp]))
         n = len(comp)
         std = (range(n - 1, -1, -1) if typ == "A"
                else (*range(n - 2), n - 1, n - 2) if typ == "D" and n % 2
@@ -384,11 +381,17 @@ def identify_cartan(mat):
     """(type, rank, mapping) of an irreducible Cartan matrix, with
     mapping[standard 0-based index] = input index, or None: the type and
     order read off the diagram's shape, kept when the rank is valid and the
-    type's Cartan matrix is mat.  B2 wins over C2 and A3 over D3."""
+    type's Cartan matrix is mat.  B2 wins over C2 and A3 over D3.  Each
+    distinct matrix is identified once, and its callers share the answer."""
+    return _identify(tuple(map(tuple, mat)))
+
+
+@lru_cache(maxsize=4096)  # bounded, so a long --catalog cannot grow it without end
+def _identify(mat):
     n = len(mat)
     typ, order = _bourbaki_order(mat) or (None, None)
     if typ is None or not VALID_RANKS[typ](n):
         return None
     std = cartan_matrix(typ, n)
     same = all(std[k][l] == mat[i][j] for k, i in enumerate(order) for l, j in enumerate(order))
-    return (typ, n, order) if same else None
+    return (typ, n, tuple(order)) if same else None

@@ -192,6 +192,15 @@ def test_validate_flags_wrong_vmrt():
     assert "vmrt-components" in names
 
 
+@pytest.mark.parametrize("label, params", [("AI", {"r": 3}), ("AIII", {"n": 5, "r": 2})])
+def test_validate_flags_wrong_sigma_theta(label, params):
+    rec = instantiate(CAT, label, params)
+    assert rec.stored.sigma_theta is True
+    tampered = dataclasses.replace(
+        rec, stored=dataclasses.replace(rec.stored, sigma_theta=False))
+    assert _failures(tampered) == {("sigma-theta", "computed True, stored False")}
+
+
 def test_stored_name_above_the_rank_ceiling_fails_its_check():
     rec = instantiate(CAT, "GroupB", {"r": 2})
     tampered = dataclasses.replace(rec, stored=dataclasses.replace(
@@ -432,8 +441,11 @@ def _failures(record):
     ("GroupB", {"r": 2}, (0, 1, 0, 1), "primitivity", "no simple restricted root pairs to 1"),
     ("AIII", {"n": 4, "r": 1}, (1, 1, 1), "theta-bar",
      "theta_bar covector inconsistent with the ambient highest root"),
+    ("AI", {"r": 3}, (2, 2, 0), "nilpotent-oracle",
+     "2<theta_bar_covector, kappa> = 4 but independent count = 6"),
 ], ids=["dimensions-non-integral", "dimensions-degree", "theta-bar", "primitivity-integral",
-        "primitivity-divisible", "primitivity-pairs-to-1", "theta-bar-exceptional"])
+        "primitivity-divisible", "primitivity-pairs-to-1", "theta-bar-exceptional",
+        "nilpotent-oracle"])
 def test_wrong_theta_bar_fails_the_check(label, params, theta_bar, check, message):
     record = instantiate(CAT, label, params)
     assert validate(record) == []

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import json
 import os
+import pkgutil
 import resource
 import subprocess
 import sys
@@ -254,6 +255,17 @@ def test_satake_datum_failing_araki_exits_2(capsys, tmp_path):
     assert "(Araki's condition)" in err
 
 
+@pytest.mark.parametrize("arrows", ["[(1, 5)]", "[(0, 4)]"], ids=["past-rank", "zero"])
+def test_arrow_endpoint_out_of_range_exits_2(capsys, tmp_path, arrows):
+    # AIII n=5 has ambient A4: node 5 is past the rank, and node 0 would wrap
+    # to the last node
+    path = _write_catalog(tmp_path / "arrows.json", _set_field("arrows", arrows, label="AIII")(
+        _shipped_catalog()))
+    code, out, err = run(capsys, "report", "AIII", "n=5", "r=2", "--catalog", path)
+    assert (code, out) == (2, "")
+    assert err == "error: inconsistent Satake data: node index out of range\n"
+
+
 @pytest.mark.parametrize("key, expr, message", [
     ("ambient", "__import__", "name '__import__' is not defined"),
     ("kac", "affine_diagram('B', r", "'(' was never closed (<catalog>, line 1)"),
@@ -369,6 +381,25 @@ def test_catalog_longer_than_the_bound_exits_2(tmp_path):
         capture_output=True, text=True, env=_src_env(), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (2, "", "error: catalog is longer than 1000000 characters\n")
+
+
+# caches keyed per root system, whose rank is capped at the ambient rank ceiling
+_UNBOUNDED_CACHES = {"rootsystem.build_root_system", "rootsystem._root_generation",
+                     "rootsystem.highest_roots", "rootsystem.two_rho",
+                     "rootsystem.minus_w0_permutation"}
+
+
+def test_every_other_lru_cache_is_bounded():
+    # a --catalog can name any number of distinct diagrams and names
+    caches = {}
+    for info in pkgutil.iter_modules(wonderful.__path__):
+        module = importlib.import_module(f"wonderful.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert {"rootsystem._identify", "kac._factor_dim", "kac.normalize_name",
+            "kac._factors", "expressions._compile"} <= set(caches)
+    assert {name for name, maxsize in caches.items() if maxsize is None} <= _UNBOUNDED_CACHES
 
 
 def _drop_family(label):
