@@ -10,10 +10,11 @@ expected columns.  Each constraint, -> field and {...} chunk of the name
 templates gh, restricted, hc and vmrt follows the expressions.py grammar with
 the parameters in scope; its callables are range, list and, in kac, the Kac
 builders.  validate() compares each derived column with its stored value:
-restricted, sigma_theta, fano, hermitian (null, "e" or "ne"), hc, vmrt
-(omitted: hc), and emb of restricted type A_r, r >= 2.  Stored for output only:
-gh (G/H), and emb (multidegree of O(1) on the VMRT) elsewhere: build_report
-passes it through and validate() checks its factor count.
+restricted, sigma_theta, fano (from -K_X's weight, invariants.is_fano),
+hermitian (null, "e" or "ne"), hc, vmrt (omitted: hc), and emb of restricted
+type A_r, r >= 2.  Stored for output only: gh (G/H), and emb (multidegree of
+O(1) on the VMRT) elsewhere: build_report passes it through and validate()
+checks its factor count.
 """
 
 import itertools
@@ -248,8 +249,7 @@ def build_report(record):
     """VmrtReport for a record, assembled from all engine layers; the
     stored emb is read only as the documented fallback of vmrt_report."""
     descs = marked_diagrams(record.kac)
-    return vmrt_report(record.restricted, build_colors(record.involution),
-                       tuple((d.name, d.dim) for d in descs),
+    return vmrt_report(record.restricted, tuple((d.name, d.dim) for d in descs),
                        embedding_degree=record.stored.emb)
 
 
@@ -366,10 +366,10 @@ def validate(record):
             raise ValueError("no simple restricted root pairs to 1")
 
     def check_minimal_classes():
-        minimal_covering_classes(rrs, build_colors(inv))
+        minimal_covering_classes(rrs)
 
     def check_pushforward():
-        pushforward_class(rrs, build_colors(inv))
+        pushforward_class(rrs)
 
     def check_kappa_identity():
         if sigma_theta_is_minus_theta(inv):

@@ -1,38 +1,25 @@
 """Colors and curve classes on the compactification.
 
-Colors index a basis of the Picard group.  Curve classes are integer
-vectors over the colors; the class of a covering family of minimal
-rational curves solves psi(gamma) = theta_bar_covector.
+Colors index a basis of the Picard group; they are read off the stored
+cases of the white nodes.  Curve classes are integer vectors over the
+colors; the class of a covering family of minimal rational curves solves
+psi(gamma) = theta_bar_covector.  Each function here reads the colors of
+the restricted root system it is given; no caller passes them in.
 """
 
 from itertools import product
 
-from .involution import REAL
+from .involution import ORTHOGONAL, REAL
 from .rootsystem import _form6, memoised, minus_w0_permutation, unit_vector
 
 
 @memoised
 def build_colors(inv):
-    """Colors, sorted tuples of white nodes merged when beta = -sigma(alpha)
-    with <alpha^vee, beta> = 0; their number is the Picard rank."""
-    rs = inv.root_system
-    # -alpha_j sits at position j + N of the root codes, N positive roots
-    npos = len(inv.sigma_perm) // 2
-    merged = []
-    used = set()
-    for i in inv.satake.white_nodes:
-        if i in used:
-            continue
-        # sigma(alpha_i) = -alpha_j is possible only for j = tau(i)
-        j = inv.tau[i]
-        if j != i and j not in used and rs.cartan[i][j] == 0 \
-                and inv.sigma_perm[i] == j + npos:
-            merged.append(tuple(sorted((i, j))))
-            used.update((i, j))
-        else:
-            merged.append((i,))
-            used.add(i)
-    return tuple(sorted(merged))
+    """Colors: white nodes i and tau(i) share one exactly when i is
+    ORTHOGONAL, else i is its own; their number is the Picard rank.  That
+    is sigma(alpha_i) = -alpha_tau(i) with a_{i,tau(i)} = 0; README proves it."""
+    return tuple(sorted({tuple(sorted({i, inv.tau[i]})) if inv.cases[i] == ORTHOGONAL
+                         else (i,) for i in inv.satake.white_nodes}))
 
 
 def lambda_weight(inv, color):
@@ -64,10 +51,11 @@ def degree_functional(rs, eta):
 
 
 @memoised
-def minimal_covering_classes(rrs, colors):
+def minimal_covering_classes(rrs):
     """Curve classes gamma with psi(gamma) = theta_bar_covector,
     ordered with the lower-numbered exceptional color first."""
     expansion, witness = rrs.theta_bar_expansion, rrs.exceptional_pair
+    colors = build_colors(rrs.involution)
     color_fiber = [rrs.node_fiber[c[0]] for c in colors]
     per_index_colors = [[ci for ci, f in enumerate(color_fiber) if f == idx]
                         for idx in range(rrs.rank)]
@@ -96,11 +84,11 @@ def minimal_covering_classes(rrs, colors):
     return classes
 
 
-def pushforward_class(rrs, colors):
+def pushforward_class(rrs):
     """Class of the theta_bar cocharacter curve over the color basis,
     verified against the degree functional on every color weight."""
     inv = rrs.involution
-    classes = minimal_covering_classes(rrs, colors)
+    classes = minimal_covering_classes(rrs)
     if rrs.exceptional_pair is not None:
         expected = tuple(a + b for a, b in zip(classes[0], classes[1]))
     else:
@@ -109,7 +97,7 @@ def pushforward_class(rrs, colors):
     rs = rrs.root_system
     top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
     degree = degree_functional(rs, [rs.gram6[j][j] * x for j, x in enumerate(rrs.theta_bar)])
-    for ci, c in enumerate(colors):
+    for ci, c in enumerate(build_colors(inv)):
         if degree(lambda_weight(inv, c)) != expected[ci] * top:
             raise ValueError("pushforward class disagrees with the degree "
                              "functional")

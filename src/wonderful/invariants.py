@@ -1,9 +1,9 @@
 """Numerical invariants of the minimal rational curve families."""
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
-from .curves import minimal_covering_classes
+from .curves import build_colors, minimal_covering_classes
 from .involution import moved_root_count, sigma_root
 from .rootsystem import (
     _form6,
@@ -23,6 +23,7 @@ O_MIN = "O_min"
 O_SUM = "O_sum_sigma"
 
 
+@memoised
 def kappa_and_sigma(rrs):
     """(kappa, Sigma): the sum of positive roots sent to negatives, and
     the sum of the restricted simple roots."""
@@ -31,11 +32,7 @@ def kappa_and_sigma(rrs):
     codes = root_codes(rs)[0]
     npos = len(codes) // 2
     kappa = sum(codes[k] for k in range(npos) if inv.sigma_perm[k] >= npos)
-    sigma_sum = [0] * rs.rank
-    for v in rrs.restricted_simple:
-        for k in range(rs.rank):
-            sigma_sum[k] += v[k]
-    return unpack(kappa, rs.rank), tuple(sigma_sum)
+    return unpack(kappa, rs.rank), tuple(map(sum, zip(*rrs.restricted_simple)))
 
 
 @memoised
@@ -139,14 +136,15 @@ def dim_isotropy_complement(rrs):
     return rrs.rank + moved_root_count(rrs.involution) // 2
 
 
+@memoised
 def is_fano(rrs):
-    """Fano unless the datum is split (no black nodes, no arrows) with
-    restricted type not A or B."""
-    sd = rrs.involution.satake
-    split = not sd.black_nodes and all(
-        sd.diagram_involution[i] == i for i in range(rrs.root_system.rank))
-    letter = rrs.type_label.rstrip("0123456789")
-    return not (split and letter not in ("A", "B"))
+    """Whether X is Fano.  -K_X restricts to the closed orbit G/P with weight
+    kappa + Sigma, and a line bundle on a wonderful variety is ample iff its
+    restriction to the closed orbit is (Brion, Duke Math. J. 58, 1989): iff
+    its weight pairs positively with every white simple coroot."""
+    weight = tuple(map(add, *kappa_and_sigma(rrs)))
+    return all(pairing(rrs.root_system, i, weight) > 0
+               for i in rrs.involution.satake.white_nodes)
 
 
 @memoised
@@ -206,7 +204,7 @@ class VmrtReport:
         return len(self.minimal_classes)
 
 
-def vmrt_report(rrs, colors, hc_components, embedding_degree):
+def vmrt_report(rrs, hc_components, embedding_degree):
     """Assemble the report; hc_components is a list of (name, dim) pairs
     for the marked-diagram descriptors.  embedding_degree is the stored
     multidegree, used only where the engine has no rule: outside
@@ -251,8 +249,8 @@ def vmrt_report(rrs, colors, hc_components, embedding_degree):
         hermitian=hermitian,
         exceptional=exceptional,
         fano=is_fano(rrs),
-        picard_rank=len(colors),
-        minimal_classes=minimal_covering_classes(rrs, colors),
+        picard_rank=len(build_colors(inv)),
+        minimal_classes=minimal_covering_classes(rrs),
         vmrt_components=components,
         embedding_degree=embedding_degree,
     )

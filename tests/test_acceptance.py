@@ -293,14 +293,14 @@ def test_curve_class_suite():
         rrs = record.restricted
         label = record.label
         colors = build_colors(record.involution)
-        classes = minimal_covering_classes(rrs, colors)
+        classes = minimal_covering_classes(rrs)
         tbc = coroot(rrs.root_system, rrs.theta_bar)
         for gamma in classes:
             assert all(isinstance(c, int) and c >= 0 for c in gamma), label
             assert psi(rrs, colors, gamma) == tbc, label
         matrix = boundary_pairing(rrs, colors)
         assert all(isinstance(v, int) for row in matrix for v in row), label
-        push = pushforward_class(rrs, colors)
+        push = pushforward_class(rrs)
         witness = rrs.exceptional_pair
         if witness is not None:
             assert len(classes) == 2, label
@@ -323,8 +323,7 @@ def test_anchor_rank_one_quadric():
 def test_anchor_projective_space():
     record = instantiate(CAT, "AIII", {"n": 4, "r": 1})
     assert dimensions(record.restricted) == (1, 2, 6, 2)
-    colors = build_colors(record.involution)
-    assert len(minimal_covering_classes(record.restricted, colors)) == 2
+    assert len(minimal_covering_classes(record.restricted)) == 2
 
 
 def test_anchor_rank_one_group():

@@ -472,9 +472,9 @@ def test_wrong_orbit_dimension_fails_the_kappa_identity(monkeypatch):
 
 def test_wrong_minimal_class_fails_the_pushforward(monkeypatch):
     record = instantiate(CAT, "CII", {"n": 3, "r": 1})
-    (gamma,) = minimal_covering_classes(record.restricted, build_colors(record.involution))
+    (gamma,) = minimal_covering_classes(record.restricted)
     monkeypatch.setattr("wonderful.curves.minimal_covering_classes",
-                        lambda rrs, colors: (tuple(c + 1 for c in gamma),))
+                        lambda rrs: (tuple(c + 1 for c in gamma),))
     assert ("pushforward", "pushforward class disagrees with the degree functional") \
         in _failures(record)
 

@@ -22,6 +22,8 @@ from wonderful.rootsystem import (
     unit_vector,
 )
 from coweights import boundary_pairing, cocharacter_curve, color_coroot, pair_coweight, psi
+from picard_rules import merged_colors
+from test_invariants import rule_systems
 from test_restricted import restrict_root
 from weyl_words import longest_subsystem_word, word_matrix
 
@@ -38,33 +40,33 @@ def test_bdii_single_color():
     assert colors == ((0,),)
     assert lambda_weight(inv, (0,)) == (1, 0)
     assert boundary_pairing(rrs, colors) == ((2,),)
-    assert minimal_covering_classes(rrs, colors) == ((1,),)
-    assert pushforward_class(rrs, colors) == (2,)
+    assert minimal_covering_classes(rrs) == ((1,),)
+    assert pushforward_class(rrs) == (2,)
 
 
 def test_aiii_exceptional_two_colors():
     inv, rrs, colors = _setup((("A", 3),), black=[1], arrows=[(0, 2)])
     assert colors == ((0,), (2,))
     assert lambda_weight(inv, (0,)) == (1, 0, 0)
-    classes = minimal_covering_classes(rrs, colors)
+    classes = minimal_covering_classes(rrs)
     assert classes == ((1, 0), (0, 1))
     assert psi(rrs, colors, classes[0]) == coroot(rrs.root_system, rrs.theta_bar)
-    assert pushforward_class(rrs, colors) == (1, 1)
+    assert pushforward_class(rrs) == (1, 1)
 
 
 def test_group_a1_merged_color():
     inv, rrs, colors = _setup((("A", 1), ("A", 1)), arrows=[(0, 1)])
     assert colors == ((0, 1),)
     assert lambda_weight(inv, (0, 1)) == (1, 1)
-    assert minimal_covering_classes(rrs, colors) == ((1,),)
-    assert pushforward_class(rrs, colors) == (2,)
+    assert minimal_covering_classes(rrs) == ((1,),)
+    assert pushforward_class(rrs) == (2,)
 
 
 def test_split_a1_real_color():
     inv, rrs, colors = _setup((("A", 1),))
     assert colors == ((0,),)
     assert lambda_weight(inv, (0,)) == (2,)
-    assert pushforward_class(rrs, colors) == (2,)
+    assert pushforward_class(rrs) == (2,)
 
 
 def test_quasi_split_a4_no_merge_on_adjacent():
@@ -72,8 +74,14 @@ def test_quasi_split_a4_no_merge_on_adjacent():
     # so they are separate colors and the class splits there
     inv, rrs, colors = _setup((("A", 4),), arrows=[(0, 3), (1, 2)])
     assert colors == ((0, 3), (1,), (2,))
-    classes = minimal_covering_classes(rrs, colors)
+    classes = minimal_covering_classes(rrs)
     assert classes == ((1, 1, 0), (1, 0, 1))
+
+
+def test_colors_read_off_the_cases_match_the_merge_test():
+    records, raw = rule_systems()
+    for rrs in records + raw:
+        assert build_colors(rrs.involution) == merged_colors(rrs.involution), rrs.type_label
 
 
 def test_minus_w0_compatible_with_restriction():
@@ -111,7 +119,7 @@ def test_boundary_pairing_integral():
         inv, rrs, colors = _setup(*spec)
         mat = boundary_pairing(rrs, colors)
         assert all(isinstance(x, int) for row in mat for x in row)
-        classes = minimal_covering_classes(rrs, colors)
+        classes = minimal_covering_classes(rrs)
         for gamma in classes:
             assert all(c >= 0 for c in gamma)
 

@@ -1,10 +1,12 @@
 """Dimension formulas, orbit types and the report invariants."""
 
 import dataclasses
+from functools import lru_cache
+from operator import add
 
 import pytest
 
-from wonderful.curves import build_colors
+from wonderful.catalog import enumerate_records, instantiate, load_catalog
 from wonderful.invariants import (
     O_MIN,
     O_SUM,
@@ -23,8 +25,10 @@ from wonderful.invariants import (
 )
 from wonderful.involution import build_involution, make_satake
 from wonderful.restricted import build_restricted
-from wonderful.rootsystem import build_root_system, coroot, two_rho
+from wonderful.rootsystem import build_root_system, coroot, pairing, two_rho
 from coweights import pair_coweight
+from picard_rules import split_rule_fano
+from satake_data import raw_data, satake
 
 
 def _setup(components, black=(), arrows=()):
@@ -99,6 +103,55 @@ def test_fano_rule():
     assert is_fano(eii)
 
 
+@lru_cache(maxsize=None)
+def rule_systems():
+    """(records, raw): the restricted root systems of the 497 catalog records
+    (ambient rank <= 16 and GroupE6-E8) and of every accepted raw datum."""
+    cat = load_catalog()
+    records = enumerate_records(cat, 16) + [instantiate(cat, f"GroupE{n}") for n in (6, 7, 8)]
+    raw = []
+    for datum in raw_data():
+        try:
+            raw.append(build_restricted(build_involution(satake(datum))))
+        except ValueError:
+            pass
+    return tuple(r.restricted for r in records), tuple(raw)
+
+
+def _minus_k_pairings(rrs):
+    """<alpha_i^vee, kappa + Sigma> for every node i."""
+    rs = rrs.root_system
+    weight = tuple(map(add, *kappa_and_sigma(rrs)))
+    return tuple(pairing(rs, i, weight) for i in range(rs.rank))
+
+
+def test_fano_from_minus_k_matches_the_split_rule():
+    records, raw = rule_systems()
+    assert (len(records), len(raw)) == (497, 146)
+    for rrs in records + raw:
+        assert is_fano(rrs) == split_rule_fano(rrs), rrs.type_label
+    # a non-Fano record fails by a white pairing of exactly 0
+    non_fano = [rrs for rrs in records if not is_fano(rrs)]
+    assert len(non_fano) == 32
+    for rrs in non_fano:
+        pairs = _minus_k_pairings(rrs)
+        assert min(pairs[i] for i in rrs.involution.satake.white_nodes) == 0
+
+
+def test_minus_k_weight_pairs_to_zero_with_black_coroots():
+    # kappa + Sigma is a character of the parabolic P of the closed orbit
+    records, raw = rule_systems()
+    for rrs in records + raw:
+        pairs = _minus_k_pairings(rrs)
+        assert all(pairs[i] == 0 for i in rrs.involution.satake.black_nodes)
+
+
+def test_minus_k_weight_of_ci_r3():
+    rrs = instantiate(load_catalog(), "CI", {"r": 3}).restricted
+    assert _minus_k_pairings(rrs) == (4, 0, 4)
+    assert not is_fano(rrs)
+
+
 def test_dimension_identity_family_hc():
     for spec in [((("B", 2),), [1], ()),
                  ((("A", 3),), [1], [(0, 2)]),
@@ -113,9 +166,8 @@ def test_dimension_identity_family_hc():
 
 
 def test_report_rank_one():
-    inv, rrs = _setup((("B", 2),), black=[1])
-    report = vmrt_report(rrs, build_colors(inv), hc_components=[("Q1", 2)],
-                         embedding_degree=(1,))
+    rrs = _setup((("B", 2),), black=[1])[1]
+    report = vmrt_report(rrs, hc_components=[("Q1", 2)], embedding_degree=(1,))
     assert report.restricted_type == "A1"
     assert report.vmrt_components == (("P3", 3),)
     assert report.n_families == 1
@@ -124,9 +176,8 @@ def test_report_rank_one():
 
 
 def test_report_bc_type_uses_hc():
-    inv, rrs = _setup((("A", 3),), black=[1], arrows=[(0, 2)])
-    report = vmrt_report(rrs, build_colors(inv),
-                         hc_components=[("P2", 2), ("P2", 2)],
+    rrs = _setup((("A", 3),), black=[1], arrows=[(0, 2)])[1]
+    report = vmrt_report(rrs, hc_components=[("P2", 2), ("P2", 2)],
                          embedding_degree=(1,))
     assert report.exceptional
     assert report.vmrt_components == (("P2", 2),)
@@ -135,10 +186,9 @@ def test_report_bc_type_uses_hc():
 
 
 def test_report_rejects_bad_orbit_dimension():
-    inv, rrs = _setup((("A", 3),), black=[1], arrows=[(0, 2)])
+    rrs = _setup((("A", 3),), black=[1], arrows=[(0, 2)])[1]
     with pytest.raises(ValueError):
-        vmrt_report(rrs, build_colors(inv),
-                    hc_components=[("P2", 5), ("P2", 5)],
+        vmrt_report(rrs, hc_components=[("P2", 5), ("P2", 5)],
                     embedding_degree=(1,))
 
 
