@@ -37,6 +37,7 @@ from .invariants import (
 from .involution import build_involution, is_inner, make_satake, sigma_root
 from .kac import (
     KAC_BUILDERS,
+    KacDiagram,
     canonical_type,
     marked_diagrams,
     name_dimension,
@@ -194,6 +195,28 @@ def _route(label, params):
     return label, params
 
 
+# what each -> field must evaluate to, and the _kind of its list items
+_FIELDS = {"ambient": ("a list of (type, rank) pairs", (str, int)),
+           "black": ("a list of ints", int), "arrows": ("a list of node pairs", (int, int)),
+           "kac": ("a Kac diagram", None)}
+
+
+def _kind(x):
+    return tuple(map(type, x)) if type(x) in (list, tuple) else type(x)
+
+
+def _field(template, key, env):
+    """A family's -> field evaluated in env; ValueError names the family and
+    the field unless the value has the shape _FIELDS gives."""
+    value = _eval(template.data[key], env)
+    what, item = _FIELDS[key]
+    if not (isinstance(value, KacDiagram) if item is None else type(value) in (list, tuple)
+            and all(_kind(x) == item for x in value)):
+        raise ValueError(f"catalog family {template.label!r}: field {key!r} must "
+                         f"evaluate to {what}")
+    return value
+
+
 def instantiate(catalog, label, params=None):
     params = dict(params or {})
     template = catalog.by_label.get(label)
@@ -219,18 +242,17 @@ def instantiate(catalog, label, params=None):
                 f"family {label}: condition {cond!r} fails for {params}")
     params = {k: params[k] for k in template.params}
     data = template.data
-    ambient = tuple((str(t), int(n)) for t, n in _eval(data["ambient"], params))
+    ambient = tuple(map(tuple, _field(template, "ambient", params)))
     rank = sum(n for _, n in ambient)
     if rank > MAX_AMBIENT_RANK:
         raise ValueError(f"family {label}: ambient rank {rank} is above the "
                          f"ceiling {MAX_AMBIENT_RANK}")
     rs = build_root_system(ambient)
-    black = tuple(sorted(int(b) - 1 for b in _eval(data["black"], params)))
-    arrows = tuple((int(i) - 1, int(j) - 1)
-                   for i, j in _eval(data["arrows"], params))
+    black = tuple(sorted(b - 1 for b in _field(template, "black", params)))
+    arrows = tuple((i - 1, j - 1) for i, j in _field(template, "arrows", params))
     inv = build_involution(make_satake(rs, black, arrows))
     rrs = build_restricted(inv)
-    kd = _eval(data["kac"], {**params, **KAC_BUILDERS})
+    kd = _field(template, "kac", {**params, **KAC_BUILDERS})
     stored = StoredColumns(
         gh=_fmt(data["gh"], params),
         restricted_type=_fmt(data["restricted"], params),
@@ -462,7 +484,7 @@ def enumerate_records(catalog, max_rank):
                 continue
             if not all(_eval(c, params) for c in template.constraints):
                 continue
-            ambient = _eval(template.data["ambient"], params)
+            ambient = _field(template, "ambient", params)
             if sum(n for _, n in ambient) > max_rank:
                 continue
             out.append(instantiate(catalog, template.label, params))

@@ -279,6 +279,25 @@ def test_unevaluable_catalog_expression_exits_2(capsys, tmp_path, key, expr, mes
     assert err == f"error: catalog expression {expr!r}: {message}\n"
 
 
+@pytest.mark.parametrize("key, expr, shape", [
+    ("ambient", "5", "a list of (type, rank) pairs"),
+    ("ambient", "[5]", "a list of (type, rank) pairs"),
+    ("black", "5", "a list of ints"),
+    ("black", "[[1]]", "a list of ints"),
+    ("arrows", "[1]", "a list of node pairs"),
+    ("kac", "5", "a Kac diagram"),
+    ("kac", "[(1, 2)]", "a Kac diagram"),
+], ids=["ambient-int", "ambient-list-of-int", "black-int", "black-nested",
+        "arrows-list-of-int", "kac-int", "kac-list"])
+def test_catalog_expression_of_the_wrong_shape_exits_2(capsys, tmp_path, key, expr, shape):
+    # each evaluates under the grammar, to a value its reader cannot take
+    path = _write_catalog(tmp_path / "shape.json",
+                          _set_field(key, expr, label="AI")(_shipped_catalog()))
+    code, out, err = run(capsys, "report", "AI", "r=3", "--catalog", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: catalog family 'AI': field {key!r} must evaluate to {shape}\n"
+
+
 # a constraint that reaches every class of the interpreter through attributes
 _ESCAPE = "len(().__class__.__base__.__subclasses__()) > 0 and 2 <= r"
 
