@@ -340,6 +340,14 @@ def test_exceptional_group_cases_validate_clean(label, rank):
     assert validate(record) == []
 
 
+def test_every_family_validates_clean():
+    # GroupE6-E8 (ambient rank 12-16) are the only labels above rank 8
+    records = _all_records() + [instantiate(CAT, f"GroupE{n}", {}) for n in (6, 7, 8)]
+    assert all(validate(record) == [] for record in records)
+    assert {r.label for r in records} == set(CAT.by_label)
+    assert len(CAT.by_label) == 36
+
+
 def test_negative_control_satake_bit():
     from wonderful.involution import build_involution, make_satake
     from wonderful.restricted import build_restricted

@@ -5,6 +5,7 @@ import fnmatch
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,8 +27,11 @@ from wonderful.invariants import (
 )
 from wonderful.curves import build_colors, minimal_covering_classes
 from wonderful.expressions import _BRACE, _compile, _eval
+from wonderful.involution import build_involution
 from wonderful.kac import marked_diagrams
+from wonderful.restricted import build_restricted
 from wonderful.rootsystem import build_root_system, pack, root_codes
+from satake_data import diagram_class, raw_data, satake
 from test_cli import _src_env
 
 CAT = load_catalog()
@@ -118,6 +122,43 @@ def test_instantiate_errors():
         instantiate(CAT, "AIII", {"n": 3, "r": 2})
     with pytest.raises(ValueError, match="condition"):
         instantiate(CAT, "CI", {"r": 2})
+
+
+def test_catalog_is_the_complete_classification():
+    """Every raw Satake datum of rank <= 8 that builds is filed in the catalog,
+    up to diagram automorphism, but for four coincidences of small rank."""
+    data = raw_data()
+    accepted = []
+    for datum in data:
+        try:
+            build_restricted(build_involution(satake(datum)))
+        except ValueError:
+            continue
+        accepted.append(datum)
+    assert (len(data), len(accepted)) == (2970, 146)
+    classes = {diagram_class(*datum) for datum in accepted}
+    assert len(classes) == 138
+    # the noncompact real forms of each simple algebra, e.g. sl(8): AI, AII
+    # and AIII r = 1..4; sp(16): CI and CII r = 1..4; so(16): DI r = 1..8 and DIII
+    per_type = Counter((typ, n) for typ, n, _ in classes)
+    want = {("A", 7): 6, ("B", 8): 8, ("C", 8): 5, ("D", 8): 9, ("E", 6): 4,
+            ("E", 7): 3, ("E", 8): 2}
+    assert {t: per_type[t] for t in want} == want
+    filed = {}
+    for record in enumerate_records(CAT, 8):
+        if len(record.root_system.components) == 1:
+            sd = record.involution.satake
+            arrows = tuple((i, j) for i, j in enumerate(sd.diagram_involution) if i < j)
+            key = diagram_class(*record.root_system.components[0], sd.black_nodes, arrows)
+            filed.setdefault(key, []).append((record.label, record.params))
+    assert len(filed) == 134 and set(filed) <= classes
+    # each is filed under the isomorphic type of A3 = D3 or B2 = C2:
+    # su*(4) = so(5,1), sp(4,R) = so(3,2), sp(1,1) = so(4,1), so(3,3) = sl(4,R)
+    assert classes - set(filed) == {("A", 3, ((0, 2), ())), ("C", 2, ((), ())),
+                                    ("C", 2, ((0,), ())), ("D", 3, ((), ()))}
+    # so(2,6) and so*(8) meet under triality
+    assert {k: v for k, v in filed.items() if len(v) > 1} == {
+        ("D", 4, ((0, 2), ())): [("BDI2", {"n": 8}), ("DIIIeven", {"r": 2})]}
 
 
 def test_anchor_odd_quadric():
@@ -459,6 +500,19 @@ def test_wrong_theta_bar_expansion_fails_the_minimal_classes_check():
     forged = dataclasses.replace(record, restricted=dataclasses.replace(
         record.restricted, theta_bar_expansion=(2,)))
     assert ("minimal-classes", "expected 2 minimal classes, found 3") in _failures(forged)
+
+
+def test_missing_exceptional_pair_fails_the_picard_rank():
+    # AIII n=5 r=2 is exceptional: its three colors are one more than its
+    # restricted rank, which a non-exceptional system must equal
+    record = instantiate(CAT, "AIII", {"n": 5, "r": 2})
+    forged = dataclasses.replace(record, restricted=dataclasses.replace(
+        record.restricted, exceptional_pair=None))
+    failures = _failures(forged)
+    assert ("picard-rank", "Picard rank 3, expected 2") in failures
+    assert {name for name, _ in failures} == {
+        "exceptional-flag", "picard-rank", "minimal-classes", "pushforward",
+        "kac-descriptors", "vmrt-components", "emb-structure"}
 
 
 def test_wrong_orbit_dimension_fails_the_kappa_identity(monkeypatch):
