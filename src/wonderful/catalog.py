@@ -210,8 +210,11 @@ def _field(template, key, env):
     the field unless the value has the shape _FIELDS gives."""
     value = _eval(template.data[key], env)
     what, item = _FIELDS[key]
-    if not (isinstance(value, KacDiagram) if item is None else type(value) in (list, tuple)
-            and all(_kind(x) == item for x in value)):
+    if item is None:
+        ok = isinstance(value, KacDiagram)
+    else:
+        ok = type(value) in (list, tuple) and all(_kind(x) == item for x in value)
+    if not ok:
         raise ValueError(f"catalog family {template.label!r}: field {key!r} must "
                          f"evaluate to {what}")
     return value
