@@ -3,8 +3,8 @@
 Colors index a basis of the Picard group; they are read off the stored
 cases of the white nodes.  Curve classes are integer vectors over the
 colors; the class of a covering family of minimal rational curves solves
-psi(gamma) = theta_bar_covector.  Each function here reads the colors of
-the restricted root system it is given; no caller passes them in.
+psi(gamma) = theta_bar_covector.  Each function that needs the colors
+reads them off the restricted root system it is given.
 """
 
 from itertools import product
