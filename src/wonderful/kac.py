@@ -9,8 +9,8 @@ black components, crossed at the neighbors of the marked node.
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, prod
 
-from .linalg import nullspace_line
 from .rootsystem import (
     MAX_AMBIENT_RANK,
     _form6,
@@ -59,11 +59,38 @@ class HomogeneousSpaceDescriptor:
 
 
 def diagram_marks(kd):
-    """Primitive positive integer null vector of the affine Cartan matrix."""
-    marks = nullspace_line(kd.cartan())
-    if marks is None or any(m <= 0 for m in marks):
+    """Primitive positive integer null vector of the affine Cartan matrix A.  On a
+    tree, row i of A m = 0 gives m_i / m_parent, leaves first; else try all 1 (A_n^(1)).
+    Connected with A m = 0 and m > 0 is affine (Kac, Thm 4.3; Tables Aff 1-3)."""
+    n, links = kd.size, [{} for _ in range(kd.size or 1)]  # no node: unconnected
+    for i, j, aij, aji in kd.edges:
+        if not (0 <= i < n and 0 <= j < n) or i == j or j in links[i] or max(aij, aji) >= 0:
+            raise ValueError(f"Kac diagram edge {i, j, aij, aji} is not a new bond of 2 nodes")
+        links[i][j], links[j][i] = aij, aji
+    order, parent = [0], {0: None}  # breadth first from node 0
+    for i in order:
+        for j in links[i].keys() - parent.keys():
+            parent[j] = i
+            order.append(j)
+    marks = [1] * n
+    if len(order) == n and len(kd.edges) == n - 1:
+        ratio = {}  # m_i / m_parent as a reduced pair, leaves first
+        for i in reversed(order[1:]):
+            s, d = 2, 1  # 2 + the sum of a_ic m_c / m_i over the children c, as s / d
+            for c in links[i].keys() - {parent[i]}:
+                s, d = s * ratio[c][1] + links[i][c] * ratio[c][0] * d, d * ratio[c][1]
+            if s <= 0:  # m_parent / m_i = s / (-a_ip d) must be positive
+                raise ValueError("diagram is not affine")
+            g = gcd(num := -links[i][parent[i]] * d, s)
+            ratio[i] = num // g, s // g
+        marks[0] = prod(den for _, den in ratio.values())  # so each m_i is an integer
+        for i in order[1:]:
+            marks[i] = marks[parent[i]] * ratio[i][0] // ratio[i][1]
+    if len(order) != n or any(2 * m + sum(a * marks[j] for j, a in links[i].items())
+                              for i, m in enumerate(marks)):
         raise ValueError("diagram is not affine")
-    return tuple(marks)
+    g = gcd(*marks)
+    return tuple(m // g for m in marks)
 
 
 def validate_diagram(kd, inner):

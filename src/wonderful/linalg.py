@@ -1,7 +1,6 @@
-"""Exact linear algebra for small dense integer and rational systems."""
+"""Exact linear algebra on one fraction-free elimination loop; the engine uses row_rank."""
 
 from fractions import Fraction
-from math import gcd
 
 
 def _eliminate(rows, ncols):
@@ -29,6 +28,11 @@ def _eliminate(rows, ncols):
     return rows, pivots, prev
 
 
+def row_rank(rows):
+    """Rank of a list of integer rows."""
+    return len(_eliminate(rows, max(map(len, rows), default=0))[1])
+
+
 def solve_scaled(a, b):
     """Integer x and d != 0 with a x = d b, for a square integer matrix a
     and an integer matrix b.  Raises ValueError on a singular matrix."""
@@ -45,24 +49,3 @@ def invert(a):
     n = len(a)
     x, d = solve_scaled(a, [[int(i == j) for j in range(n)] for i in range(n)])
     return [[Fraction(v, d) for v in row] for row in x]
-
-
-def nullspace_line(a):
-    """Return a basis vector of the nullspace if it is one-dimensional, else None.
-
-    The vector is scaled to primitive integer entries with positive sum.
-    """
-    n = len(a)
-    rows, pivots, d = _eliminate(a, n)
-    free = [c for c in range(n) if c not in pivots]
-    if len(free) != 1:
-        return None
-    # a v = 0 for v[free] = d and v[pc] = -(pivot row of pc)[free]
-    vec = [d if c == free[0] else 0 for c in range(n)]
-    for row, pc in zip(rows, pivots):
-        vec[pc] = -row[free[0]]
-    g = gcd(*vec)
-    vec = [x // g for x in vec]
-    if sum(vec) < 0:
-        vec = [-x for x in vec]
-    return vec

@@ -10,13 +10,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .linalg import solve_scaled
+from .linalg import row_rank, solve_scaled
 from .involution import NONREDUCED
 from .rootsystem import (
     _form6,
     highest_roots,
     identify_cartan,
     pack,
+    pairing,
     root_codes,
     unpack,
 )
@@ -97,18 +98,21 @@ def build_restricted(inv):
         v = codes[k] - codes[sigma_perm[k]]
         if v:
             mult[v] = mult.get(v, 0) + 1
-    _left_inverse(dbar)  # raises on a dependent restricted simple system
+    if row_rank(dbar) < rank:
+        raise ValueError("restricted simple roots are linearly dependent")
 
     doubled = [i for i, v in enumerate(fibers) if 2 * v in mult]
     if len(doubled) > 1:
         raise ValueError("more than one doubled restricted simple root")
     doubled_index = doubled[0] if doubled else None
 
-    sq6 = [_form6(rs, v, v) for v in dbar]
-    # for i in fiber k of case pairing p, 2(v_k, v_l)/(v_k, v_k) =
-    # 2<alpha_i^vee, v_l>/(2 - p): an integer for p = 1 and p = 0, and for
-    # p = -2, sigma(alpha_i) = -alpha_i gives <alpha_i^vee, v_l> = 2 a_ij
-    cartan = [[2 * _form6(rs, v, w) // s for w in dbar] for v, s in zip(dbar, sq6)]
+    # for i = f[0] in fiber k, sigma is an isometric involution with sigma v_l =
+    # -v_l, so 6(v_k, v_l) = 12(alpha_i, v_l) = gram6[i][i] <alpha_i^vee, v_l>, and
+    # 2(v_k, v_l)/(v_k, v_k) = 2<alpha_i^vee, v_l>/(2 - p), p the case pairing of i:
+    # an integer for p = 1, 0, and for p = -2 (v_k = 2 alpha_i) <alpha_i^vee, v_l> = 2 a_ij
+    pairs = [[pairing(rs, f[0], w) for w in dbar] for f in fibers.values()]
+    sq6 = [rs.gram6[f[0]][f[0]] * p[k] for k, (f, p) in enumerate(zip(fibers.values(), pairs))]
+    cartan = [[2 * x // p[k] for x in p] for k, p in enumerate(pairs)]
     ident = identify_cartan(cartan)
     if ident is None:
         raise ValueError("restricted simple system has no Cartan type")

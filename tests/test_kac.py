@@ -3,10 +3,22 @@
 import hashlib
 import itertools
 import json
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wonderful.catalog import _eval, _fmt, _route, enumerate_records, load_catalog, validate
+from wonderful.catalog import (
+    _eval,
+    _fmt,
+    _route,
+    enumerate_records,
+    instantiate,
+    load_catalog,
+    validate,
+)
 from wonderful.kac import (
     KAC_BUILDERS,
     KacDiagram,
@@ -115,6 +127,124 @@ def test_non_affine_rejected():
     kd = KacDiagram(("w", "b"), ((0, 1, -1, -1),))
     with pytest.raises(ValueError):
         diagram_marks(kd)
+
+
+def _fraction_nullspace_line(a):
+    """Reference: Gauss-Jordan over Fraction, the free column set to 1; the
+    primitive integer null vector with nonnegative sum, or None unless the
+    null space is a line."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        m[row] = [x / m[row][col] for x in m[row]]
+        for r in range(n):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        return None
+    vec = [Fraction(0)] * n
+    vec[free[0]] = Fraction(1)
+    for r, pc in enumerate(pivots):
+        vec[pc] = -m[r][free[0]]
+    denom = lcm(*(x.denominator for x in vec))
+    ints = [int(x * denom) for x in vec]
+    g = gcd(*ints)
+    ints = [x // g for x in ints]
+    return ints if sum(ints) >= 0 else [-x for x in ints]
+
+
+def _agrees_with_the_reference(kd):
+    """diagram_marks returns the reference's vector when that is positive, and
+    raises ValueError otherwise."""
+    ref = _fraction_nullspace_line(kd.cartan())
+    if ref is not None and min(ref) > 0:
+        assert diagram_marks(kd) == tuple(ref), kd
+    else:
+        with pytest.raises(ValueError, match="^diagram is not affine$"):
+            diagram_marks(kd)
+    return ref is not None and min(ref) > 0
+
+
+def test_marks_match_the_fraction_reference_on_every_engine_diagram():
+    catalog = load_catalog()
+    records = enumerate_records(catalog, 10) + [instantiate(catalog, f"GroupE{n}")
+                                                for n in (6, 7, 8)]
+    affine = [(t, n) for t in "ABCD" for n in range(1, 12) if VALID_RANKS[t](n)]
+    affine += [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    diagrams = [r.kac for r in records] + [affine_diagram(*key) for key in affine]
+    assert (len(records), len(affine)) == (218, 45)
+    assert all(_agrees_with_the_reference(kd) for kd in diagrams)
+
+
+# the twisted affine diagrams of Kac's Table Aff 2-3 of rank <= 3 (both
+# orientations) and two non-affine trees whose leaf-up pass meets a
+# nonpositive ratio
+TWISTED = [
+    ((0, 1, -1, -4),), ((0, 1, -4, -1),), ((0, 1, -2, -2),),
+    ((0, 1, -1, -2), (1, 2, -1, -2)), ((0, 1, -2, -1), (1, 2, -2, -1)),
+    ((0, 1, -1, -2), (1, 2, -2, -1)), ((0, 1, -1, -1), (1, 2, -1, -3)),
+    ((0, 1, -1, -1), (1, 2, -3, -1)),
+    ((0, 1, -1, -1), (1, 2, -2, -2)), ((0, 1, -1, -1), (0, 2, -4, -1)),
+]
+
+
+@st.composite
+def _graphs(draw):
+    """A simple graph on n <= 6 nodes in a random order, bond entries in
+    -1..-4 (mostly -1): a random tree, sometimes less one edge (so
+    disconnected) and plus up to two more (so with cycles)."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    pairs = {(order[draw(st.integers(0, k - 1))], order[k]) for k in range(1, n)}
+    if pairs and draw(st.booleans()):
+        pairs.remove(draw(st.sampled_from(sorted(pairs))))
+    others = sorted(set(itertools.combinations(range(n), 2))
+                    - {tuple(sorted(p)) for p in pairs})
+    if others:
+        pairs |= set(draw(st.lists(st.sampled_from(others), max_size=2)))
+    entry = st.sampled_from([-1, -1, -1, -2, -3, -4])
+    return KacDiagram(("b",) * n, tuple((i, j, draw(entry), draw(entry))
+                                         for i, j in sorted(pairs)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graphs())
+@example(KacDiagram(("b", "b"), ((0, 1, -1, -4),)))
+def test_marks_match_the_fraction_reference_on_random_graphs(kd):
+    _agrees_with_the_reference(kd)
+
+
+@pytest.mark.parametrize("edges", TWISTED)
+def test_marks_of_twisted_and_near_affine_trees(edges):
+    kd = KacDiagram(("b",) * (1 + max(max(e[:2]) for e in edges)), edges)
+    accepted = _agrees_with_the_reference(kd)
+    assert accepted == (len(edges) == 1 or edges[1] in
+                        ((1, 2, -1, -2), (1, 2, -2, -1), (1, 2, -1, -3), (1, 2, -3, -1)))
+
+
+@pytest.mark.parametrize("colors, edges", [
+    ((), ()),
+    (("w",), ((0, 0, -1, -1),)),
+    (("w", "b"), ((0, 1, -2, -2), (1, 0, -2, -2))),
+    (("w", "b"), ((0, 1, -2, -2), (0, 1, -2, -2))),
+    (("w", "b"), ((0, 2, -1, -1),)),
+    (("w", "b"), ((0, -1, -2, -2),)),
+    (("w", "b"), ((0, 1, 0, -1),)),
+    (("w", "b"), ((0, 1, 1, 1),)),
+], ids=["empty", "self-loop", "repeated-pair", "repeated-edge", "past-the-end",
+        "negative-node", "zero-entry", "positive-entries"])
+def test_malformed_diagram_raises_value_error(colors, edges):
+    with pytest.raises(ValueError, match="not a new bond of 2 nodes|^diagram is not affine$"):
+        diagram_marks(KacDiagram(colors, edges))
 
 
 # Each entry: diagram, inner flag, per-white normalized names, per-white dims.

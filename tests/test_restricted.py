@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from test_involution import _scan_data
+from test_invariants import rule_systems
 
 from wonderful.catalog import build_report, enumerate_records, instantiate, load_catalog, validate
 from wonderful.curves import build_colors
@@ -18,7 +19,7 @@ from wonderful.involution import (
     make_satake,
     sigma_root,
 )
-from wonderful.restricted import build_restricted, expand
+from wonderful.restricted import _left_inverse, build_restricted, expand
 from wonderful.rootsystem import (
     _form6,
     build_root_system,
@@ -401,3 +402,24 @@ def test_build_restricted_solves_nothing(monkeypatch):
         record = instantiate(catalog, label, params)
         assert validate(record) == []
         assert build_report(record).restricted_type == record.restricted.type_label
+
+
+def test_restricted_oracles_left_inverse_and_form_cartan():
+    """The oracles build_restricted no longer runs: the left inverse of the
+    restricted simple roots exists, and the Cartan matrix read off the
+    pairings is 2(v, w)/(v, v) from the full form, over the 497 records of
+    rank <= 16 with GroupE6-E8 and every accepted raw datum of rank <= 8."""
+    records, raw = rule_systems()
+    for rrs in records + raw:
+        rs, dbar = rrs.root_system, rrs.restricted_simple
+        m, d = _left_inverse(dbar)
+        assert d != 0 and len(m) == rrs.rank, rrs.involution.satake
+        assert rrs.cartan == tuple(tuple(2 * _form6(rs, v, w) // _form6(rs, v, v)
+                                         for w in dbar) for v in dbar), rrs.involution.satake
+
+
+def test_dependent_restricted_simple_roots_are_rejected(monkeypatch):
+    inv = instantiate(load_catalog(), "AI", {"r": 3}).involution
+    monkeypatch.setattr("wonderful.restricted.row_rank", lambda rows: len(rows) - 1)
+    with pytest.raises(ValueError, match="^restricted simple roots are linearly dependent$"):
+        build_restricted(inv)
