@@ -290,6 +290,8 @@ class _Builder:
 
     def dynkin(self, typ, n):
         """Add n black nodes in Bourbaki order, joined as in cartan_matrix."""
+        if not VALID_RANKS[typ](n):  # e.g. so_2 or sp_2 read as D1 or C1
+            raise ValueError(f"invalid component {typ}{n}")
         if n > MAX_AMBIENT_RANK:
             raise ValueError(f"rank {n} is above the ambient rank ceiling {MAX_AMBIENT_RANK}")
         ids = [self.node("b") for _ in range(n)]
@@ -335,6 +337,8 @@ def affine_diagram(typ, rank):
 
 def with_whites(kd, whites):
     """kd with exactly the given nodes white."""
+    if not set(whites) <= set(range(kd.size)):
+        raise ValueError(f"white nodes {sorted(whites)} are not all among the {kd.size} nodes")
     return KacDiagram(tuple("w" if i in whites else "b" for i in range(kd.size)),
                       kd.edges)
 

@@ -298,6 +298,25 @@ def test_catalog_expression_of_the_wrong_shape_exits_2(capsys, tmp_path, key, ex
     assert err == f"error: catalog family 'AI': field {key!r} must evaluate to {shape}\n"
 
 
+@pytest.mark.parametrize("expr, reason", [
+    ("kac_sym2(0)", "invalid component B0"),
+    ("kac_sym2(1)", "invalid component D1"),
+    ("kac_wedge2(0)", "invalid component C1"),
+    ("kac_tensor(2, 5)", "invalid component B-2"),
+    ("kac_tensor(1, 1)", "invalid component D0"),
+    ("kac_tensor(0, 0)", "invalid component D0"),
+    ("kac_cycle(3, 7)", "white nodes [0, 7] are not all among the 3 nodes"),
+])
+def test_kac_builder_outside_its_domain_exits_2(capsys, tmp_path, expr, reason):
+    # so_1, so_2 and sp_2 have no diagram to attach, and kac_cycle(3, 7)
+    # names a node past the 3-cycle
+    path = _write_catalog(tmp_path / "kac.json",
+                          _set_field("kac", expr, label="AI")(_shipped_catalog()))
+    code, out, err = run(capsys, "report", "AI", "r=3", "--catalog", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: catalog expression {expr!r}: {reason}\n"
+
+
 # a constraint that reaches every class of the interpreter through attributes
 _ESCAPE = "len(().__class__.__base__.__subclasses__()) > 0 and 2 <= r"
 
