@@ -567,6 +567,10 @@ OUTPUT_DIGESTS = {
     # every B, C and D of rank <= 16 and E6-E8 read their root lengths
     ("check", "--max-rank", "16"):
         "584e6a16b9cf20e694ee1e9fb17ef38d15c25a762882b621744406dded4aeb19",
+    # every family up to rank 24: the Kac marks and the restricted Cartan
+    # matrices of 1,030 instances
+    ("check", "--max-rank", "24"):
+        "d20c81092373e98d1648bc3566c21d3ff5c565990fc03afb226ec8662b5615e9",
     # colors and Fano-ness over 100 white nodes
     ("report", "AI", "r=100", "--format", "json"):
         "ee0e2bb43c3066eae0a46de078f2c55e376b8948eec932d10f15a6489c371128",
@@ -577,7 +581,7 @@ OUTPUT_DIGESTS = {
                          ids=["table", "check", "GroupE6", "GroupE7", "GroupE8",
                               "AI-r40", "AIII-n40-r3", "CII-n20-r3", "DIIIodd-r10",
                               "AIII-n7-r2-text", "AIII-n4-r1-ascii", "EVII-text",
-                              "CI-r3-text", "table-text", "check-r16", "AI-r100"])
+                              "CI-r3-text", "table-text", "check-r16", "check-r24", "AI-r100"])
 def test_output_is_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0

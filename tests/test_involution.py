@@ -1,7 +1,6 @@
 """Involutions from Satake data: completion, validation, case analysis."""
 
 import hashlib
-import importlib.util
 import itertools
 import json
 from fractions import Fraction
@@ -39,13 +38,13 @@ from wonderful.rootsystem import (
     unpack,
 )
 from coweights import pair_coweight
+from satake_data import raw_data, satake
 from weyl_words import sigma_matrix
 
 SCAN_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "satake-scan.json"
 # SHA-256 of the outcome of every satake-scan datum: 88 accepted, 617
 # SatakeError
 SCAN_DIGEST = "8985ac7fa51d6ec917c61170e60852b8ef73b1ddd3f28dc8a344ac1a40663136"
-WORKLOADS = SCAN_DATA.parents[1] / "workloads.py"
 # the ordered pairs of these types make the two-component raw data
 PAIR_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2), ("B", 3), ("C", 3))
 # SHA-256 of the outcome of every _raw_data datum: 244 accepted, 4,030
@@ -66,16 +65,14 @@ def _scan_data():
 
 
 def _raw_data():
-    """The benchmark's scan_data(8), the distinct raw data of the classical
-    types of rank <= 8, E6, F4 and G2 with each black set and involutive
-    diagram automorphism; then each ordered pair of PAIR_TYPES with every
-    black set, and with and without the swap of two equal components as
-    arrows between white nodes."""
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    for typ, n, black, arrows in workloads.scan_data(8):
-        yield make_satake(build_root_system(((typ, n),)), black, arrows)
+    """satake_data's raw data but E7 and E8: the distinct raw data of the
+    classical types of rank <= 8, E6, F4 and G2 with each black set and
+    involutive diagram automorphism; then each ordered pair of PAIR_TYPES
+    with every black set, and with and without the swap of two equal
+    components as arrows between white nodes."""
+    for datum in raw_data():
+        if datum[:2] not in (("E", 7), ("E", 8)):
+            yield satake(datum)
     for x, y in itertools.product(PAIR_TYPES, repeat=2):
         rs = build_root_system((x, y))
         for bits in itertools.product((False, True), repeat=rs.rank):
