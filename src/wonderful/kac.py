@@ -1,8 +1,8 @@
-"""Kac diagrams of the catalog families and their marked-diagram spaces.
+"""Kac diagrams of the catalog families, their marks and marked-diagram spaces.
 
-A Kac diagram is a generalized affine Dynkin diagram with black and
-white nodes; edges store both Cartan pairings.  Marking one white node
-determines a flag variety of the black subdiagram: its factors are the
+A Kac diagram is a generalized affine Dynkin diagram with black and white nodes;
+edges store both Cartan pairings, and the marks are read from the leaves up.  Marking
+one white node determines a flag variety of the black subdiagram: its factors are the
 black components, crossed at the neighbors of the marked node.
 """
 
@@ -62,7 +62,7 @@ def diagram_marks(kd):
     """Primitive positive integer null vector of the affine Cartan matrix A.  On a
     tree, row i of A m = 0 gives m_i / m_parent, leaves first; else try all 1 (A_n^(1)).
     Connected with A m = 0 and m > 0 is affine (Kac, Thm 4.3; Tables Aff 1-3)."""
-    n, links = kd.size, [{} for _ in range(kd.size or 1)]  # no node: unconnected
+    n, links = kd.size, [{} for _ in range(kd.size or 1)]  # no node fails len(order) == n
     for i, j, aij, aji in kd.edges:
         if not (0 <= i < n and 0 <= j < n) or i == j or j in links[i] or max(aij, aji) >= 0:
             raise ValueError(f"Kac diagram edge {i, j, aij, aji} is not a new bond of 2 nodes")

@@ -1,9 +1,9 @@
 """Restricted root system of an involution.
 
-The restriction of a root beta is beta - sigma(beta), kept in ambient
-simple-root coordinates.  The distinct restrictions of the white simple
-roots form the restricted simple system; the restricted coroot of a
-restriction is its metric coroot 2v/(v,v) in ambient coroot coordinates.
+The restriction of a root beta is beta - sigma(beta), in ambient simple-root
+coordinates.  The distinct restrictions of the white simple roots form the restricted
+simple system, its Cartan matrix read off pairings <alpha_i^vee, v>; the restricted
+coroot of a restriction is its metric coroot 2v/(v,v) in ambient coroot coordinates.
 """
 
 from dataclasses import dataclass

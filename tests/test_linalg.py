@@ -19,9 +19,9 @@ def test_nullspace_line_none_unless_corank_one():
 
 @pytest.mark.parametrize("key", sorted(AFFINE_MARKS))
 def test_nullspace_line_matches_fraction_reference(key):
-    cartan = affine_diagram(*key).cartan()
-    marks = diagram_marks(affine_diagram(*key))
-    assert list(marks) == _fraction_nullspace_line(cartan)
+    kd = affine_diagram(*key)
+    marks = diagram_marks(kd)
+    assert list(marks) == _fraction_nullspace_line(kd.cartan())
     assert marks == AFFINE_MARKS[key]
 
 
