@@ -69,9 +69,10 @@ def diagram_marks(kd):
         links[i][j], links[j][i] = aij, aji
     order, parent = [0], {0: None}  # breadth first from node 0
     for i in order:
-        for j in links[i].keys() - parent.keys():
-            parent[j] = i
-            order.append(j)
+        for j in links[i]:
+            if j not in parent:
+                parent[j] = i
+                order.append(j)
     marks = [1] * n
     if len(order) == n and len(kd.edges) == n - 1:
         ratio = {}  # m_i / m_parent as a reduced pair, leaves first
