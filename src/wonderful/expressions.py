@@ -44,26 +44,26 @@ def _refusal(node, parent):
     return None
 
 
-class _IntProducts(ast.NodeTransformer):
-    """Rewrites a * b as _times(a, b), which multiplies ints only."""
-
-    def visit_BinOp(self, node):
-        self.generic_visit(node)
-        if not isinstance(node.op, ast.Mult):
-            return node
-        return ast.Call(ast.Name("_times", ast.Load()), [node.left, node.right], [])
-
-
 @lru_cache(maxsize=4096)  # each distinct expression once
 def _compile(expr):
-    """Compile a catalog expression after checking it against the grammar."""
+    """Compile a catalog expression after checking it against the grammar;
+    a * b becomes _times(a, b), which multiplies ints only."""
     tree = ast.parse(expr, "<catalog>", "eval")
+    products = []  # (list or parent's fields, key) of each a * b, breadth first
     for parent in ast.walk(tree):
-        for node in ast.iter_child_nodes(parent):
-            why = _refusal(node, parent)
-            if why:
-                raise ValueError(why)
-    return compile(ast.fix_missing_locations(_IntProducts().visit(tree)), "<catalog>", "eval")
+        for field, value in ast.iter_fields(parent):
+            box = value if isinstance(value, list) else vars(parent)
+            for key, node in enumerate(value) if box is value else [(field, value)]:
+                why = isinstance(node, ast.AST) and _refusal(node, parent)
+                if why:
+                    raise ValueError(why)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                    products.append((box, key))
+    for box, key in reversed(products):  # operands before their products
+        node = box[key]
+        func = ast.copy_location(ast.Name("_times", ast.Load()), node)
+        box[key] = ast.copy_location(ast.Call(func, [node.left, node.right], []), node)
+    return compile(tree, "<catalog>", "eval")
 
 
 def _times(a, b):

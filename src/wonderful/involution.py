@@ -8,9 +8,9 @@ opposition involution of the black subdiagram.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .rootsystem import (
-    _root_generation,
     longest_element,
     minus_w0_permutation,
     opposition,
@@ -18,6 +18,7 @@ from .rootsystem import (
     pairing,
     root_codes,
     root_steps,
+    two_rho_vee,
     unpack,
 )
 
@@ -41,7 +42,7 @@ class SatakeData:
     black_nodes: tuple
     diagram_involution: tuple
 
-    @property
+    @cached_property  # writes the instance __dict__, so it works when frozen
     def white_nodes(self):
         black = set(self.black_nodes)
         return tuple(i for i in range(self.root_system.rank) if i not in black)
@@ -92,7 +93,7 @@ def _check_satake(sd):
     n = rs.rank
     black = set(sd.black_nodes)
     perm = sd.diagram_involution
-    if not black | set(sd.white_nodes) <= set(range(n)):
+    if not black <= set(range(n)):
         _fail("node index out of range")
     if not sd.white_nodes:
         _fail("no white nodes")
@@ -124,7 +125,8 @@ def build_involution(sd):
     sigma = -w_L tau is an isometry, as tau preserves the Cartan matrix.  It
     fixes each black alpha_i, since w_L(alpha_iota_L(i)) = -alpha_i, and
     sends a white alpha_j to -alpha_tau(j) minus black roots, so the Satake
-    involution sigma_bar of the white nodes is tau (Araki 1962)."""
+    involution sigma_bar of the white nodes is tau (Araki 1962).  sigma is
+    kept as packed root codes; a check unpacks only the images it reads."""
     _check_satake(sd)
     rs = sd.root_system
     n = rs.rank
@@ -133,44 +135,40 @@ def build_involution(sd):
     # sigma(alpha_j) = -w_L(alpha_tau(j)) on the simple roots; every check
     # that reads only these runs before sigma is extended to all roots
     wl = longest_element(rs, black_iota)
-    images = [tuple(-x for x in wl[tau[j]]) for j in range(n)]
+    codes = [-wl[tau[j]] for j in range(n)]
 
-    # w_0 = -iota on simple roots, so sigma w_0 = w_0 sigma permutes entries
+    # w_0 = -iota on simple roots, so sigma w_0 = w_0 sigma permutes entries;
+    # where iota = 1 it reads images[j][i] == images[j][i], which always holds
     iota = minus_w0_permutation(rs)
-    if any(images[iota[j]][i] != images[j][iota[i]] for i in range(n) for j in range(n)):
-        _fail("sigma does not commute with w_0")
+    if iota != tuple(range(n)):
+        images = [unpack(code, n) for code in codes]
+        if any(images[iota[j]][i] != images[j][iota[i]] for i in range(n) for j in range(n)):
+            _fail("sigma does not commute with w_0")
 
     # the case of a white node is read off <alpha_i^vee, sigma(alpha_i)>;
     # -2 forces tau(i) = i and a zero black part, so sigma(alpha_i) = -alpha_i
     white = sd.white_nodes
     cases = [None] * n
     for i in white:
-        p = pairing(rs, i, images[i])
+        p = pairing(rs, i, unpack(codes[i], n))
         if p not in _CASES:
             _fail(f"<alpha^vee, sigma(alpha)> = {p} is not in {{-2, 0, 1}}")
         cases[i] = _CASES[p]
 
     # Araki's condition (Araki 1962; Kolb, Adv. Math. 267, Def. 2.3):
-    # <alpha_j, rho_X^vee> is an integer for every white j without an arrow.
-    # 2 rho_X^vee = sum_i c_i alpha_i^vee over the black nodes, summing the
-    # coroots beta^vee = sum_i beta_i gram6[i][i] / 6(beta, beta) alpha_i^vee
-    # of the positive roots with black support, whose coefficients are
-    # integers; only the c_i of black nodes next to such a j are needed
+    # <alpha_j, rho_X^vee> is an integer for every white j without an arrow;
+    # 2 rho_X^vee = sum_i c_i alpha_i^vee has integer c_i in closed form per
+    # black component, read only on black nodes next to such a j
     fixed = [j for j in white if sd.diagram_involution[j] == j]
-    c = dict.fromkeys((i for i in sd.black_nodes if any(rs.cartan[i][j] for j in fixed)), 0)
-    if c:
-        roots, _, sq6, _, _ = _root_generation(rs)
-        for beta, s in zip(roots, sq6):
-            if not any(beta[j] for j in white):
-                for i in c:
-                    c[i] += beta[i] * rs.gram6[i][i] // s
-        if any(sum(x * rs.cartan[i][j] for i, x in c.items()) % 2 for j in fixed):
+    near = [i for i in sd.black_nodes if any(rs.cartan[i][j] for j in fixed)]
+    if near:
+        c = two_rho_vee(rs, sd.black_nodes)
+        if any(sum(c[i] * rs.cartan[i][j] for i in near) % 2 for j in fixed):
             _fail("a white node without an arrow pairs to a half-integer with "
                   "rho^vee of the black nodes (Araki's condition)")
 
     # by height, on packed codes: sigma(beta' + alpha_i) is sigma(beta') +
     # sigma(alpha_i)
-    codes = [pack(img) for img in images]
     for k, i in root_steps(rs):
         codes.append(codes[k] + codes[i])
     index = root_codes(rs)[1]

@@ -275,10 +275,18 @@ def connected_components(nodes, linked):
     while rest:
         comp = [rest.pop(0)]
         for i in comp:  # breadth first: comp grows inside the loop
-            comp += [j for j in rest if linked(i, j)]
-            rest = [j for j in rest if j not in comp]
+            comp += (near := [j for j in rest if linked(i, j)])
+            rest = [j for j in rest if j not in near]
         comps.append(sorted(comp))
     return comps
+
+
+def typed_components(rs, nodes):
+    """(type, nodes in Bourbaki order) per connected component of the nodes."""
+    for comp in connected_components(nodes, lambda i, j: rs.cartan[i][j] != 0):
+        typ, _, order = (("A", 1, [0]) if len(comp) == 1
+                         else identify_cartan([[rs.cartan[i][j] for j in comp] for i in comp]))
+        yield typ, [comp[k] for k in order]
 
 
 def opposition(rs, nodes):
@@ -287,26 +295,46 @@ def opposition(rs, nodes):
     nodes, -w_0 is the flip of A_n or E6, the swap of the two spinor nodes of
     D_n for odd n, and the identity on the other types (Bourbaki, Plates)."""
     perm = {}
-    for comp in connected_components(nodes, lambda i, j: rs.cartan[i][j] != 0):
-        typ, _, order = (("A", 1, [0]) if len(comp) == 1
-                         else identify_cartan([[rs.cartan[i][j] for j in comp] for i in comp]))
+    for typ, comp in typed_components(rs, nodes):
         n = len(comp)
         std = (range(n - 1, -1, -1) if typ == "A"
                else (*range(n - 2), n - 1, n - 2) if typ == "D" and n % 2
                else (5, 1, 4, 3, 2, 0) if (typ, n) == ("E", 6)
                else range(n))
         for k, image in enumerate(std):
-            perm[comp[order[k]]] = comp[order[image]]
+            perm[comp[k]] = comp[image]
     return perm
 
 
+# 2 rho^vee of the exceptional types over the simple coroots, Bourbaki order
+_EXCEPTIONAL_TWO_RHO_VEE = {
+    ("E", 6): (16, 22, 30, 42, 30, 16), ("E", 7): (34, 49, 66, 96, 75, 52, 27),
+    ("E", 8): (92, 136, 182, 270, 220, 168, 114, 58), ("F", 4): (22, 42, 30, 16), ("G", 2): (6, 10)}
+
+
+def two_rho_vee(rs, nodes):
+    """{i: c_i} with 2 rho^vee = sum_i c_i alpha_i^vee, the sum of the positive
+    coroots of the parabolic subsystem on the given nodes: on each component,
+    2 rho of the dual type (Bourbaki, Lie Groups, Ch. VI, Plates)."""
+    c = {}
+    for typ, comp in typed_components(rs, nodes):
+        n = len(comp)
+        k = range(1, n + 1)
+        c.update(zip(comp, [i * (n + 1 - i) for i in k] if typ == "A"
+                     else [i * (2 * n - i + 1) for i in k[:-1]] + [n * (n + 1) // 2] if typ == "B"
+                     else [i * (2 * n - i) for i in k[:-1]] + [n * n] if typ == "C"
+                     else [i * (2 * n - i - 1) for i in k[:-2]] + [n * (n - 1) // 2] * 2
+                     if typ == "D" else _EXCEPTIONAL_TWO_RHO_VEE[typ, n]))
+    return c
+
+
 def longest_element(rs, iota):
-    """Columns w_L(alpha_j), j = 0..rank-1, of the longest element w_L of the
-    parabolic subgroup on the nodes L of iota = opposition(rs, L): -alpha_iota(j)
-    for j in L.  For j outside L, alpha_j is the lowest weight of the L-module
-    of the roots alpha_j + (sums over L), which is irreducible with simple
-    weights, and w_L sends it to the highest: the root reached by adding
-    simple roots of L while the sum stays a root."""
+    """Packed codes (pack) of the columns w_L(alpha_j), j = 0..rank-1, of the
+    longest element w_L of the parabolic subgroup on the nodes L of iota =
+    opposition(rs, L): -alpha_iota(j) for j in L.  For j outside L, alpha_j is
+    the lowest weight of the L-module of the roots alpha_j + (sums over L),
+    irreducible with simple weights, and w_L sends it to the highest: the
+    root reached by adding simple roots of L while the sum stays a root."""
     codes, index = root_codes(rs)
     cols = []
     for j in range(rs.rank):
@@ -317,7 +345,7 @@ def longest_element(rs, iota):
             for i in iota:
                 if top + codes[i] in index:
                     top, grown = top + codes[i], True
-        cols.append(unpack(-top if j in iota else top, rs.rank))
+        cols.append(-top if j in iota else top)
     return cols
 
 

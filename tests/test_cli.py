@@ -574,6 +574,9 @@ OUTPUT_DIGESTS = {
     # colors and Fano-ness over 100 white nodes
     ("report", "AI", "r=100", "--format", "json"):
         "ee0e2bb43c3066eae0a46de078f2c55e376b8948eec932d10f15a6489c371128",
+    # Araki's condition on a C94 black component
+    ("report", "CII", "n=100", "r=3", "--format", "json"):
+        "f4737fcbf1e4ec02d93a5dfdf101fcf036193ace0f330c986960fe69cd436b83",
 }
 
 
@@ -581,7 +584,8 @@ OUTPUT_DIGESTS = {
                          ids=["table", "check", "GroupE6", "GroupE7", "GroupE8",
                               "AI-r40", "AIII-n40-r3", "CII-n20-r3", "DIIIodd-r10",
                               "AIII-n7-r2-text", "AIII-n4-r1-ascii", "EVII-text",
-                              "CI-r3-text", "table-text", "check-r16", "check-r24", "AI-r100"])
+                              "CI-r3-text", "table-text", "check-r16", "check-r24", "AI-r100",
+                              "CII-n100-r3"])
 def test_output_is_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0

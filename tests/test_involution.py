@@ -7,9 +7,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wonderful.catalog import enumerate_records, instantiate, load_catalog
-from wonderful.invariants import kappa_and_sigma, nilpotent_orbit_dimension
+from wonderful.invariants import dimensions, kappa_and_sigma, nilpotent_orbit_dimension
 from wonderful.involution import (
     NONREDUCED,
     ORTHOGONAL,
@@ -31,6 +33,7 @@ from wonderful.rootsystem import (
     longest_element,
     minus_w0_permutation,
     opposition,
+    pack,
     positive_roots,
     root_codes,
     root_steps,
@@ -38,7 +41,7 @@ from wonderful.rootsystem import (
     unpack,
 )
 from coweights import pair_coweight
-from satake_data import raw_data, satake
+from satake_data import TYPES, automorphisms, raw_data, satake
 from weyl_words import sigma_matrix
 
 SCAN_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "satake-scan.json"
@@ -185,22 +188,22 @@ def test_first_node_black_does_not_commute_with_w0(components):
 
 
 def test_sigma_sending_a_root_off_the_root_system_is_rejected(monkeypatch):
-    # w_L patched to columns (0, -2), (-2, 0) on A2: sigma(alpha_1) = 2 alpha_2
+    # w_L patched to the packed columns (0, -2), (-2, 0) on A2: sigma(alpha_1) = 2 alpha_2
     # and sigma(alpha_2) = 2 alpha_1 commute with w_0 and pair to -2, but
     # sigma(alpha_1 + alpha_2) = 2 alpha_1 + 2 alpha_2 is no root
     monkeypatch.setattr("wonderful.involution.longest_element",
-                        lambda rs, iota: [(0, -2), (-2, 0)])
+                        lambda rs, iota: [pack((0, -2)), pack((-2, 0))])
     rs = build_root_system((("A", 2),))
     with pytest.raises(SatakeError, match="does not preserve the root system"):
         build_involution(make_satake(rs))
 
 
 def test_sigma_permuting_the_roots_but_not_an_involution_is_rejected(monkeypatch):
-    # w_L patched to the rotation with columns (0, -1), (1, 0) on A1 x A1, of
+    # w_L patched to the rotation with packed columns (0, -1), (1, 0) on A1 x A1, of
     # order 4: sigma = -w_L permutes the roots, commutes with w_0 = -1 and
     # pairs each simple root to 0, but sigma^2 sends alpha_1 to -alpha_1
     monkeypatch.setattr("wonderful.involution.longest_element",
-                        lambda rs, iota: [(0, -1), (1, 0)])
+                        lambda rs, iota: [pack((0, -1)), pack((1, 0))])
     rs = build_root_system((("A", 1), ("A", 1)))
     with pytest.raises(SatakeError, match="sigma is not an involution"):
         build_involution(make_satake(rs))
@@ -239,6 +242,51 @@ def test_rejected_data_never_extend_sigma(monkeypatch):
         except SatakeError:
             pass
     assert built == len(extended) == 88
+
+
+def test_sigma_stays_packed_from_w_l_to_its_extension(monkeypatch):
+    # longest_element returns codes, and build_involution extends sigma from
+    # them without packing an image again
+    def refuse(*args):
+        raise AssertionError("vector round trip")
+
+    monkeypatch.setattr("wonderful.involution.pack", refuse)
+    monkeypatch.setattr("wonderful.rootsystem.unpack", refuse)
+    built = 0
+    for sd in _scan_data():
+        try:
+            build_involution(sd)
+            built += 1
+        except SatakeError:
+            pass
+    assert built == 88
+
+
+@st.composite
+def _fuzzed_satake(draw):
+    """A raw datum of an irreducible type of rank <= 6: a random black set and
+    either the arrows of a diagram automorphism between white nodes or a
+    random arrow list, whose pairs may overlap or leave the diagram."""
+    typ, n = draw(st.sampled_from([t for t in TYPES if t[1] <= 6]))
+    black = draw(st.sets(st.integers(0, n - 1), max_size=n)
+                 | st.sets(st.integers(-1, n), max_size=n))
+    g = draw(st.sampled_from(automorphisms(typ, n)))
+    arrows = draw(st.just([(i, j) for i, j in enumerate(g) if i < j and not {i, j} & black])
+                  | st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=3))
+    return build_root_system(((typ, n),)), black, arrows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzzed_satake())
+def test_a_fuzzed_datum_builds_or_raises_satake_error(datum):
+    rs, black, arrows = datum
+    try:
+        inv = build_involution(make_satake(rs, black, arrows))
+    except SatakeError:
+        return
+    s, dim_family, dim_orbit, dim_hc = dimensions(build_restricted(inv))
+    assert dim_family == dim_hc + s - 1
+    assert dim_orbit == 2 * (dim_hc + 1)
 
 
 def test_all_black_rejected():

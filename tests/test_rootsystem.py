@@ -31,10 +31,13 @@ from wonderful.rootsystem import (
     root_steps,
     subsystem_roots,
     two_rho,
+    two_rho_vee,
     unpack,
 )
+from araki_scan import two_rho_vee_by_scan
 from cartan_search import identify_cartan as search_identify_cartan
 from coweights import pair_coweight
+from satake_data import TYPES
 from weyl_words import (
     longest_subsystem_word,
     matrix_opposition,
@@ -275,8 +278,21 @@ def test_longest_element_and_opposition_match_weyl_words(typ, rank):
             wl = word_matrix(rs, longest_subsystem_word(rs, nodes))
             iota = opposition(rs, nodes)
             assert iota == matrix_opposition(wl, nodes), nodes
-            assert [list(row) for row in zip(*longest_element(rs, iota))] == wl, nodes
+            cols = [unpack(code, rank) for code in longest_element(rs, iota)]
+            assert [list(row) for row in zip(*cols)] == wl, nodes
     assert minus_w0_permutation(rs) == tuple(iota[i] for i in range(rank))
+
+
+def test_two_rho_vee_matches_the_root_scan():
+    # every black set of every irreducible type of rank <= 8, E6-E8, F4, G2
+    sets = 0
+    for typ, rank in TYPES:
+        rs = build_root_system(((typ, rank),))
+        for k in range(rank + 1):
+            for nodes in itertools.combinations(range(rank), k):
+                assert two_rho_vee(rs, nodes) == two_rho_vee_by_scan(rs, nodes), (typ, nodes)
+                sets += 1
+    assert sets == 2498
 
 
 def test_multi_component():
