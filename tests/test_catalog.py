@@ -431,6 +431,8 @@ def test_expression_outside_the_grammar_is_refused_before_it_runs(expr, reason):
 @pytest.mark.parametrize("expr, reason", [
     ("[0] * 2", "* takes two ints, not list and int"),
     ("r * (1,)", "* takes two ints, not int and tuple"),
+    # the inner product is rewritten too, so it refuses before the outer one runs
+    ("r * ([0] * 3)", "* takes two ints, not list and int"),
     ("list(range(r, 103 + r))", "range(2, 105) has more than 101 elements"),
 ])
 def test_expression_is_bounded_when_it_runs(expr, reason):
