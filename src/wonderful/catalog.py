@@ -5,11 +5,12 @@ up to MAX_CATALOG_CHARS and parsed by json.  A catalog is
 {"version": 1, "families": [...]}; a family has the fields of _REQUIRED and
 _OPTIONAL: label, integer params, constraints on them, the engine's input
 (ambient -> [(type, rank), ...]; black -> compact nodes; arrows -> node pairs
-the diagram involution swaps; kac -> Kac diagram; nodes 1-based) and the
-expected columns.  Each constraint, -> field and {...} chunk of the name
+the diagram involution swaps; nodes 1-based; kac -> Kac diagram, one call of a
+kac.KAC_BUILDERS builder, whose node 0 is alpha_0 or the lone white node) and
+the expected columns.  Each constraint, -> field and {...} chunk of the name
 templates gh, restricted, hc and vmrt follows the expressions.py grammar with
-the parameters in scope; its callables are range, list and, in kac, the Kac
-builders.  validate() compares each derived column with its stored value:
+the parameters in scope; its callables are range, list and, in kac, the five
+Kac builders.  validate() compares each derived column with its stored value:
 restricted, sigma_theta, fano (from -K_X's weight, invariants.is_fano),
 hermitian (null, "e" or "ne"), hc, vmrt (omitted: hc), and emb of restricted
 type A_r, r >= 2.  Stored for output only: gh (G/H), and emb (multidegree of
@@ -54,7 +55,7 @@ from .rootsystem import (
     two_rho,
 )
 
-# most characters read from a catalog, so /dev/zero cannot fill memory (shipped: 14,743)
+# most characters read from a catalog, so /dev/zero cannot fill memory (shipped: 15,116)
 MAX_CATALOG_CHARS = 1_000_000
 # most parameters a family may take (the shipped AIII, BDI and CII take 2):
 # enumerate_records tries (2 max_rank + 1)^params value tuples

@@ -3,7 +3,10 @@
 A Kac diagram is a generalized affine Dynkin diagram with black and white nodes;
 edges store both Cartan pairings, and the marks are read from the leaves up.  Marking
 one white node determines a flag variety of the black subdiagram: its factors are the
-black components, crossed at the neighbors of the marked node.
+black components, crossed at the neighbors of the marked node.  A catalog draws each
+diagram with a KAC_BUILDERS call: affine_diagram (an untwisted affine diagram with
+the given nodes white), white_on (one white node against black Dynkin diagrams), or
+one of the three so_m-arm builders whose shape turns on the parity of m.
 """
 
 import re
@@ -101,8 +104,6 @@ def validate_diagram(kd, inner):
     expected = 2 if inner else 1
     if total != expected:
         raise ValueError(f"white marks sum to {total}, expected {expected}")
-    if len(kd.whites) not in (1, 2):
-        raise ValueError("expected one or two white nodes")
     return marks
 
 
@@ -291,10 +292,11 @@ class _Builder:
 
     def dynkin(self, typ, n):
         """Add n black nodes in Bourbaki order, joined as in cartan_matrix."""
-        if not VALID_RANKS[typ](n):  # e.g. so_2 or sp_2 read as D1 or C1
+        # a letter outside A-G, or e.g. so_2 or sp_2 read as D1 or C1
+        if typ not in VALID_RANKS or not VALID_RANKS[typ](n):
             raise ValueError(f"invalid component {typ}{n}")
-        if n > MAX_AMBIENT_RANK:
-            raise ValueError(f"rank {n} is above the ambient rank ceiling {MAX_AMBIENT_RANK}")
+        if (rank := self.colors.count("b") + n) > MAX_AMBIENT_RANK:  # with those so far
+            raise ValueError(f"rank {rank} is above the ambient rank ceiling {MAX_AMBIENT_RANK}")
         ids = [self.node("b") for _ in range(n)]
         a = cartan_matrix(typ, n)
         for i in range(n):
@@ -319,9 +321,10 @@ class _Builder:
             self.edge(white, self.dynkin("B" if m % 2 else "D", m // 2)[0], *wedge)
 
 
-def affine_diagram(typ, rank):
+def affine_diagram(typ, rank, *whites):
     """Untwisted affine diagram: the Dynkin diagram of typ_rank (nodes 1..rank)
-    and the white extending node 0, alpha_0 = -theta (Kac, Table Aff 1)."""
+    and the extending node 0, alpha_0 = -theta (Kac, Table Aff 1).  The given
+    nodes are white; with none given, node 0 alone is."""
     rs = build_root_system(((typ, rank),))
     theta = highest_roots(rs)[0]
     b = _Builder()
@@ -333,32 +336,30 @@ def affine_diagram(typ, rank):
             pair, r = divmod(_form6(rs, theta, unit_vector(rank, i)), 6)
             assert not r, "theta is long, so (theta, alpha_i) is an integer"
             b.edge(w, node, -pair, a_i0)
-    return b.done()
+    return with_whites(b.done(), whites or (0,))
 
 
 def with_whites(kd, whites):
     """kd with exactly the given nodes white."""
     if not set(whites) <= set(range(kd.size)):
-        raise ValueError(f"white nodes {sorted(whites)} are not all among the {kd.size} nodes")
+        raise ValueError(f"white nodes {list(whites)} are not all among the {kd.size} nodes")
     return KacDiagram(tuple("w" if i in whites else "b" for i in range(kd.size)),
                       kd.edges)
 
 
-def _white_on(typ, rank, *attach, extra=False):
-    """White node 0 joined to the given Bourbaki nodes of a black typ_rank,
-    and to one more black node if extra."""
+def white_on(components, attach):
+    """White node 0, then the black Dynkin diagrams of the (type, rank)
+    components in order; node 0 is joined to the given 1-based black nodes."""
     b = _Builder()
     w = b.node("w")
-    ids = b.dynkin(typ, rank)
-    for i in attach:
-        b.edge(w, ids[i - 1])
-    if extra:
-        b.edge(w, b.node("b"))
+    for typ, n in components:
+        b.dynkin(typ, n)
+    for i in attach:  # black node i is node i of the diagram
+        if not 1 <= i < len(b.colors):
+            raise ValueError(f"attach node {i} is not among the black nodes "
+                             f"1..{len(b.colors) - 1}")
+        b.edge(w, i)
     return b.done()
-
-
-def kac_hermitian_rank1():
-    return with_whites(affine_diagram("A", 1), (0, 1))
 
 
 def kac_sym2(r):
@@ -366,19 +367,6 @@ def kac_sym2(r):
     b = _Builder()
     b.so_arm(r + 1, b.node("w"), (-1, -2))
     return b.done()
-
-
-def kac_wedge2(r):
-    """White node against sp_{2r+2} at its second node."""
-    b = _Builder()
-    w = b.node("w")
-    b.edge(w, b.dynkin("C", r + 1)[1])
-    return b.done()
-
-
-def kac_cycle(n, k):
-    """Affine cycle of length n with whites at positions 0 and k."""
-    return with_whites(affine_diagram("A", n - 1), (0, k))
 
 
 def kac_tensor(n, r):
@@ -395,93 +383,15 @@ def kac_tensor(n, r):
 
 def kac_tensor2(n):
     """Two white nodes against so_{n-2} at the vector nodes."""
-    return with_whites(affine_diagram("B" if n % 2 else "D", n // 2), (0, 1))
+    return affine_diagram("B" if n % 2 else "D", n // 2, 0, 1)
 
 
-def kac_lagr(r):
-    """Two white nodes at the ends of a black A_{r-1} chain."""
-    return with_whites(affine_diagram("C", r), (0, r))
-
-
-def kac_sp_tensor(n, r):
-    """White node against sp_{2r} x sp_{2n-2r} at the first nodes."""
-    return with_whites(affine_diagram("C", n), (r,))
-
-
-def kac_gl_half(m):
-    """Two white nodes against gl_m inside so_{2m}."""
-    return with_whites(affine_diagram("D", m), (0, m))
-
-
-def kac_ei():
-    return _white_on("C", 4, 4)
-
-
-def kac_eii():
-    return _white_on("A", 5, 3, extra=True)
-
-
-def kac_eiii():
-    return with_whites(affine_diagram("E", 6), (0, 1))
-
-
-def kac_eiv():
-    return _white_on("F", 4, 4)
-
-
-def kac_ev():
-    return with_whites(affine_diagram("E", 7), (2,))
-
-
-def kac_evi():
-    return _white_on("D", 6, 5, extra=True)
-
-
-def kac_evii():
-    return with_whites(affine_diagram("E", 7), (0, 7))
-
-
-def kac_eviii():
-    return _white_on("D", 8, 7)
-
-
-def kac_eix():
-    return _white_on("E", 7, 7, extra=True)
-
-
-def kac_fi():
-    return _white_on("C", 3, 3, extra=True)
-
-
-def kac_fii():
-    return _white_on("B", 4, 4)
-
-
-def kac_g():
-    return with_whites(affine_diagram("G", 2), (2,))
-
-
+# the callables of a catalog's kac expressions; white_on and affine_diagram
+# draw every diagram but the three whose so_m arm changes shape with m's parity
 KAC_BUILDERS = {
     "affine_diagram": affine_diagram,
-    "kac_hermitian_rank1": kac_hermitian_rank1,
+    "white_on": white_on,
     "kac_sym2": kac_sym2,
-    "kac_wedge2": kac_wedge2,
-    "kac_cycle": kac_cycle,
     "kac_tensor": kac_tensor,
     "kac_tensor2": kac_tensor2,
-    "kac_lagr": kac_lagr,
-    "kac_sp_tensor": kac_sp_tensor,
-    "kac_gl_half": kac_gl_half,
-    "kac_ei": kac_ei,
-    "kac_eii": kac_eii,
-    "kac_eiii": kac_eiii,
-    "kac_eiv": kac_eiv,
-    "kac_ev": kac_ev,
-    "kac_evi": kac_evi,
-    "kac_evii": kac_evii,
-    "kac_eviii": kac_eviii,
-    "kac_eix": kac_eix,
-    "kac_fi": kac_fi,
-    "kac_fii": kac_fii,
-    "kac_g": kac_g,
 }

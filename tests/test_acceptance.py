@@ -42,7 +42,7 @@ from wonderful.involution import (
     build_involution,
     sigma_root,
 )
-from wonderful.kac import name_dimension
+from wonderful.kac import _factors, name_dimension
 from wonderful.restricted import expand
 from wonderful.rootsystem import (
     coroot,
@@ -214,22 +214,39 @@ def test_restricted_multiplicities_count_the_moved_roots():
         assert rrs.rank + sum(rrs.multiplicities) == dim_isotropy_complement(rrs)
 
 
+# the Fano records of ambient rank <= 16 whose VMRT has two components: the
+# negative answer to Hwang's question (Hermitian of tube type, rank >= 2)
+FANO_TWO_COMPONENTS = {"AIIIeq": range(2, 9), "BDI2": range(5, 34),
+                       "DIIIeven": range(2, 9), "EVII": [None]}  # EVII has no parameter
+
+
 def test_paper_statements_over_the_enumeration():
-    records = _all_records() + [instantiate(CAT, label, {})
-                                for label in ("GroupE6", "GroupE7", "GroupE8")]
-    assert len(records) == 150
-    fano_two_components = set()
+    records = enumerate_records(CAT, 16) + [instantiate(CAT, label, {})
+                                            for label in ("GroupE6", "GroupE7", "GroupE8")]
+    assert len(records) == 497
+    exceptional, two = 0, {}
     for record in records:
         report = build_report(record)
+        exceptional += report.exceptional
         # one family of minimal rational curves unless exceptional, then two
         assert report.n_families == (2 if report.exceptional else 1), record.label
-        # every VMRT component is a named G/P of the right dimension
+        # the VMRT is homogeneous: each component is a product of G/P's of
+        # dimension dim_family
         for name, dim in report.vmrt_components:
-            assert name_dimension(name) == dim, (record.label, name)
-        if report.fano and len(report.vmrt_components) == 2:
-            fano_two_components.add(record.label)
-    # the Fano varieties whose VMRT is reducible: the negative answer to Hwang's question
-    assert fano_two_components == {"AIIIeq", "BDI2", "DIIIeven", "EVII"}
+            assert _factors(name), (record.label, name)
+            assert name_dimension(name) == dim == report.dim_family, (record.label, name)
+        # two components read off the Kac diagram, not off the Hermitian flag
+        reducible = len(record.kac.whites) == 2 and not report.exceptional \
+            and record.restricted.rank >= 2
+        assert (len(report.vmrt_components) == 2) == reducible, record.label
+        if reducible:
+            two.setdefault((record.label, report.fano), []).append(
+                next(iter(record.params.values()), None))
+    assert exceptional == 72
+    assert {label: values for (label, fano), values in two.items() if fano} == \
+        {label: list(values) for label, values in FANO_TWO_COMPONENTS.items()}
+    # the 14 others are CI, Sp(2r, R)/U(r), which is not Fano
+    assert two[("CI", False)] == list(range(3, 17)) and len(two) == 5
 
 
 def test_sigma_matrix_is_integral():

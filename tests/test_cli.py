@@ -2,20 +2,28 @@
 
 import hashlib
 import importlib
+import io
 import json
 import os
 import pkgutil
 import resource
 import subprocess
 import sys
+import tempfile
+import time
 import types
+from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wonderful
-from wonderful.catalog import instantiate, load_catalog, validate
+from wonderful.catalog import enumerate_records, instantiate, load_catalog, validate
 from wonderful.cli import main
+from wonderful.kac import KAC_BUILDERS
 
 
 def run(capsys, *argv):
@@ -301,15 +309,23 @@ def test_catalog_expression_of_the_wrong_shape_exits_2(capsys, tmp_path, key, ex
 @pytest.mark.parametrize("expr, reason", [
     ("kac_sym2(0)", "invalid component B0"),
     ("kac_sym2(1)", "invalid component D1"),
-    ("kac_wedge2(0)", "invalid component C1"),
+    ("white_on([('C', 1)], [2])", "invalid component C1"),
     ("kac_tensor(2, 5)", "invalid component B-2"),
     ("kac_tensor(1, 1)", "invalid component D0"),
     ("kac_tensor(0, 0)", "invalid component D0"),
-    ("kac_cycle(3, 7)", "white nodes [0, 7] are not all among the 3 nodes"),
+    ("affine_diagram('A', 2, 0, 7)", "white nodes [0, 7] are not all among the 3 nodes"),
+    ("affine_diagram('A', 2, 0, 'x')", "white nodes [0, 'x'] are not all among the 3 nodes"),
+    ("white_on([('Q', 2)], [1])", "invalid component Q2"),
+    ("white_on([(1, 2)], [1])", "invalid component 12"),
+    ("white_on([('A', 5)], [0])", "attach node 0 is not among the black nodes 1..5"),
+    ("white_on([('A', 5)], [9])", "attach node 9 is not among the black nodes 1..5"),
+    ("white_on([('A', 60), ('A', 60)], [1])", "rank 120 is above the ambient rank ceiling 100"),
 ])
 def test_kac_builder_outside_its_domain_exits_2(capsys, tmp_path, expr, reason):
-    # so_1, so_2 and sp_2 have no diagram to attach, and kac_cycle(3, 7)
-    # names a node past the 3-cycle
+    # so_1, so_2 and sp_2 have no diagram to attach, Q and 1 are no Cartan
+    # type, 7 and 'x' are no nodes of the 3-cycle A_2^(1), node 0 (which
+    # would wrap to the last node) and node 9 are no black nodes of A_5, and
+    # the ceiling bounds all black nodes together
     path = _write_catalog(tmp_path / "kac.json",
                           _set_field("kac", expr, label="AI")(_shipped_catalog()))
     code, out, err = run(capsys, "report", "AI", "r=3", "--catalog", path)
@@ -345,6 +361,71 @@ def test_catalog_expression_outside_the_grammar_or_its_bounds_exits_2(
     expr = value[0] if key == "constraints" else value
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (2, "", f"error: catalog expression {expr!r}: {reason}\n")
+
+
+def _grammar_expressions():
+    """Catalog expressions drawn from the grammar: small ints, names and type
+    letters; lists, tuples, arithmetic, comparisons, x if c else y,
+    comprehensions over range(), and calls of range, list and the Kac builders."""
+    letters = st.sampled_from(["'A'", "'B'", "'C'", "'D'", "'E'", "'F'", "'G'", "'Q'"])
+    leaves = st.integers(0, 9).map(str) | st.sampled_from(["r", "n", "i"])
+
+    def grow(inner):
+        return st.one_of(
+            st.lists(inner, max_size=4).map(lambda xs: f"[{', '.join(xs)}]"),
+            st.tuples(letters | inner, inner).map(lambda t: f"({t[0]}, {t[1]})"),
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "//", "%", "<", "<=", "or"]),
+                      inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(inner, inner, inner).map(lambda t: f"({t[0]} if {t[1]} else {t[2]})"),
+            st.tuples(inner, inner).map(lambda t: f"[{t[0]} for i in range({t[1]})]"),
+            st.tuples(st.sampled_from(["range", "list", *KAC_BUILDERS]),
+                      st.lists(letters | inner, max_size=4)).map(
+                lambda t: f"{t[0]}({', '.join(t[1])})"),
+            # the two shape builders with arguments of the right kind
+            st.tuples(letters, inner, st.lists(inner, max_size=2)).map(
+                lambda t: f"affine_diagram({', '.join([t[0], t[1], *t[2]])})"),
+            st.tuples(st.lists(st.tuples(letters, inner), min_size=1, max_size=3),
+                      st.lists(inner, max_size=3)).map(
+                lambda t: f"white_on([{', '.join(f'({a}, {b})' for a, b in t[0])}], "
+                          f"[{', '.join(t[1])}])"))
+    return st.recursive(leaves, grow, max_leaves=10)
+
+
+# where a drawn expression goes in a family: an expression field, a
+# constraint, or a {...} chunk of a name template
+_FUZZED_FIELDS = {
+    "ambient": str, "black": str, "arrows": str, "kac": str,
+    "constraints": lambda e: [e],
+    "restricted": lambda e: f"A{{{e}}}",
+    "hc": lambda e: [f"Gr({{{e}}},{{n}})"],
+}
+
+
+@lru_cache(maxsize=None)
+def _first_instances():
+    """label -> report arguments of the family's first instance of rank <= 6."""
+    out = {}
+    for record in enumerate_records(load_catalog(), 6):
+        out.setdefault(record.label, [f"{k}={v}" for k, v in record.params.items()])
+    return out
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_FUZZED_FIELDS)), _grammar_expressions())
+def test_a_fuzzed_catalog_field_exits_0_1_or_2(data, key, expr):
+    # one field of one shipped family replaced by a value of the grammar:
+    # report and check read it as data, so they exit 0, 1 or 2 and never 3
+    label = data.draw(st.sampled_from(sorted(_first_instances())))
+    doc = _set_field(key, _FUZZED_FIELDS[key](expr), label=label)(_shipped_catalog())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_catalog(Path(tmp) / "fuzz.json", doc)
+        for argv in (["report", label, *_first_instances()[label], "--catalog", path],
+                     ["check", "--max-rank", "6", "--catalog", path]):
+            started = time.monotonic()
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 1, 2), (argv[0], key, expr, err.getvalue())
+            assert time.monotonic() - started < 5, (argv[0], key, expr)
 
 
 def test_unparsable_catalog_exits_2(capsys, tmp_path):

@@ -31,6 +31,21 @@ from wonderful.kac import (
     canonical_type,
     component_descriptor,
     diagram_marks,
+    kac_sym2,
+    kac_tensor,
+    kac_tensor2,
+    marked_diagrams,
+    name_dimension,
+    normalize_name,
+    validate_diagram,
+)
+from wonderful.rootsystem import (
+    VALID_RANKS,
+    build_root_system,
+    positive_roots,
+    subsystem_roots,
+)
+from kac_builders import (
     kac_cycle,
     kac_ei,
     kac_eii,
@@ -48,20 +63,7 @@ from wonderful.kac import (
     kac_hermitian_rank1,
     kac_lagr,
     kac_sp_tensor,
-    kac_sym2,
-    kac_tensor,
-    kac_tensor2,
     kac_wedge2,
-    marked_diagrams,
-    name_dimension,
-    normalize_name,
-    validate_diagram,
-)
-from wonderful.rootsystem import (
-    VALID_RANKS,
-    build_root_system,
-    positive_roots,
-    subsystem_roots,
 )
 
 
@@ -316,6 +318,48 @@ def test_shape_marks_and_descriptors(idx):
     assert len(descs) == len(names)
     assert [normalize_name(d.name) for d in descs] == names
     assert [d.dim for d in descs] == dims
+
+
+# each family's Kac diagram from the literature builders of kac_builders.py,
+# called with the family's parameters
+REFERENCE_KAC = {
+    "GroupA": lambda r: affine_diagram("A", r),
+    "GroupA1": lambda: affine_diagram("A", 1),
+    "GroupB": lambda r: affine_diagram("B", r),
+    "GroupC": lambda r: affine_diagram("C", r),
+    "GroupD": lambda r: affine_diagram("D", r),
+    "GroupE6": lambda: affine_diagram("E", 6),
+    "GroupE7": lambda: affine_diagram("E", 7),
+    "GroupE8": lambda: affine_diagram("E", 8),
+    "GroupF4": lambda: affine_diagram("F", 4),
+    "GroupG2": lambda: affine_diagram("G", 2),
+    "AI": kac_sym2,
+    "AI1": kac_hermitian_rank1,
+    "AII": kac_wedge2,
+    "AIII": lambda n, r: kac_cycle(n, r),
+    "AIIIeq": lambda r: kac_cycle(2 * r, r),
+    "BDI": kac_tensor,
+    "BDI2": kac_tensor2,
+    "BDII": lambda n: kac_tensor(n, 1),
+    "CI": kac_lagr,
+    "CII": kac_sp_tensor,
+    "CIIeq": lambda r: kac_sp_tensor(2 * r, r),
+    "DI": lambda r: kac_tensor(2 * r, r),
+    "DIIIeven": lambda r: kac_gl_half(2 * r),
+    "DIIIodd": lambda r: kac_gl_half(2 * r + 1),
+    "EI": kac_ei, "EII": kac_eii, "EIII": kac_eiii, "EIV": kac_eiv, "EV": kac_ev,
+    "EVI": kac_evi, "EVII": kac_evii, "EVIII": kac_eviii, "EIX": kac_eix,
+    "FI": kac_fi, "FII": kac_fii, "G": kac_g,
+}
+
+
+def test_catalog_diagrams_equal_the_reference_builders():
+    # every instance of ambient rank <= 16, E6-E8, F4 and G2 among them:
+    # the same colors and the same edges in the same order
+    records = enumerate_records(load_catalog(), 16)
+    assert {r.label for r in records} == set(REFERENCE_KAC)
+    for record in records:
+        assert record.kac == REFERENCE_KAC[record.label](**record.params), record.label
 
 
 def test_evii_descriptor_names():
