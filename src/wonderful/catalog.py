@@ -5,11 +5,11 @@ up to MAX_CATALOG_CHARS and parsed by json.  A catalog is
 {"version": 1, "families": [...]}; a family has the fields of _REQUIRED and
 _OPTIONAL: label, integer params, constraints on them, the engine's input
 (ambient -> [(type, rank), ...]; black -> compact nodes; arrows -> node pairs
-the diagram involution swaps; nodes 1-based; kac -> Kac diagram, one call of a
+the diagram involution swaps; nodes 1-based; kac -> Kac diagram from a call of a
 kac.KAC_BUILDERS builder, whose node 0 is alpha_0 or the lone white node) and
 the expected columns.  Each constraint, -> field and {...} chunk of the name
 templates gh, restricted, hc and vmrt follows the expressions.py grammar with
-the parameters in scope; its callables are range, list and, in kac, the five
+the parameters in scope; its callables are range, list and, in kac, the four
 Kac builders.  validate() compares each derived column with its stored value:
 restricted, sigma_theta, fano (from -K_X's weight, invariants.is_fano),
 hermitian (null, "e" or "ne"), hc, vmrt (omitted: hc), and emb of restricted
@@ -23,6 +23,7 @@ import json
 import os
 from dataclasses import dataclass
 from math import gcd
+from operator import sub
 
 from .curves import build_colors, minimal_covering_classes, pushforward_class
 from .expressions import _eval, _fmt
@@ -55,7 +56,7 @@ from .rootsystem import (
     two_rho,
 )
 
-# most characters read from a catalog, so /dev/zero cannot fill memory (shipped: 15,116)
+# most characters read from a catalog, so /dev/zero cannot fill memory (shipped: 15,179)
 MAX_CATALOG_CHARS = 1_000_000
 # most parameters a family may take (the shipped AIII, BDI and CII take 2):
 # enumerate_records tries (2 max_rank + 1)^params value tuples
@@ -368,15 +369,8 @@ def validate(record):
             check_strong_orthogonality(inv)
 
     def check_theta_bar():
-        # theta_bar is 2 theta if sigma(theta) = -theta, else theta - sigma(theta)
-        # with sigma(theta) orthogonal to theta (the group cases included)
-        theta = highest_roots(rs, 0)[0]
-        image = sigma_root(inv, theta)
-        den = 4 if image == tuple(-x for x in theta) else 2
-        # (theta^vee - image^vee) / den = S(u) / (t6 i6 den) for the u below
-        t6, i6 = _form6(rs, theta, theta), _form6(rs, image, image)
-        if any(x * t6 * i6 * den != (a * i6 - b * t6) * top
-               for x, a, b in zip(rrs.theta_bar, theta, image)):
+        theta = highest_roots(rs)[0]
+        if rrs.theta_bar != tuple(map(sub, theta, sigma_root(inv, theta))):
             raise ValueError("theta_bar covector inconsistent with the "
                              "ambient highest root")
 

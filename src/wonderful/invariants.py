@@ -56,7 +56,7 @@ def sigma_theta_is_minus_theta(inv):
     rs = inv.root_system
     if len(rs.components) == 2:
         return True
-    theta = highest_roots(rs, 0)[0]
+    theta = highest_roots(rs)[0]
     return sigma_root(inv, theta) == tuple(-x for x in theta)
 
 
@@ -70,7 +70,7 @@ def check_strong_orthogonality(inv):
     orthogonal, and -sigma(theta) is the highest root of its component
     of the subsystem orthogonal to theta."""
     rs = inv.root_system
-    theta = highest_roots(rs, 0)[0]
+    theta = highest_roots(rs)[0]
     img = sigma_root(inv, theta)
     if img == tuple(-x for x in theta):
         raise ValueError("sigma(theta) = -theta: nothing to check")
@@ -95,9 +95,9 @@ def check_strong_orthogonality(inv):
     return True
 
 
-def dim_minimal_orbit(rs, component=0):
+def dim_minimal_orbit(rs):
     """Dimension of the minimal nilpotent orbit: <theta^vee, 2 rho>."""
-    theta = highest_roots(rs, component)[0]
+    theta = highest_roots(rs)[0]
     dim, r = divmod(2 * _form6(rs, theta, two_rho(rs)), _form6(rs, theta, theta))
     if r:
         raise ValueError("<theta^vee, 2 rho> is not an integer")
@@ -109,9 +109,9 @@ def nilpotent_orbit_dimension(inv):
     independently of kappa."""
     rs = inv.root_system
     if sigma_theta_is_minus_theta(inv):  # a group case counts each component
-        return len(rs.components) * dim_minimal_orbit(rs, 0)
+        return len(rs.components) * dim_minimal_orbit(rs)
     check_strong_orthogonality(inv)
-    theta = highest_roots(rs, 0)[0]
+    theta = highest_roots(rs)[0]
     img = sigma_root(inv, theta)
     # h = theta^vee - img^vee = S(u) / d with S(u)_j = gram6[j][j] u_j, so
     # <h, beta> = 2 (u, beta) / d = <w, beta> / d for the integer row w

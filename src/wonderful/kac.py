@@ -5,8 +5,9 @@ edges store both Cartan pairings, and the marks are read from the leaves up.  Ma
 one white node determines a flag variety of the black subdiagram: its factors are the
 black components, crossed at the neighbors of the marked node.  A catalog draws each
 diagram with a KAC_BUILDERS call: affine_diagram (an untwisted affine diagram with
-the given nodes white), white_on (one white node against black Dynkin diagrams), or
-one of the three so_m-arm builders whose shape turns on the parity of m.
+the given nodes white), white_on (one white node joined by simple bonds to black
+Dynkin diagrams), or kac_sym2 and kac_tensor, which attach so_m arms by the
+multiple bonds (-1, -4), (-1, -2) and (-2, -1) that white_on does not draw.
 """
 
 import re
@@ -278,6 +279,13 @@ def name_dimension(name):
 
 # diagram builders -------------------------------------------------------
 
+def _require_ints(**args):
+    """Refuse, by name, a builder argument that is not an int."""
+    for name, x in args.items():
+        if type(x) is not int:
+            raise ValueError(f"{name} = {x!r} is not an int")
+
+
 class _Builder:
     def __init__(self):
         self.colors = []
@@ -292,8 +300,9 @@ class _Builder:
 
     def dynkin(self, typ, n):
         """Add n black nodes in Bourbaki order, joined as in cartan_matrix."""
+        _require_ints(rank=n)
         # a letter outside A-G, or e.g. so_2 or sp_2 read as D1 or C1
-        if typ not in VALID_RANKS or not VALID_RANKS[typ](n):
+        if type(typ) is not str or typ not in VALID_RANKS or not VALID_RANKS[typ](n):
             raise ValueError(f"invalid component {typ}{n}")
         if (rank := self.colors.count("b") + n) > MAX_AMBIENT_RANK:  # with those so far
             raise ValueError(f"rank {rank} is above the ambient rank ceiling {MAX_AMBIENT_RANK}")
@@ -325,26 +334,22 @@ def affine_diagram(typ, rank, *whites):
     """Untwisted affine diagram: the Dynkin diagram of typ_rank (nodes 1..rank)
     and the extending node 0, alpha_0 = -theta (Kac, Table Aff 1).  The given
     nodes are white; with none given, node 0 alone is."""
-    rs = build_root_system(((typ, rank),))
-    theta = highest_roots(rs)[0]
     b = _Builder()
     w = b.node("w")
-    for i, node in enumerate(b.dynkin(typ, rank)):
+    ids = b.dynkin(typ, rank)  # checks typ and rank before they key a cache
+    rs = build_root_system(((typ, rank),))
+    theta = highest_roots(rs)[0]
+    for i, node in enumerate(ids):
         a_i0 = -pairing(rs, i, theta)
         if a_i0:
             # theta is long: <theta^vee, alpha_i> = (theta, alpha_i)
             pair, r = divmod(_form6(rs, theta, unit_vector(rank, i)), 6)
             assert not r, "theta is long, so (theta, alpha_i) is an integer"
             b.edge(w, node, -pair, a_i0)
-    return with_whites(b.done(), whites or (0,))
-
-
-def with_whites(kd, whites):
-    """kd with exactly the given nodes white."""
-    if not set(whites) <= set(range(kd.size)):
-        raise ValueError(f"white nodes {list(whites)} are not all among the {kd.size} nodes")
-    return KacDiagram(tuple("w" if i in whites else "b" for i in range(kd.size)),
-                      kd.edges)
+    whites = whites or (0,)
+    if not all(x in range(rank + 1) for x in whites):
+        raise ValueError(f"white nodes {list(whites)} are not all among the {rank + 1} nodes")
+    return KacDiagram(tuple("w" if i in whites else "b" for i in range(rank + 1)), tuple(b.edges))
 
 
 def white_on(components, attach):
@@ -352,11 +357,13 @@ def white_on(components, attach):
     components in order; node 0 is joined to the given 1-based black nodes."""
     b = _Builder()
     w = b.node("w")
-    for typ, n in components:
-        b.dynkin(typ, n)
+    for comp in components:
+        if type(comp) is not tuple or len(comp) != 2:
+            raise ValueError(f"component {comp!r} is not a (type, rank) pair")
+        b.dynkin(*comp)
     for i in attach:  # black node i is node i of the diagram
-        if not 1 <= i < len(b.colors):
-            raise ValueError(f"attach node {i} is not among the black nodes "
+        if i not in range(1, len(b.colors)):
+            raise ValueError(f"attach node {i!r} is not among the black nodes "
                              f"1..{len(b.colors) - 1}")
         b.edge(w, i)
     return b.done()
@@ -364,6 +371,7 @@ def white_on(components, attach):
 
 def kac_sym2(r):
     """White node against so_{r+1}."""
+    _require_ints(r=r)
     b = _Builder()
     b.so_arm(r + 1, b.node("w"), (-1, -2))
     return b.done()
@@ -371,6 +379,7 @@ def kac_sym2(r):
 
 def kac_tensor(n, r):
     """White node against so_r x so_{n-r} at the vector nodes."""
+    _require_ints(n=n, r=r)
     b = _Builder()
     w = b.node("w")
     if r == 1:
@@ -381,17 +390,10 @@ def kac_tensor(n, r):
     return b.done()
 
 
-def kac_tensor2(n):
-    """Two white nodes against so_{n-2} at the vector nodes."""
-    return affine_diagram("B" if n % 2 else "D", n // 2, 0, 1)
-
-
-# the callables of a catalog's kac expressions; white_on and affine_diagram
-# draw every diagram but the three whose so_m arm changes shape with m's parity
+# the callables of a catalog's kac expressions
 KAC_BUILDERS = {
     "affine_diagram": affine_diagram,
     "white_on": white_on,
     "kac_sym2": kac_sym2,
     "kac_tensor": kac_tensor,
-    "kac_tensor2": kac_tensor2,
 }

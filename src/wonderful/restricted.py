@@ -132,7 +132,7 @@ def build_restricted(inv):
     # beta <= theta, on one component or in a group datum (fibers
     # {i, i + n}), so res(theta) dominates; it is 0 when theta's component
     # is black
-    theta = highest_roots(rs, 0)[0]
+    theta = highest_roots(rs)[0]
     k = index[pack(theta)]
     theta_bar = unpack(codes[k] - codes[sigma_perm[k]], rs.rank)
     if not any(theta_bar):

@@ -188,19 +188,17 @@ def coroot(rs, root):
 
 @lru_cache(maxsize=None)
 def _root_generation(rs):
-    """(positive roots by height, steps, 6 (beta, beta) per root, codes,
-    index): beta + alpha_i is a root when the alpha_i-string through beta
-    goes on up, and its step (position of beta, i) is recorded when it is
-    first reached.  The pairings p = <alpha_i^vee, beta> ride along with each
-    root: a step adds column i of the Cartan matrix, and gram6[i][i] (p + 1)
-    to 6 (beta, beta).  codes are the packed positive roots followed by
+    """(positive roots by height, steps, codes, index): beta + alpha_i is a
+    root when the alpha_i-string through beta goes on up, and its step
+    (position of beta, i) is recorded when it is first reached.  The pairings
+    p = <alpha_i^vee, beta> ride along with each root: a step adds column i of
+    the Cartan matrix.  codes are the packed positive roots followed by
     their negatives, and index maps each code to its position there."""
     n = rs.rank
     columns = [tuple(row[i] for row in rs.cartan) for i in range(n)]
     short = {i for i in range(n) if rs.gram6[i][i] != 12}
     unit = [1 << 16 * i for i in range(n)]
     ordered, pairings, codes = [unit_vector(n, i) for i in range(n)], columns[:], unit[:]
-    sq6 = [rs.gram6[i][i] for i in range(n)]
     index = {c: k for k, c in enumerate(codes)}
     steps = []
     # breadth first: the loop also visits the roots appended inside it
@@ -219,11 +217,10 @@ def _root_generation(rs):
             ordered.append(beta[:i] + (beta[i] + 1,) + beta[i + 1:])
             steps.append((k, i))
             pairings.append(tuple(a + b for a, b in zip(pairings[k], columns[i])))
-            sq6.append(sq6[k] + rs.gram6[i][i] * (p + 1))
     npos = len(codes)
     codes += [-c for c in codes]
     index.update((codes[k], k) for k in range(npos, 2 * npos))
-    return tuple(ordered), tuple(steps), tuple(sq6), tuple(codes), index
+    return tuple(ordered), tuple(steps), tuple(codes), index
 
 
 def positive_roots(rs):
@@ -235,7 +232,7 @@ def root_codes(rs):
     """(codes, index): the packed positive roots in height order followed by
     their negatives, so codes[k + N] == -codes[k] for N positive roots, and
     the map from each code to its position."""
-    return _root_generation(rs)[3:]
+    return _root_generation(rs)[2:]
 
 
 def root_steps(rs):
@@ -246,15 +243,13 @@ def root_steps(rs):
 
 
 @lru_cache(maxsize=None)
-def highest_roots(rs, component=0):
-    """(highest root, highest short root) of one irreducible component: the
-    last of its roots by height, and the last as short as its shortest simple
-    root; both are dominant, so they have the component's full support."""
-    nodes = rs.component_nodes(component)
-    roots, _, sq6, _, _ = _root_generation(rs)
-    mine = [k for k, b in enumerate(roots) if b[nodes[0]]]
-    short = min(rs.gram6[i][i] for i in nodes)
-    return roots[mine[-1]], roots[next(k for k in reversed(mine) if sq6[k] == short)]
+def highest_roots(rs):
+    """The highest root of each irreducible component, in component order:
+    the last of its roots by height, which is dominant and so has the
+    component's full support."""
+    roots = positive_roots(rs)
+    return tuple(next(b for b in reversed(roots) if b[nodes[0]])
+                 for nodes in map(rs.component_nodes, range(len(rs.components))))
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ every positive root supported on the nodes, the slow way, so the tests can
 compare the two.
 """
 
-from wonderful.rootsystem import _root_generation
+from wonderful.rootsystem import _form6, positive_roots
 
 
 def two_rho_vee_by_scan(rs, nodes):
@@ -16,9 +16,9 @@ def two_rho_vee_by_scan(rs, nodes):
     gram6[i][i] / 6(beta, beta) alpha_i^vee of the positive roots beta with
     support in nodes, whose coefficients are integers."""
     c = dict.fromkeys(nodes, 0)
-    roots, _, sq6, _, _ = _root_generation(rs)
-    for beta, s in zip(roots, sq6):
+    for beta in positive_roots(rs):
         if all(i in c for i, x in enumerate(beta) if x):
+            s = _form6(rs, beta, beta)
             for i in c:
                 q, r = divmod(beta[i] * rs.gram6[i][i], s)
                 assert r == 0, (beta, i)

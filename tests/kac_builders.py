@@ -6,7 +6,12 @@ Helgason, Ch. X, Section 5).  These helpers name the same diagrams one
 family at a time, so the tests can compare the two.
 """
 
-from wonderful.kac import _Builder, affine_diagram, with_whites
+from wonderful.kac import KacDiagram, _Builder, affine_diagram
+
+
+def with_whites(kd, whites):
+    """kd with exactly the given nodes white."""
+    return KacDiagram(tuple("w" if i in whites else "b" for i in range(kd.size)), kd.edges)
 
 
 def _white_on(typ, rank, *attach, extra=False):
@@ -37,6 +42,11 @@ def kac_wedge2(r):
 def kac_cycle(n, k):
     """Affine cycle of length n with whites at positions 0 and k."""
     return with_whites(affine_diagram("A", n - 1), (0, k))
+
+
+def kac_tensor2(n):
+    """Two white nodes against so_{n-2} at the vector nodes."""
+    return with_whites(affine_diagram("B" if n % 2 else "D", n // 2), (0, 1))
 
 
 def kac_lagr(r):

@@ -114,7 +114,7 @@ def test_nilpotent_orbit_oracle():
         rs = inv.root_system
         dim_orbit = dimensions(record.restricted)[2]
         assert dim_orbit == nilpotent_orbit_dimension(inv), record.label
-        theta = highest_roots(rs, 0)[0]
+        theta = highest_roots(rs)[0]
         image = sigma_root(inv, theta)
         fixed = image == tuple(-x for x in theta)
         branches[fixed] += 1
@@ -190,7 +190,7 @@ def test_restricted_root_suite():
             label
 
         # strong orthogonality of the highest root and its image
-        theta = highest_roots(rs, 0)[0]
+        theta = highest_roots(rs)[0]
         if sigma_root(inv, theta) != tuple(-x for x in theta):
             check_strong_orthogonality(inv)
 

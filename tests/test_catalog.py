@@ -1,5 +1,6 @@
 """Catalog loading, instantiation, validation, and enumeration."""
 
+import ast
 import dataclasses
 import fnmatch
 import re
@@ -28,7 +29,7 @@ from wonderful.invariants import (
 from wonderful.curves import build_colors, minimal_covering_classes
 from wonderful.expressions import _BRACE, _compile, _eval
 from wonderful.involution import build_involution
-from wonderful.kac import marked_diagrams
+from wonderful.kac import KAC_BUILDERS, affine_diagram, marked_diagrams
 from wonderful.restricted import build_restricted
 from wonderful.rootsystem import build_root_system, pack, root_codes
 from satake_data import diagram_class, raw_data, satake
@@ -405,6 +406,14 @@ def test_every_shipped_expression_is_in_the_grammar():
         _compile(expr)
 
 
+def test_every_kac_builder_is_called_by_a_shipped_family():
+    # so a builder the catalog no longer needs cannot linger in src/
+    called = {node.func.id for t in CAT.templates
+              for node in ast.walk(ast.parse(t.data["kac"], mode="eval"))
+              if isinstance(node, ast.Call)}
+    assert set(KAC_BUILDERS) <= called
+
+
 @pytest.mark.parametrize("expr, reason", [
     ("r.real", "Attribute is not allowed"),
     ("[1, 2][r]", "Subscript is not allowed"),
@@ -417,6 +426,7 @@ def test_every_shipped_expression_is_in_the_grammar():
     ("r and 2", "And is not allowed"),
     ("{r: 1}", "Dict is not allowed"),
     ("'%d' % r", "constant '%d' is not allowed here"),
+    ("'B' if r % 2 else 'D'", "constant 'B' is not allowed here"),
     ("[i for i in [1, 2]]", "a comprehension must read [x for name in range(...)] with no "
                             "comprehension in x"),
     ("[[j for j in range(r)] for i in range(r)]", "a comprehension must read [x for "
@@ -426,6 +436,14 @@ def test_expression_outside_the_grammar_is_refused_before_it_runs(expr, reason):
     with pytest.raises(ValueError) as info:
         _eval(expr, {"r": 2})
     assert str(info.value) == f"catalog expression {expr!r}: {reason}"
+
+
+def test_a_choice_between_builder_calls_is_in_the_grammar():
+    # a str constant may not be a branch of x if c else y, but a call's
+    # argument may, so BDI2 picks its diagram by the parity of n this way
+    expr = "affine_diagram('B', r, 0, 1) if r % 2 else affine_diagram('D', r, 0, 1)"
+    for r, typ in [(3, "B"), (4, "D")]:
+        assert _eval(expr, {"r": r, **KAC_BUILDERS}) == affine_diagram(typ, r, 0, 1)
 
 
 @pytest.mark.parametrize("expr, reason", [

@@ -315,7 +315,7 @@ def _reference_nilpotent_orbit_dimension(inv):
     """The count of roots with <h, beta> in {1, 2}, h paired in Fractions,
     for sigma(theta) != -theta outside the group case; else None."""
     rs = inv.root_system
-    theta = highest_roots(rs, 0)[0]
+    theta = highest_roots(rs)[0]
     img = apply_matrix(sigma_matrix(inv), theta)
     if len(rs.components) == 2 or img == tuple(-x for x in theta):
         return None
@@ -429,7 +429,7 @@ def test_sigma_bar_is_tau_and_the_construction_holds_on_every_accepted_datum():
             assert [j for j in white if rrs.node_fiber[j] == k] == sorted({i, tau[i]}), where
             assert case_den[inv.cases[i]] * rs.gram6[i][i] == _form6(rs, v, v), where
         # theta_bar is the restriction of theta
-        theta = highest_roots(rs, 0)[0]
+        theta = highest_roots(rs)[0]
         assert rrs.theta_bar == tuple(a - b for a, b in zip(theta, sigma_root(inv, theta))), where
         top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
 

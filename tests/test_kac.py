@@ -33,7 +33,6 @@ from wonderful.kac import (
     diagram_marks,
     kac_sym2,
     kac_tensor,
-    kac_tensor2,
     marked_diagrams,
     name_dimension,
     normalize_name,
@@ -63,6 +62,7 @@ from kac_builders import (
     kac_hermitian_rank1,
     kac_lagr,
     kac_sp_tensor,
+    kac_tensor2,
     kac_wedge2,
 )
 

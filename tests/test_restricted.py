@@ -252,7 +252,7 @@ def _theta_bar_expansion(rrs, fibers):
     """Nonnegative integer coefficients of theta_bar_covector over the
     primitive coroots {ahat_vee}."""
     rs = rrs.root_system
-    theta = highest_roots(rs, 0)[0]
+    theta = highest_roots(rs)[0]
     top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
     coeffs = []
     for k, (v, fiber) in enumerate(zip(rrs.restricted_simple, fibers)):
@@ -293,7 +293,7 @@ def _fraction_reference(inv):
                      for a, b in zip(coroot(rs, e), coroot(rs, sigma_root(inv, e))))
         ahat = tuple(x / 2 for x in abar) if case == NONREDUCED else abar
         coroots.append((abar, ahat))
-    theta_bar = restrict_root(inv, highest_roots(rs, 0)[0])
+    theta_bar = restrict_root(inv, highest_roots(rs)[0])
     top = expand([ahat for _, ahat in coroots], coroot(rs, theta_bar))
     return tuple(mult), tuple(mult.values()), cartan, tuple(coroots), tuple(top)
 

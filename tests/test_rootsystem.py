@@ -161,17 +161,9 @@ def test_invalid_components():
 
 def test_highest_root_values():
     assert highest_roots(build_root_system((("A", 3),)))[0] == (1, 1, 1)
-    rs_b2 = build_root_system((("B", 2),))
-    theta, short = highest_roots(rs_b2)
-    assert theta == (1, 2)
-    assert short == (1, 1)
-    rs_g2 = build_root_system((("G", 2),))
-    theta, short = highest_roots(rs_g2)
-    assert theta == (3, 2)
-    assert short == (2, 1)
-    theta_f4, short_f4 = highest_roots(build_root_system((("F", 4),)))
-    assert theta_f4 == (2, 3, 4, 2)
-    assert short_f4 == (1, 2, 3, 2)
+    assert highest_roots(build_root_system((("B", 2),)))[0] == (1, 2)
+    assert highest_roots(build_root_system((("G", 2),)))[0] == (3, 2)
+    assert highest_roots(build_root_system((("F", 4),)))[0] == (2, 3, 4, 2)
     assert highest_roots(build_root_system((("E", 6),)))[0] == (1, 2, 2, 3, 2, 1)
 
 
@@ -298,7 +290,7 @@ def test_two_rho_vee_matches_the_root_scan():
 def test_multi_component():
     rs = build_root_system((("A", 1), ("A", 1)))
     assert len(positive_roots(rs)) == 2
-    assert highest_roots(rs, 1)[0] == (0, 1)
+    assert highest_roots(rs) == ((1, 0), (0, 1))
     assert pair_coweight(rs, (Fraction(1, 2), Fraction(1, 2)), (1, 1)) == 2
 
 
