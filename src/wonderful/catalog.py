@@ -314,10 +314,11 @@ def validate(record):
     # so <theta_bar_covector, w> = 2 (theta_bar, w) / top, in 6-scaled forms
     top = _form6(rs, rrs.theta_bar, rrs.theta_bar)
     exceptional = rrs.exceptional_pair is not None
+    canonical = canonical_type(rrs.type_label)
+    letter = canonical.rstrip("0123456789")
 
     def check_restricted_type():
-        got, want = canonical_type(rrs.type_label), canonical_type(stored.restricted_type)
-        if got != want:
+        if canonical != canonical_type(stored.restricted_type):
             raise ValueError(f"computed {rrs.type_label}, stored "
                              f"{stored.restricted_type}")
 
@@ -340,7 +341,6 @@ def validate(record):
 
     def check_boundary_degree():
         s = dimensions(rrs)[0]
-        letter = canonical_type(rrs.type_label).rstrip("0123456789")
         if (s == 2) != (letter == "A"):
             raise ValueError(f"boundary degree {s} vs restricted letter "
                              f"{letter}")
@@ -375,7 +375,7 @@ def validate(record):
                              "ambient highest root")
 
     def check_primitivity():
-        if canonical_type(rrs.type_label) == "A1":
+        if canonical == "A1":
             return
         doubled = [divmod(2 * rs.gram6[j][j] * x, top) for j, x in enumerate(rrs.theta_bar)]
         if any(r for _, r in doubled):
@@ -445,7 +445,6 @@ def validate(record):
                                  f"match factors of {name!r}")
 
     def check_hc_vmrt_coherence():
-        letter = canonical_type(rrs.type_label).rstrip("0123456789")
         if letter != "A" and stored.vmrt != stored.hc:
             raise ValueError("stored VMRT differs from stored closed orbit "
                              "for a non-A restricted type")

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from operator import add, mul
 
 from .curves import build_colors, minimal_covering_classes
-from .involution import moved_root_count, sigma_root
+from .involution import sigma_root
 from .rootsystem import (
     _form6,
     connected_components,
@@ -86,7 +86,7 @@ def check_strong_orthogonality(inv):
         raise ValueError("-sigma(theta) is not supported on the "
                          "theta-orthogonal subsystem")
     # components of the orthogonal subsystem that meet the support
-    comp = tuple(sorted(i for c in connected_components(orth, lambda i, j: rs.cartan[i][j] != 0)
+    comp = tuple(sorted(i for c in connected_components(rs.cartan, orth)
                         if support & set(c) for i in c))
     for b in subsystem_roots(rs, comp):
         if any(neg[j] < b[j] for j in range(rs.rank)):
@@ -96,12 +96,10 @@ def check_strong_orthogonality(inv):
 
 
 def dim_minimal_orbit(rs):
-    """Dimension of the minimal nilpotent orbit: <theta^vee, 2 rho>."""
+    """Dimension of the minimal nilpotent orbit: <theta^vee, 2 rho>, an
+    integer as theta^vee is a coroot and 2 rho is in the root lattice."""
     theta = highest_roots(rs)[0]
-    dim, r = divmod(2 * _form6(rs, theta, two_rho(rs)), _form6(rs, theta, theta))
-    if r:
-        raise ValueError("<theta^vee, 2 rho> is not an integer")
-    return dim
+    return 2 * _form6(rs, theta, two_rho(rs)) // _form6(rs, theta, theta)
 
 
 def nilpotent_orbit_dimension(inv):
@@ -131,9 +129,9 @@ def nilpotent_orbit_dimension(inv):
 
 
 def dim_isotropy_complement(rrs):
-    """Dimension of the -1 eigenspace: restricted rank plus half the
-    number of moved roots."""
-    return rrs.rank + moved_root_count(rrs.involution) // 2
+    """Dimension of the -1 eigenspace: restricted rank plus half the roots sigma
+    moves: the sum of the multiplicities, which count each moved positive root once."""
+    return rrs.rank + sum(rrs.multiplicities)
 
 
 @memoised

@@ -194,8 +194,3 @@ def is_inner(inv):
     rs = inv.root_system
     iota = minus_w0_permutation(rs)
     return all(iota[inv.tau[i]] == i for i in range(rs.rank))
-
-
-def moved_root_count(inv):
-    """Number of roots beta with sigma(beta) != beta."""
-    return sum(1 for k, j in enumerate(inv.sigma_perm) if j != k)

@@ -21,11 +21,10 @@ from .rootsystem import (
     VALID_RANKS,
     build_root_system,
     cartan_matrix,
-    connected_components,
     highest_roots,
-    identify_cartan,
     memoised,
     pairing,
+    typed_components,
     unit_vector,
 )
 
@@ -123,12 +122,9 @@ def _factor_dim(typ, rank, crossed):
     if rank > MAX_AMBIENT_RANK:
         raise ValueError(f"rank {rank} is above the ambient rank ceiling "
                          f"{MAX_AMBIENT_RANK}")
-    a = cartan_matrix(typ, rank)
     kept = [j for j in range(rank) if j + 1 not in crossed]
-    return _positive_count(typ, rank) - sum(
-        _positive_count(t, n) for t, n, _ in (
-            identify_cartan([[a[i][j] for j in comp] for i in comp])
-            for comp in connected_components(kept, lambda i, j: a[i][j] != 0)))
+    return _positive_count(typ, rank) - sum(_positive_count(t, len(comp)) for t, comp
+                                            in typed_components(cartan_matrix(typ, rank), kept))
 
 
 def _name_factor(typ, rank, crossed):
@@ -155,17 +151,12 @@ def component_descriptor(kd, white):
     if kd.colors[white] != "w":
         raise ValueError(f"node {white} is not white")
     cartan = kd.cartan()
-    crossed_nodes = {j for j in kd.blacks if cartan[white][j] != 0}
     factors = []
-    for comp in connected_components(kd.blacks, lambda i, j: cartan[i][j] != 0):
-        ident = identify_cartan([[cartan[i][j] for j in comp] for i in comp])
-        if ident is None:
-            raise ValueError("black component has no Cartan type")
-        typ, rank, mapping = ident
-        crossed = tuple(sorted(std + 1 for std, local in enumerate(mapping)
-                               if comp[local] in crossed_nodes))
+    for typ, comp in typed_components(cartan, kd.blacks):
+        # 1-based Bourbaki numbers of the nodes next to the white one
+        crossed = tuple(k + 1 for k, j in enumerate(comp) if cartan[white][j])
         if crossed:
-            factors.append((typ, rank, crossed))
+            factors.append((typ, len(comp), crossed))
     return HomogeneousSpaceDescriptor(
         name=" x ".join(_name_factor(*f) for f in factors) or "pt",
         dim=sum(_factor_dim(*f) for f in factors))
@@ -279,11 +270,11 @@ def name_dimension(name):
 
 # diagram builders -------------------------------------------------------
 
-def _require_ints(**args):
-    """Refuse, by name, a builder argument that is not an int."""
+def _require(kinds, what, **args):
+    """Refuse, by name, a builder argument whose type is not among kinds."""
     for name, x in args.items():
-        if type(x) is not int:
-            raise ValueError(f"{name} = {x!r} is not an int")
+        if type(x) not in kinds:
+            raise ValueError(f"{name} = {x!r} is not {what}")
 
 
 class _Builder:
@@ -300,7 +291,7 @@ class _Builder:
 
     def dynkin(self, typ, n):
         """Add n black nodes in Bourbaki order, joined as in cartan_matrix."""
-        _require_ints(rank=n)
+        _require((int,), "an int", rank=n)
         # a letter outside A-G, or e.g. so_2 or sp_2 read as D1 or C1
         if type(typ) is not str or typ not in VALID_RANKS or not VALID_RANKS[typ](n):
             raise ValueError(f"invalid component {typ}{n}")
@@ -355,6 +346,7 @@ def affine_diagram(typ, rank, *whites):
 def white_on(components, attach):
     """White node 0, then the black Dynkin diagrams of the (type, rank)
     components in order; node 0 is joined to the given 1-based black nodes."""
+    _require((list, tuple), "a list", components=components, attach=attach)
     b = _Builder()
     w = b.node("w")
     for comp in components:
@@ -371,7 +363,7 @@ def white_on(components, attach):
 
 def kac_sym2(r):
     """White node against so_{r+1}."""
-    _require_ints(r=r)
+    _require((int,), "an int", r=r)
     b = _Builder()
     b.so_arm(r + 1, b.node("w"), (-1, -2))
     return b.done()
@@ -379,7 +371,7 @@ def kac_sym2(r):
 
 def kac_tensor(n, r):
     """White node against so_r x so_{n-r} at the vector nodes."""
-    _require_ints(n=n, r=r)
+    _require((int,), "an int", n=n, r=r)
     b = _Builder()
     w = b.node("w")
     if r == 1:

@@ -146,15 +146,12 @@ def build_root_system(components):
         for i, j, aij, aji in _edges(typ, n):
             cartan[offset + i][offset + j] = aij
             cartan[offset + j][offset + i] = aji
-            # d_i a_ij = d_j a_ji, exact as at most one bond is multiple
+            # d_i a_ij = d_j a_ji exactly, so gram6 is symmetric: each near end
+            # d_i is set before its bond, and is 6 where a_ji is -2 or -3
             d[j] = d[i] * aij // aji
         top = max(d)
         scale += [6 * x // top for x in d]
     gram6 = tuple(tuple(scale[i] * cartan[i][j] for j in range(total)) for i in range(total))
-    for i in range(total):
-        for j in range(total):
-            if gram6[i][j] != gram6[j][i]:
-                raise ValueError("asymmetric inner product")
     return RootSystem(
         components=tuple(components),
         cartan=tuple(tuple(row) for row in cartan),
@@ -263,25 +260,28 @@ def subsystem_roots(rs, nodes):
     return tuple(b for b in positive_roots(rs) if not any(b[j] for j in outside))
 
 
-def connected_components(nodes, linked):
-    """Components of the graph on nodes with an edge i-j where linked(i, j),
-    for a symmetric linked; each sorted, ordered by least node."""
+def connected_components(cartan, nodes):
+    """Components of the Dynkin diagram of cartan on the given nodes, with i
+    and j linked where cartan[i][j] is nonzero; each sorted, ordered by least node."""
     rest, comps = sorted(nodes), []
     while rest:
         comp = [rest.pop(0)]
         for i in comp:  # breadth first: comp grows inside the loop
-            comp += (near := [j for j in rest if linked(i, j)])
+            comp += (near := [j for j in rest if cartan[i][j]])
             rest = [j for j in rest if j not in near]
         comps.append(sorted(comp))
     return comps
 
 
-def typed_components(rs, nodes):
-    """(type, nodes in Bourbaki order) per connected component of the nodes."""
-    for comp in connected_components(nodes, lambda i, j: rs.cartan[i][j] != 0):
-        typ, _, order = (("A", 1, [0]) if len(comp) == 1
-                         else identify_cartan([[rs.cartan[i][j] for j in comp] for i in comp]))
-        yield typ, [comp[k] for k in order]
+def typed_components(cartan, nodes):
+    """(type, nodes in Bourbaki order) per connected component of the nodes;
+    a component with no Cartan type raises ValueError."""
+    for comp in connected_components(cartan, nodes):
+        ident = (("A", 1, [0]) if len(comp) == 1 and cartan[comp[0]][comp[0]] == 2
+                 else identify_cartan([[cartan[i][j] for j in comp] for i in comp]))
+        if ident is None:
+            raise ValueError("black component has no Cartan type")
+        yield ident[0], [comp[k] for k in ident[2]]
 
 
 def opposition(rs, nodes):
@@ -290,7 +290,7 @@ def opposition(rs, nodes):
     nodes, -w_0 is the flip of A_n or E6, the swap of the two spinor nodes of
     D_n for odd n, and the identity on the other types (Bourbaki, Plates)."""
     perm = {}
-    for typ, comp in typed_components(rs, nodes):
+    for typ, comp in typed_components(rs.cartan, nodes):
         n = len(comp)
         std = (range(n - 1, -1, -1) if typ == "A"
                else (*range(n - 2), n - 1, n - 2) if typ == "D" and n % 2
@@ -312,7 +312,7 @@ def two_rho_vee(rs, nodes):
     coroots of the parabolic subsystem on the given nodes: on each component,
     2 rho of the dual type (Bourbaki, Lie Groups, Ch. VI, Plates)."""
     c = {}
-    for typ, comp in typed_components(rs, nodes):
+    for typ, comp in typed_components(rs.cartan, nodes):
         n = len(comp)
         k = range(1, n + 1)
         c.update(zip(comp, [i * (n + 1 - i) for i in k] if typ == "A"

@@ -206,12 +206,15 @@ def test_restricted_root_suite():
 
 def test_restricted_multiplicities_count_the_moved_roots():
     # each positive root outside the black subsystem restricts to exactly
-    # one positive restricted root, so the multiplicities add up to dim p - rank
+    # one positive restricted root, so the multiplicities add up to half the
+    # roots sigma moves, and dim p is the rank plus that half
     for record in _all_records():
         rrs = record.restricted
         assert len(rrs.multiplicities) == len(rrs.restricted_positive)
         assert min(rrs.multiplicities) >= 1, record.label
-        assert rrs.rank + sum(rrs.multiplicities) == dim_isotropy_complement(rrs)
+        moved = sum(j != k for k, j in enumerate(rrs.involution.sigma_perm))
+        assert 2 * sum(rrs.multiplicities) == moved, record.label
+        assert dim_isotropy_complement(rrs) == rrs.rank + moved // 2, record.label
 
 
 # the Fano records of ambient rank <= 16 whose VMRT has two components: the

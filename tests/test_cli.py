@@ -326,12 +326,15 @@ def test_catalog_expression_of_the_wrong_shape_exits_2(capsys, tmp_path, key, ex
     ("white_on([('A', 2, 1)], [1])", "component ('A', 2, 1) is not a (type, rank) pair"),
     ("kac_tensor(5, [1])", "r = [1] is not an int"),
     ("kac_sym2([3])", "r = [3] is not an int"),
+    ("white_on(5, [1])", "components = 5 is not a list"),
+    ("white_on([('A', 2)], 1)", "attach = 1 is not a list"),
 ])
 def test_kac_builder_outside_its_domain_exits_2(capsys, tmp_path, expr, reason):
     # so_1, so_2 and sp_2 have no diagram to attach, Q and 1 are no Cartan
     # type, 7, 'x' and [0] are no nodes of the 3-cycle A_2^(1), node 0 (which
     # would wrap to the last node), node 9 and (1, 2) are no black nodes, the
-    # ceiling bounds all black nodes together, and every rank, n and r is an int
+    # ceiling bounds all black nodes together, every rank, n and r is an int,
+    # and white_on's components and attach are lists
     path = _write_catalog(tmp_path / "kac.json",
                           _set_field("kac", expr, label="AI")(_shipped_catalog()))
     code, out, err = run(capsys, "report", "AI", "r=3", "--catalog", path)

@@ -1,6 +1,7 @@
 """Dimension formulas, orbit types and the report invariants."""
 
 import dataclasses
+from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -25,7 +26,15 @@ from wonderful.invariants import (
 )
 from wonderful.involution import build_involution, make_satake
 from wonderful.restricted import build_restricted
-from wonderful.rootsystem import build_root_system, coroot, pairing, two_rho
+from wonderful.rootsystem import (
+    VALID_RANKS,
+    _form6,
+    build_root_system,
+    coroot,
+    highest_roots,
+    pairing,
+    two_rho,
+)
 from coweights import pair_coweight
 from picard_rules import split_rule_fano
 from satake_data import raw_data, satake
@@ -43,6 +52,19 @@ def test_dim_minimal_orbit_values():
               ("D", 5): 14, ("F", 4): 16, ("C", 3): 6, ("E", 6): 22}
     for comp, expect in values.items():
         assert dim_minimal_orbit(build_root_system((comp,))) == expect
+
+
+def test_gram_is_symmetric_and_the_minimal_orbit_pairing_integral():
+    # build_root_system and dim_minimal_orbit rely on both without checking
+    # them: every type of rank <= 12, the exceptional types, three components
+    systems = [((t, n),) for t in "ABCDEFG" for n in range(1, 13) if VALID_RANKS[t](n)]
+    for components in systems + [(("C", 4), ("G", 2), ("B", 3))]:
+        rs = build_root_system(components)
+        n = rs.rank
+        assert all(rs.gram6[i][j] == rs.gram6[j][i] for i in range(n) for j in range(n))
+        theta = highest_roots(rs)[0]
+        dim = Fraction(2 * _form6(rs, theta, two_rho(rs)), _form6(rs, theta, theta))
+        assert dim.denominator == 1 and dim == dim_minimal_orbit(rs), components
 
 
 def test_bdii_anchor():

@@ -395,6 +395,17 @@ def test_component_descriptor_requires_white():
         component_descriptor(kd, 1)
 
 
+@pytest.mark.parametrize("colors, edges", [
+    # a white node beside a black triangle, the cycle A_2^(1)
+    ("wbbb", ((0, 1, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1), (3, 1, -1, -1))),
+    # a black node bonded to itself, so its diagonal Cartan entry is -1
+    ("wb", ((0, 1, -1, -1), (1, 1, -1, -1))),
+], ids=["black-triangle", "self-bond"])
+def test_black_component_without_a_type_is_refused(colors, edges):
+    with pytest.raises(ValueError, match="^black component has no Cartan type$"):
+        marked_diagrams(KacDiagram(tuple(colors), edges))
+
+
 def test_normalize_name():
     assert normalize_name("Q2") == ("P1", "P1")
     assert normalize_name("Q1 x Q3") == ("P1", "Q3")

@@ -313,7 +313,7 @@ def _connected_subsets(typ, rank):
     a = cartan_matrix(typ, rank)
     for size in range(1, rank + 1):
         for nodes in itertools.combinations(range(rank), size):
-            if len(connected_components(nodes, lambda i, j: a[i][j] != 0)) == 1:
+            if len(connected_components(a, nodes)) == 1:
                 yield [[a[i][j] for j in nodes] for i in nodes]
 
 
@@ -395,7 +395,9 @@ def test_connected_components_match_union_find():
         want = {}
         for i in sorted(nodes):
             want.setdefault(root(i), []).append(i)
-        got = connected_components(nodes, lambda i, j: frozenset((i, j)) in edges)
+        a = [[2 if i == j else -(frozenset((i, j)) in edges) for j in range(12)]
+             for i in range(12)]
+        got = connected_components(a, nodes)
         assert got == sorted(want.values(), key=min)
 
 
