@@ -7,15 +7,15 @@ from .curves import build_colors, minimal_covering_classes
 from .involution import sigma_root
 from .rootsystem import (
     _form6,
-    connected_components,
+    highest_root,
     highest_roots,
     memoised,
     pack,
     pairing,
     positive_roots,
     root_codes,
-    subsystem_roots,
     two_rho,
+    typed_components,
     unpack,
 )
 
@@ -68,7 +68,7 @@ def orbit_type(inv):
 def check_strong_orthogonality(inv):
     """For sigma(theta) != -theta: theta and -sigma(theta) are strongly
     orthogonal, and -sigma(theta) is the highest root of its component
-    of the subsystem orthogonal to theta."""
+    of the subsystem orthogonal to theta, compared with its closed form."""
     rs = inv.root_system
     theta = highest_roots(rs)[0]
     img = sigma_root(inv, theta)
@@ -85,13 +85,11 @@ def check_strong_orthogonality(inv):
     if not support <= orth:
         raise ValueError("-sigma(theta) is not supported on the "
                          "theta-orthogonal subsystem")
-    # components of the orthogonal subsystem that meet the support
-    comp = tuple(sorted(i for c in connected_components(rs.cartan, orth)
-                        if support & set(c) for i in c))
-    for b in subsystem_roots(rs, comp):
-        if any(neg[j] < b[j] for j in range(rs.rank)):
-            raise ValueError("-sigma(theta) is not the highest root of its "
-                             "component of the orthogonal subsystem")
+    # a root dominates every root of its component iff it is the highest one
+    comps = [c for c in typed_components(rs.cartan, orth) if support & set(c[1])]
+    if len(comps) != 1 or highest_root(*comps[0], rs.rank) != neg:
+        raise ValueError("-sigma(theta) is not the highest root of its "
+                         "component of the orthogonal subsystem")
     return True
 
 
@@ -149,15 +147,17 @@ def is_fano(rrs):
 def is_hermitian(rrs):
     """Moore's criterion: G/K is Hermitian iff it is not a group case, its
     restricted type is C_r or BC_r (A1 = C1, B2 = C2) and its longest
-    restricted roots have multiplicity 1."""
+    restricted roots have multiplicity 1 (Amer. J. Math. 86, 1964).  The Weyl group
+    is transitive on them and keeps multiplicities (Helgason, Ch. X), so one is
+    read: twice the doubled simple root on BC_r, else the longest simple root."""
     rs = rrs.root_system
     letter = rrs.type_label.rstrip("0123456789")
     if len(rs.components) == 2 or (letter not in ("C", "BC")
                                    and rrs.type_label not in ("A1", "B2")):
         return False
-    sq = [_form6(rs, v, v) for v in rrs.restricted_positive]
-    longest = max(sq)
-    return all(m == 1 for m, q in zip(rrs.multiplicities, sq) if q == longest)
+    sq = [_form6(rs, v, v) for v in rrs.restricted_simple]
+    codes, d = rrs.restricted_codes, rrs.doubled_index
+    return rrs.multiplicities[sq.index(max(sq)) if d is None else codes.index(2 * codes[d])] == 1
 
 
 # VMRT of restricted type A_r, r >= 2, by the common multiplicity m: the

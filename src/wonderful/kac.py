@@ -333,10 +333,8 @@ def affine_diagram(typ, rank, *whites):
     for i, node in enumerate(ids):
         a_i0 = -pairing(rs, i, theta)
         if a_i0:
-            # theta is long: <theta^vee, alpha_i> = (theta, alpha_i)
-            pair, r = divmod(_form6(rs, theta, unit_vector(rank, i)), 6)
-            assert not r, "theta is long, so (theta, alpha_i) is an integer"
-            b.edge(w, node, -pair, a_i0)
+            # theta is long, so <theta^vee, alpha_i> = (theta, alpha_i), an integer
+            b.edge(w, node, -(_form6(rs, theta, unit_vector(rank, i)) // 6), a_i0)
     whites = whites or (0,)
     if not all(x in range(rank + 1) for x in whites):
         raise ValueError(f"white nodes {list(whites)} are not all among the {rank + 1} nodes")

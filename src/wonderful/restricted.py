@@ -28,8 +28,8 @@ class RestrictedRootSystem:
     involution: object
     restricted_simple: tuple
     node_fiber: tuple  # restricted index of each white node, None on a black one
-    restricted_positive: tuple
-    multiplicities: tuple  # [k]: positive roots restricting to restricted_positive[k]
+    restricted_codes: tuple  # packed restricted positive roots, restricted_simple first
+    multiplicities: tuple  # [k]: positive roots restricting to restricted_codes[k]
     type_label: str
     rank: int
     doubled_index: object
@@ -93,6 +93,7 @@ def build_restricted(inv):
         for i in v:
             node_fiber[i] = k
 
+    # the codes open with the simple roots, so mult opens with the fibers in order
     mult = {}
     for k in range(len(codes) // 2):
         v = codes[k] - codes[sigma_perm[k]]
@@ -161,7 +162,7 @@ def build_restricted(inv):
         involution=inv,
         restricted_simple=tuple(dbar),
         node_fiber=tuple(node_fiber),
-        restricted_positive=tuple(unpack(v, rs.rank) for v in mult),
+        restricted_codes=tuple(mult),
         multiplicities=tuple(mult.values()),
         type_label=type_label,
         rank=rank,

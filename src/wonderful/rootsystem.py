@@ -241,23 +241,14 @@ def root_steps(rs):
 
 @lru_cache(maxsize=None)
 def highest_roots(rs):
-    """The highest root of each irreducible component, in component order:
-    the last of its roots by height, which is dominant and so has the
-    component's full support."""
-    roots = positive_roots(rs)
-    return tuple(next(b for b in reversed(roots) if b[nodes[0]])
-                 for nodes in map(rs.component_nodes, range(len(rs.components))))
+    """The highest root of each irreducible component, in component order."""
+    return tuple(highest_root(typ, rs.component_nodes(c), rs.rank)
+                 for c, (typ, _) in enumerate(rs.components))
 
 
 @lru_cache(maxsize=None)
 def two_rho(rs):
     return tuple(map(sum, zip(*positive_roots(rs))))
-
-
-def subsystem_roots(rs, nodes):
-    """The positive roots supported on nodes (a sorted tuple), by height."""
-    outside = [j for j in range(rs.rank) if j not in nodes]
-    return tuple(b for b in positive_roots(rs) if not any(b[j] for j in outside))
 
 
 def connected_components(cartan, nodes):
@@ -321,6 +312,21 @@ def two_rho_vee(rs, nodes):
                      else [i * (2 * n - i - 1) for i in k[:-2]] + [n * (n - 1) // 2] * 2
                      if typ == "D" else _EXCEPTIONAL_TWO_RHO_VEE[typ, n]))
     return c
+
+
+_EXCEPTIONAL_HIGHEST = {("E", 6): (1, 2, 2, 3, 2, 1), ("E", 7): (2, 2, 3, 4, 3, 2, 1),
+                        ("E", 8): (2, 3, 4, 6, 5, 4, 3, 2), ("F", 4): (2, 3, 4, 2), ("G", 2): (3, 2)}
+
+
+def highest_root(typ, nodes, rank):
+    """The highest root of a component of type typ on the nodes, given in Bourbaki
+    order, as a vector of length rank (Bourbaki, Lie Groups, Ch. VI, Plates)."""
+    n = len(nodes)
+    top = dict(zip(nodes, (1,) * n if typ == "A" else (1,) + (2,) * (n - 1) if typ == "B"
+                   else (2,) * (n - 1) + (1,) if typ == "C"
+                   else (1,) + (2,) * (n - 3) + (1, 1) if typ == "D"
+                   else _EXCEPTIONAL_HIGHEST[typ, n]))
+    return tuple(top.get(i, 0) for i in range(rank))
 
 
 def longest_element(rs, iota):

@@ -1,5 +1,6 @@
-"""Raw Satake data of the irreducible types up to rank 8, built without the
-catalog: the whole classification the catalog is compared with.
+"""Raw Satake data of the irreducible types up to a rank, 8 unless given,
+built without the catalog: the whole classification the catalog is compared
+with.
 
 Each datum is a type, a black set and the arrows an involutive diagram
 automorphism draws between white nodes; data whose arrows coincide under
@@ -12,11 +13,15 @@ import itertools
 from wonderful.involution import make_satake
 from wonderful.rootsystem import build_root_system
 
-# every irreducible type of rank <= 8, E6-E8 included
-TYPES = ([("A", n) for n in range(1, 9)]
-         + [(t, n) for t in "BC" for n in range(2, 9)]
-         + [("D", n) for n in range(3, 9)]
-         + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+def types(max_rank=8):
+    """Every irreducible type of rank <= max_rank, E6-E8, F4 and G2 included."""
+    return ([("A", n) for n in range(1, max_rank + 1)]
+            + [(t, n) for t in "BC" for n in range(2, max_rank + 1)]
+            + [("D", n) for n in range(3, max_rank + 1)]
+            + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+TYPES = types()
 
 
 def automorphisms(typ, n):
@@ -34,11 +39,11 @@ def automorphisms(typ, n):
     return [ident]
 
 
-def raw_data():
-    """Distinct (type, rank, black, arrows) over TYPES, every black set and
-    every involutive diagram automorphism, 0-based."""
+def raw_data(max_rank=8):
+    """Distinct (type, rank, black, arrows) over types(max_rank), every black
+    set and every involutive diagram automorphism, 0-based."""
     seen = {}
-    for typ, n in TYPES:
+    for typ, n in types(max_rank):
         taus = [g for g in automorphisms(typ, n) if all(g[g[i]] == i for i in range(n))]
         for k in range(n + 1):
             for black in itertools.combinations(range(n), k):

@@ -32,10 +32,13 @@ from wonderful.rootsystem import (
     build_root_system,
     coroot,
     highest_roots,
+    pack,
     pairing,
+    root_codes,
     two_rho,
 )
 from coweights import pair_coweight
+from invariant_scans import strong_orthogonality_by_scan
 from picard_rules import split_rule_fano
 from satake_data import raw_data, satake
 
@@ -138,6 +141,49 @@ def rule_systems():
         except ValueError:
             pass
     return tuple(r.restricted for r in records), tuple(raw)
+
+
+def _outcome(check, inv):
+    """True, or the message the check raises."""
+    try:
+        return check(inv)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_strong_orthogonality_matches_the_subsystem_scan():
+    records, raw = rule_systems()
+    invs = [rrs.involution for rrs in records + raw
+            if not sigma_theta_is_minus_theta(rrs.involution)]
+    assert len(invs) == 136
+    for inv in invs:
+        assert check_strong_orthogonality(inv) is True, inv.satake
+        assert strong_orthogonality_by_scan(inv) is True, inv.satake
+
+
+def test_strong_orthogonality_agrees_with_the_scan_on_every_forged_image():
+    # sigma(theta) forged to each root in turn, on the records of rank <= 6
+    # where sigma(theta) != -theta.  A root orthogonal to theta is strongly
+    # orthogonal to it (theta is long) and supported where theta is (theta is
+    # dominant), so those two messages are never reached
+    outcomes = set()
+    for rrs in rule_systems()[0]:
+        inv, rs = rrs.involution, rrs.root_system
+        if rs.rank > 6 or sigma_theta_is_minus_theta(inv):
+            continue
+        index = root_codes(rs)[1]
+        k = index[pack(highest_roots(rs)[0])]
+        for j in range(len(index)):
+            perm = list(inv.sigma_perm)
+            perm[k] = j
+            forged = dataclasses.replace(inv, sigma_perm=tuple(perm))
+            got = _outcome(check_strong_orthogonality, forged)
+            assert got == _outcome(strong_orthogonality_by_scan, forged), (inv.satake, j)
+            outcomes.add(got)
+    assert outcomes == {True, "sigma(theta) = -theta: nothing to check",
+                        "theta and sigma(theta) are not orthogonal",
+                        "-sigma(theta) is not the highest root of its component of the "
+                        "orthogonal subsystem"}
 
 
 def _minus_k_pairings(rrs):

@@ -42,7 +42,6 @@ from wonderful.rootsystem import (
     VALID_RANKS,
     build_root_system,
     positive_roots,
-    subsystem_roots,
 )
 from kac_builders import (
     kac_cycle,
@@ -65,6 +64,7 @@ from kac_builders import (
     kac_tensor2,
     kac_wedge2,
 )
+from weyl_words import subsystem_roots
 
 
 def _mark_product(kd, marks):

@@ -10,6 +10,7 @@ from test_invariants import rule_systems
 
 from wonderful.catalog import build_report, enumerate_records, instantiate, load_catalog, validate
 from wonderful.curves import build_colors
+from wonderful.invariants import is_hermitian
 from wonderful.involution import (
     NONREDUCED,
     ORTHOGONAL,
@@ -31,6 +32,8 @@ from wonderful.rootsystem import (
     unit_vector,
 )
 from coweights import coroots, pair_coweight, restricted_coroot
+from invariant_scans import hermitian_by_scan, restricted_positive
+from satake_data import raw_data, satake
 
 
 def restrict_root(inv, v):
@@ -189,7 +192,7 @@ def test_multiplicities_align_with_the_restricted_positive_roots():
     assert rrs.multiplicities == (3,)
     # su(3,1): BC1, alpha of multiplicity 4 and 2 alpha of multiplicity 1
     rrs = _restricted((("A", 3),), black=[1], arrows=[(0, 2)])
-    mult = dict(zip(rrs.restricted_positive, rrs.multiplicities))
+    mult = dict(zip(restricted_positive(rrs), rrs.multiplicities))
     alpha = rrs.restricted_simple[0]
     assert mult == {alpha: 4, tuple(2 * x for x in alpha): 1}
 
@@ -315,10 +318,28 @@ def _restricted_systems():
     return systems
 
 
+def test_moore_criterion_matches_the_scan_of_every_restricted_root():
+    # is_hermitian reads one multiplicity, multiplicities[k] for the longest
+    # restricted simple root k, so the codes must open with restricted_simple
+    raw = []
+    for datum in raw_data(10):
+        try:
+            raw.append(build_restricted(build_involution(satake(datum))))
+        except ValueError:
+            pass
+    assert len(raw) == 211
+    hermitian = 0
+    for rrs in _restricted_systems() + raw:
+        assert restricted_positive(rrs)[:rrs.rank] == rrs.restricted_simple
+        assert is_hermitian(rrs) == hermitian_by_scan(rrs), rrs.involution.satake
+        hermitian += is_hermitian(rrs)
+    assert hermitian == 150
+
+
 def test_integer_restricted_layer_matches_fraction_reference():
     for rrs in _restricted_systems():
         *ref, top = _fraction_reference(rrs.involution)
-        got = [rrs.restricted_positive, rrs.multiplicities, rrs.cartan, coroots(rrs)]
+        got = [restricted_positive(rrs), rrs.multiplicities, rrs.cartan, coroots(rrs)]
         assert got == ref, rrs.involution.satake
         assert all(c.denominator == 1 and c >= 0 for c in top), rrs.involution.satake
         assert rrs.theta_bar_expansion == top

@@ -17,6 +17,7 @@ from wonderful.rootsystem import (
     cartan_matrix,
     connected_components,
     coroot,
+    highest_root,
     highest_roots,
     identify_cartan,
     inner_product,
@@ -29,9 +30,9 @@ from wonderful.rootsystem import (
     positive_roots,
     root_codes,
     root_steps,
-    subsystem_roots,
     two_rho,
     two_rho_vee,
+    typed_components,
     unpack,
 )
 from araki_scan import two_rho_vee_by_scan
@@ -42,6 +43,7 @@ from weyl_words import (
     longest_subsystem_word,
     matrix_opposition,
     reflect,
+    subsystem_roots,
     word_action,
     word_matrix,
 )
@@ -285,6 +287,24 @@ def test_two_rho_vee_matches_the_root_scan():
                 assert two_rho_vee(rs, nodes) == two_rho_vee_by_scan(rs, nodes), (typ, nodes)
                 sets += 1
     assert sets == 2498
+
+
+def test_highest_root_matches_the_subsystem_scan():
+    # each component of every node set of every irreducible type of rank <= 8,
+    # E6-E8, F4, G2: the closed form is the last subsystem root by height
+    comps = 0
+    for typ, rank in TYPES:
+        rs = build_root_system(((typ, rank),))
+        for k in range(1, rank + 1):
+            for nodes in itertools.combinations(range(rank), k):
+                for t, comp in typed_components(rs.cartan, nodes):
+                    want = subsystem_roots(rs, tuple(sorted(comp)))[-1]
+                    assert highest_root(t, comp, rank) == want, (typ, comp)
+                    comps += 1
+    assert comps == 5057
+    for typ in "ABCD":
+        rs = build_root_system(((typ, 100),))
+        assert highest_roots(rs) == (positive_roots(rs)[-1],)
 
 
 def test_multi_component():

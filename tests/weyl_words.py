@@ -4,10 +4,17 @@ The engine builds w_L, iota = -w_0 and sigma without Weyl words or matrices
 (`rootsystem.longest_element`, `rootsystem.opposition`,
 `Involution.sigma_perm`).  These helpers compute the same data the slow way,
 by applying a reduced word of simple reflections, so the tests can compare
-the two.
+the two.  `subsystem_roots` filters the positive roots of a parabolic
+subsystem, the scan the closed-form highest roots are tested against.
 """
 
-from wonderful.rootsystem import pairing, subsystem_roots, unit_vector
+from wonderful.rootsystem import pairing, positive_roots, unit_vector
+
+
+def subsystem_roots(rs, nodes):
+    """The positive roots supported on nodes (a sorted tuple), by height."""
+    outside = [j for j in range(rs.rank) if j not in nodes]
+    return tuple(b for b in positive_roots(rs) if not any(b[j] for j in outside))
 
 
 def reflect(rs, i, w):
