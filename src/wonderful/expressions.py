@@ -1,11 +1,12 @@
 """Catalog expressions: the Python expressions a catalog stores for a
 family's ambient type, Satake data, Kac diagram and constraints, and the
-{...} parts of its name templates.  Each is checked against a small grammar
-on its syntax tree before it runs, and runs with bounds, so a catalog file
-can neither run other code nor run without end.
-"""
+{...} parts of its name templates.  Each is parsed once and built into
+closures, every node checked against a small grammar first; the closures
+run with bounds, so a catalog file can neither run other code nor run
+without end."""
 
 import ast
+import operator
 import re
 from functools import lru_cache
 
@@ -16,12 +17,15 @@ _BRACE = re.compile(r"\{([^{}]+)\}")
 
 # the grammar of catalog expressions: int and str constants, names, list and
 # tuple literals, + - * // %, or, < and <=, x if c else y, list comprehensions
-# with one generator over range() and no if, and calls of _CALLS
+# with one generator over range(), one name as target and no if, and calls
+# of _CALLS; at most _MAX_DEPTH levels deep (shipped ones are at most 8)
 _GRAMMAR = (ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Store, ast.List,
             ast.Tuple, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod,
             ast.BoolOp, ast.Or, ast.Compare, ast.Lt, ast.LtE, ast.IfExp, ast.ListComp,
             ast.comprehension, ast.Call)
 _CALLS = {"range", "list", *KAC_BUILDERS}
+_MAX_DEPTH = 100
+_DEEP = f"nesting deeper than {_MAX_DEPTH} levels is not allowed"
 
 
 def _refusal(node, parent):
@@ -38,6 +42,7 @@ def _refusal(node, parent):
     if isinstance(node, ast.ListComp):
         gen = node.generators[0]
         if len(node.generators) > 1 or gen.ifs or gen.is_async \
+                or not isinstance(gen.target, ast.Name) \
                 or getattr(getattr(gen.iter, "func", None), "id", None) != "range" \
                 or any(isinstance(n, ast.ListComp) for n in ast.walk(node.elt)):
             return "a comprehension must read [x for name in range(...)] with no comprehension in x"
@@ -46,24 +51,12 @@ def _refusal(node, parent):
 
 @lru_cache(maxsize=4096)  # each distinct expression once
 def _compile(expr):
-    """Compile a catalog expression after checking it against the grammar;
-    a * b becomes _times(a, b), which multiplies ints only."""
-    tree = ast.parse(expr, "<catalog>", "eval")
-    products = []  # (list or parent's fields, key) of each a * b, breadth first
-    for parent in ast.walk(tree):
-        for field, value in ast.iter_fields(parent):
-            box = value if isinstance(value, list) else vars(parent)
-            for key, node in enumerate(value) if box is value else [(field, value)]:
-                why = isinstance(node, ast.AST) and _refusal(node, parent)
-                if why:
-                    raise ValueError(why)
-                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-                    products.append((box, key))
-    for box, key in reversed(products):  # operands before their products
-        node = box[key]
-        func = ast.copy_location(ast.Name("_times", ast.Load()), node)
-        box[key] = ast.copy_location(ast.Call(func, [node.left, node.right], []), node)
-    return compile(tree, "<catalog>", "eval")
+    """The closure f(env) that evaluates a catalog expression, checked."""
+    try:
+        tree = ast.parse(expr, "<catalog>", "eval")
+    except RecursionError:
+        raise ValueError(_DEEP) from None
+    return _build(tree, None, 1)
 
 
 def _times(a, b):
@@ -80,20 +73,80 @@ def _range(*args):
     return r
 
 
-_ENV_BASE = {"range": _range, "list": list, "_times": _times}
+_BUILTINS = {"range": _range, "list": list}
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: _times,
+        ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
+        ast.Lt: operator.lt, ast.LtE: operator.le}
+_SEQUENCES, _UNBOUND = {ast.List: list, ast.Tuple: tuple}, object()
+
+
+def _build(node, parent, depth):
+    """Check node, a child of parent, then its children (pre-order), and
+    return the closure f(env) evaluating it as Python would; an operator
+    gives its function, a generator its target name and iterable closure."""
+    why = _refusal(node, parent) or (depth > _MAX_DEPTH and _DEEP)
+    if why:
+        raise ValueError(why)
+    depth += 1
+    if isinstance(node, ast.Constant):
+        return lambda env, value=node.value: value
+    if isinstance(node, ast.Name):  # its Load or Store context is in the grammar
+        key, default = node.id, _BUILTINS.get(node.id, _UNBOUND)
+
+        def name(env):
+            if (value := env.get(key, default)) is _UNBOUND:
+                raise NameError(f"name {key!r} is not defined")
+            return value
+        return key if isinstance(node.ctx, ast.Store) else name
+    if isinstance(node, (ast.operator, ast.boolop, ast.cmpop)):
+        return _OPS.get(type(node))
+    if isinstance(node, ast.BinOp):
+        left, op, right = [_build(x, node, depth) for x in (node.left, node.op, node.right)]
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, (ast.List, ast.Tuple)):
+        items, make = [_build(x, node, depth) for x in node.elts], _SEQUENCES[type(node)]
+        return lambda env: make([f(env) for f in items])
+    if isinstance(node, ast.Call):
+        func, *args = [_build(x, node, depth) for x in (node.func, *node.args, *node.keywords)]
+        return lambda env: func(env)(*[f(env) for f in args])
+    if isinstance(node, ast.Expression):
+        return _build(node.body, node, depth)
+    if isinstance(node, ast.Compare):  # a < b <= c as a < b and b <= c, each a bool here
+        left, *rest = [_build(x, node, depth) for x in (node.left, *node.ops, *node.comparators)]
+        terms = [left, *rest[len(node.ops):]]
+        tests = [lambda env, op=op, a=a, b=b: op(a(env), b(env))
+                 for op, a, b in zip(rest, terms, terms[1:])]
+        return tests[0] if len(tests) == 1 else lambda env: all(t(env) for t in tests)
+    if isinstance(node, ast.BoolOp):  # the first true value, else the last
+        *first, last = [_build(x, node, depth) for x in (node.op, *node.values)][1:]
+        return lambda env: next(filter(None, (f(env) for f in first)), None) or last(env)
+    if isinstance(node, ast.IfExp):
+        test, body, orelse = [_build(x, node, depth) for x in (node.test, node.body, node.orelse)]
+        return lambda env: body(env) if test(env) else orelse(env)
+    if isinstance(node, ast.comprehension):  # _refusal leaves it no ifs
+        return _build(node.target, node, depth), _build(node.iter, node, depth)
+    # what is left of the grammar is [elt for target in iterable]
+    elt, (target, iterable) = [_build(x, node, depth) for x in (node.elt, node.generators[0])]
+    return lambda env: [elt({**env, target: x}) for x in iterable(env)]
 
 
 def _eval(expr, env):
     """Evaluate a catalog expression of the grammar above; one outside it, or
     one that fails to evaluate, is a data error (ValueError)."""
-    scope = {"__builtins__": {}}
-    scope.update(_ENV_BASE)
-    scope.update(env)
     try:
-        return eval(_compile(expr), scope)
+        return _compile(expr)(env)
     except (SyntaxError, ValueError, NameError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"catalog expression {expr!r}: {exc}") from None
 
 
+@lru_cache(maxsize=4096)  # each distinct name template once
+def _pieces(template):
+    """A name template's literal text at even indices, between the
+    expressions of its {...} parts at odd ones."""
+    return tuple(_BRACE.split(template))
+
+
 def _fmt(template, env):
-    return _BRACE.sub(lambda m: str(_eval(m.group(1), env)), template)
+    out = list(_pieces(template))
+    out[1::2] = [str(_eval(expr, env)) for expr in out[1::2]]
+    return "".join(out)

@@ -10,7 +10,6 @@ from .rootsystem import (
     highest_root,
     highest_roots,
     memoised,
-    pack,
     pairing,
     positive_roots,
     root_codes,
@@ -76,15 +75,11 @@ def check_strong_orthogonality(inv):
         raise ValueError("sigma(theta) = -theta: nothing to check")
     if _form6(rs, theta, img) != 0:
         raise ValueError("theta and sigma(theta) are not orthogonal")
-    index = root_codes(rs)[1]
-    if pack(theta) + pack(img) in index or pack(theta) - pack(img) in index:
-        raise ValueError("theta and sigma(theta) are not strongly orthogonal")
+    # a root orthogonal to theta is strongly orthogonal to it (theta is long)
+    # and supported on the theta-orthogonal nodes (theta is dominant)
     neg = tuple(-x for x in img)
     orth = {i for i in range(rs.rank) if pairing(rs, i, theta) == 0}
     support = {i for i in range(rs.rank) if neg[i] != 0}
-    if not support <= orth:
-        raise ValueError("-sigma(theta) is not supported on the "
-                         "theta-orthogonal subsystem")
     # a root dominates every root of its component iff it is the highest one
     comps = [c for c in typed_components(rs.cartan, orth) if support & set(c[1])]
     if len(comps) != 1 or highest_root(*comps[0], rs.rank) != neg:

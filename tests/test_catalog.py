@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wonderful.catalog
 from wonderful.catalog import (
@@ -32,6 +34,7 @@ from wonderful.involution import build_involution
 from wonderful.kac import KAC_BUILDERS, affine_diagram, marked_diagrams
 from wonderful.restricted import build_restricted
 from wonderful.rootsystem import build_root_system, pack, root_codes
+from expression_reference import grammar_expressions, reference_eval
 from satake_data import diagram_class, raw_data, satake
 from test_cli import _src_env
 
@@ -406,6 +409,57 @@ def test_every_shipped_expression_is_in_the_grammar():
         _compile(expr)
 
 
+def _value_or_error(evaluate, expr, env):
+    try:
+        return repr(evaluate(expr, env))
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_shipped_expressions_evaluate_as_the_eval_reference():
+    # the closures against compile() and eval() of the * rewrite
+    exprs = _catalog_expressions(CAT)
+    for r in range(1, 13):
+        for n in range(1, 13):
+            env = {"r": r, "n": n, **KAC_BUILDERS}
+            for expr in exprs:
+                assert _value_or_error(_eval, expr, env) == \
+                    _value_or_error(reference_eval, expr, env), (expr, r, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grammar_expressions(), st.integers(1, 12), st.integers(1, 12))
+def test_grammar_expressions_evaluate_as_the_eval_reference(expr, r, n):
+    env = {"r": r, "n": n, **KAC_BUILDERS}
+    assert _value_or_error(_eval, expr, env) == _value_or_error(reference_eval, expr, env)
+
+
+@pytest.mark.parametrize("expr", [
+    "1 < r <= 3", "r < 1 < 3", "1 < [] < 2", "0 or r or 5", "0 or []",
+    " < ".join(map(str, range(1000))), " or ".join(["0"] * 999 + ["r"]),
+], ids=["true-chain", "false-chain", "chain-type-error", "or-chain", "or-all-false",
+        "1000-comparisons", "1000-or-values"])
+def test_comparison_and_or_chains_evaluate_as_the_eval_reference(expr):
+    # a chain is one node however long, so it stays inside the depth bound,
+    # and its closure runs the terms in a loop, not by recursion
+    env = {"r": 2}
+    assert _value_or_error(_eval, expr, env) == _value_or_error(reference_eval, expr, env)
+
+
+def test_a_parameter_named_range_or_list_shadows_the_builtin():
+    env = {"range": 7, "list": 5}
+    for expr in ("list", "range + 1", "list(2)", "[i for i in range(2)]"):
+        assert _value_or_error(_eval, expr, env) == _value_or_error(reference_eval, expr, env)
+    assert _eval("list + 1", {"list": 5}) == 6
+
+
+def test_expression_nested_past_the_depth_bound_is_refused():
+    # a chain of n terms is n levels deep under the root
+    assert _eval("+".join(["1"] * 99), {}) == 99
+    with pytest.raises(ValueError, match="nesting deeper than 100 levels is not allowed$"):
+        _eval("+".join(["1"] * 100), {})
+
+
 def test_every_kac_builder_is_called_by_a_shipped_family():
     # so a builder the catalog no longer needs cannot linger in src/
     called = {node.func.id for t in CAT.templates
@@ -431,6 +485,10 @@ def test_every_kac_builder_is_called_by_a_shipped_family():
                             "comprehension in x"),
     ("[[j for j in range(r)] for i in range(r)]", "a comprehension must read [x for "
                                                   "name in range(...)] with no comprehension in x"),
+    ("[0 for a, b in range(0)]", "a comprehension must read [x for name in range(...)] with "
+                                 "no comprehension in x"),
+    ("[0 for a, b in range(2)]", "a comprehension must read [x for name in range(...)] with "
+                                 "no comprehension in x"),
 ])
 def test_expression_outside_the_grammar_is_refused_before_it_runs(expr, reason):
     with pytest.raises(ValueError) as info:
@@ -449,7 +507,7 @@ def test_a_choice_between_builder_calls_is_in_the_grammar():
 @pytest.mark.parametrize("expr, reason", [
     ("[0] * 2", "* takes two ints, not list and int"),
     ("r * (1,)", "* takes two ints, not int and tuple"),
-    # the inner product is rewritten too, so it refuses before the outer one runs
+    # the inner product runs first, so it refuses before the outer one runs
     ("r * ([0] * 3)", "* takes two ints, not list and int"),
     ("list(range(r, 103 + r))", "range(2, 105) has more than 101 elements"),
 ])

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import wonderful
 from wonderful.catalog import enumerate_records, instantiate, load_catalog, validate
 from wonderful.cli import main
-from wonderful.kac import KAC_BUILDERS
+from expression_reference import grammar_expressions
 
 
 def run(capsys, *argv):
@@ -355,8 +355,12 @@ _ESCAPE = "len(().__class__.__base__.__subclasses__()) > 0 and 2 <= r"
     ("arrows", "[(i, i + 1) for i in range(1, 1000000000)]",
      "range(1, 1000000000) has more than 101 elements"),
     ("kac", "kac_sym2(300)", "rank 150 is above the ambient rank ceiling 100"),
+    # a chain of n terms is n levels deep, past the recursion limit of the
+    # parser (5000) or of a walk of the tree (1000)
+    ("constraints", ["+".join(["1"] * 1000)], "nesting deeper than 100 levels is not allowed"),
+    ("constraints", ["+".join(["1"] * 5000)], "nesting deeper than 100 levels is not allowed"),
 ], ids=["subclasses-escape", "attribute", "list-times-int", "long-range",
-        "long-comprehension", "builder-above-ceiling"])
+        "long-comprehension", "builder-above-ceiling", "1000-terms", "5000-terms"])
 def test_catalog_expression_outside_the_grammar_or_its_bounds_exits_2(
         tmp_path, key, value, reason):
     path = _write_catalog(tmp_path / "bad.json",
@@ -370,34 +374,6 @@ def test_catalog_expression_outside_the_grammar_or_its_bounds_exits_2(
     expr = value[0] if key == "constraints" else value
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (2, "", f"error: catalog expression {expr!r}: {reason}\n")
-
-
-def _grammar_expressions():
-    """Catalog expressions drawn from the grammar: small ints, names and type
-    letters; lists, tuples, arithmetic, comparisons, x if c else y,
-    comprehensions over range(), and calls of range, list and the Kac builders."""
-    letters = st.sampled_from(["'A'", "'B'", "'C'", "'D'", "'E'", "'F'", "'G'", "'Q'"])
-    leaves = st.integers(0, 9).map(str) | st.sampled_from(["r", "n", "i"])
-
-    def grow(inner):
-        return st.one_of(
-            st.lists(inner, max_size=4).map(lambda xs: f"[{', '.join(xs)}]"),
-            st.tuples(letters | inner, inner).map(lambda t: f"({t[0]}, {t[1]})"),
-            st.tuples(inner, st.sampled_from(["+", "-", "*", "//", "%", "<", "<=", "or"]),
-                      inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-            st.tuples(inner, inner, inner).map(lambda t: f"({t[0]} if {t[1]} else {t[2]})"),
-            st.tuples(inner, inner).map(lambda t: f"[{t[0]} for i in range({t[1]})]"),
-            st.tuples(st.sampled_from(["range", "list", *KAC_BUILDERS]),
-                      st.lists(letters | inner, max_size=4)).map(
-                lambda t: f"{t[0]}({', '.join(t[1])})"),
-            # the two shape builders with arguments of the right kind
-            st.tuples(letters, inner, st.lists(inner, max_size=2)).map(
-                lambda t: f"affine_diagram({', '.join([t[0], t[1], *t[2]])})"),
-            st.tuples(st.lists(st.tuples(letters, inner), min_size=1, max_size=3),
-                      st.lists(inner, max_size=3)).map(
-                lambda t: f"white_on([{', '.join(f'({a}, {b})' for a, b in t[0])}], "
-                          f"[{', '.join(t[1])}])"))
-    return st.recursive(leaves, grow, max_leaves=10)
 
 
 # where a drawn expression goes in a family: an expression field, a
@@ -420,7 +396,7 @@ def _first_instances():
 
 
 @settings(max_examples=75, deadline=None)
-@given(st.data(), st.sampled_from(sorted(_FUZZED_FIELDS)), _grammar_expressions())
+@given(st.data(), st.sampled_from(sorted(_FUZZED_FIELDS)), grammar_expressions())
 def test_a_fuzzed_catalog_field_exits_0_1_or_2(data, key, expr):
     # one field of one shipped family replaced by a value of the grammar:
     # report and check read it as data, so they exit 0, 1 or 2 and never 3

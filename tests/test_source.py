@@ -1,5 +1,6 @@
-"""Source hygiene that no installed linter checks: unused imports, and
-top-level definitions that nothing in the package reads."""
+"""Source hygiene that no installed linter checks: unused imports,
+top-level definitions that nothing in the package reads, and calls of the
+builtins that run code from a string."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,13 @@ def _unread_definitions(modules, init):
             and node.name not in read | exported]
 
 
+def _builtin_code_calls(source):
+    """The calls in source of the builtins that run code from a string."""
+    return [node.func.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in {"eval", "exec", "compile", "__import__"}]
+
+
 def test_the_unused_import_finder():
     assert _unused_imports("import os.path\nfrom a import b as c, d\nimport e\nc(os, e.f)") == ["d"]
 
@@ -48,6 +56,11 @@ def test_the_unread_definition_finder():
     modules = ["def a(): pass\ndef b(): return c.d\nclass E: pass\nx = a\nb = 1",
                "from .m import f\ndef g(): pass\ndef d(): pass"]
     assert _unread_definitions(modules, "from .m import g") == ["b", "E"]
+
+
+def test_the_builtin_code_call_finder():
+    source = "eval('1')\nre.compile('x')\nexec(c)\nf(compile, x.eval())\n__import__('os')"
+    assert _builtin_code_calls(source) == ["eval", "exec", "__import__"]
 
 
 def _modules():
@@ -67,3 +80,8 @@ def test_every_definition_is_read_in_the_package_or_exported():
     init = (SRC / "__init__.py").read_text(encoding="utf-8")
     unread = _unread_definitions(sources, init)
     assert set(unread) == UNREAD_ALLOWED, unread
+
+
+def test_no_module_runs_code_from_a_string():
+    for path in sorted(SRC.glob("*.py")):
+        assert _builtin_code_calls(path.read_text(encoding="utf-8")) == [], path.name
