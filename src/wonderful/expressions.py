@@ -18,20 +18,15 @@ _BRACE = re.compile(r"\{([^{}]+)\}")
 # the grammar of catalog expressions: int and str constants, names, list and
 # tuple literals, + - * // %, or, < and <=, x if c else y, list comprehensions
 # with one generator over range(), one name as target and no if, and calls
-# of _CALLS; at most _MAX_DEPTH levels deep (shipped ones are at most 8)
-_GRAMMAR = (ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Store, ast.List,
-            ast.Tuple, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod,
-            ast.BoolOp, ast.Or, ast.Compare, ast.Lt, ast.LtE, ast.IfExp, ast.ListComp,
-            ast.comprehension, ast.Call)
+# of _CALLS; at most _MAX_DEPTH levels deep (shipped ones are at most 7).
+# _build has a branch for each node type and operator of it and refuses any other
 _CALLS = {"range", "list", *KAC_BUILDERS}
 _MAX_DEPTH = 100
 _DEEP = f"nesting deeper than {_MAX_DEPTH} levels is not allowed"
 
 
 def _refusal(node, parent):
-    """Why node, a child of parent, is outside the grammar, or None."""
-    if not isinstance(node, _GRAMMAR):
-        return f"{type(node).__name__} is not allowed"
+    """Why node, a child of parent, breaks a rule beyond its node type, or None."""
     if isinstance(node, ast.Constant) and type(node.value) is not int and not (
             type(node.value) is str and isinstance(parent, (ast.Tuple, ast.Call))):
         return f"constant {node.value!r} is not allowed here"
@@ -52,11 +47,10 @@ def _refusal(node, parent):
 @lru_cache(maxsize=4096)  # each distinct expression once
 def _compile(expr):
     """The closure f(env) that evaluates a catalog expression, checked."""
-    try:
-        tree = ast.parse(expr, "<catalog>", "eval")
+    try:  # too deep for the parser, or for ast.unparse of a refused call
+        return _build(ast.parse(expr, "<catalog>", "eval"), None, 1)
     except RecursionError:
         raise ValueError(_DEEP) from None
-    return _build(tree, None, 1)
 
 
 def _times(a, b):
@@ -76,7 +70,7 @@ def _range(*args):
 _BUILTINS = {"range": _range, "list": list}
 _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: _times,
         ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
-        ast.Lt: operator.lt, ast.LtE: operator.le}
+        ast.Lt: operator.lt, ast.LtE: operator.le, ast.Or: None}  # or is the BoolOp closure
 _SEQUENCES, _UNBOUND = {ast.List: list, ast.Tuple: tuple}, object()
 
 
@@ -90,7 +84,7 @@ def _build(node, parent, depth):
     depth += 1
     if isinstance(node, ast.Constant):
         return lambda env, value=node.value: value
-    if isinstance(node, ast.Name):  # its Load or Store context is in the grammar
+    if isinstance(node, ast.Name):  # its Load or Store context is not built
         key, default = node.id, _BUILTINS.get(node.id, _UNBOUND)
 
         def name(env):
@@ -98,8 +92,8 @@ def _build(node, parent, depth):
                 raise NameError(f"name {key!r} is not defined")
             return value
         return key if isinstance(node.ctx, ast.Store) else name
-    if isinstance(node, (ast.operator, ast.boolop, ast.cmpop)):
-        return _OPS.get(type(node))
+    if type(node) in _OPS:
+        return _OPS[type(node)]
     if isinstance(node, ast.BinOp):
         left, op, right = [_build(x, node, depth) for x in (node.left, node.op, node.right)]
         return lambda env: op(left(env), right(env))
@@ -111,12 +105,17 @@ def _build(node, parent, depth):
         return lambda env: func(env)(*[f(env) for f in args])
     if isinstance(node, ast.Expression):
         return _build(node.body, node, depth)
-    if isinstance(node, ast.Compare):  # a < b <= c as a < b and b <= c, each a bool here
+    if isinstance(node, ast.Compare):  # a < b <= c runs b once, each test a bool here
         left, *rest = [_build(x, node, depth) for x in (node.left, *node.ops, *node.comparators)]
-        terms = [left, *rest[len(node.ops):]]
-        tests = [lambda env, op=op, a=a, b=b: op(a(env), b(env))
-                 for op, a, b in zip(rest, terms, terms[1:])]
-        return tests[0] if len(tests) == 1 else lambda env: all(t(env) for t in tests)
+        pairs = tuple(zip(rest, rest[len(node.ops):]))
+
+        def chain(env):
+            a = left(env)
+            for op, term in pairs:
+                if not op(a, a := term(env)):  # op gets the old a, then a is term's value
+                    return False
+            return True
+        return chain
     if isinstance(node, ast.BoolOp):  # the first true value, else the last
         *first, last = [_build(x, node, depth) for x in (node.op, *node.values)][1:]
         return lambda env: next(filter(None, (f(env) for f in first)), None) or last(env)
@@ -125,9 +124,10 @@ def _build(node, parent, depth):
         return lambda env: body(env) if test(env) else orelse(env)
     if isinstance(node, ast.comprehension):  # _refusal leaves it no ifs
         return _build(node.target, node, depth), _build(node.iter, node, depth)
-    # what is left of the grammar is [elt for target in iterable]
-    elt, (target, iterable) = [_build(x, node, depth) for x in (node.elt, node.generators[0])]
-    return lambda env: [elt({**env, target: x}) for x in iterable(env)]
+    if isinstance(node, ast.ListComp):  # [elt for target in iterable]
+        elt, (target, iterable) = [_build(x, node, depth) for x in (node.elt, node.generators[0])]
+        return lambda env: [elt({**env, target: x}) for x in iterable(env)]
+    raise ValueError(f"{type(node).__name__} is not allowed")
 
 
 def _eval(expr, env):

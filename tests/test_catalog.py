@@ -434,16 +434,43 @@ def test_grammar_expressions_evaluate_as_the_eval_reference(expr, r, n):
     assert _value_or_error(_eval, expr, env) == _value_or_error(reference_eval, expr, env)
 
 
+def _nested_chain(k):
+    """0 < (0 < ( ... (0 < r < 3) ... ) < 3) < 3, k chains deep."""
+    expr = "0 < r < 3"
+    for _ in range(k - 1):
+        expr = f"0 < ({expr}) < 3"
+    return expr
+
+
 @pytest.mark.parametrize("expr", [
     "1 < r <= 3", "r < 1 < 3", "1 < [] < 2", "0 or r or 5", "0 or []",
     " < ".join(map(str, range(1000))), " or ".join(["0"] * 999 + ["r"]),
+    _nested_chain(60),
 ], ids=["true-chain", "false-chain", "chain-type-error", "or-chain", "or-all-false",
-        "1000-comparisons", "1000-or-values"])
+        "1000-comparisons", "1000-or-values", "60-nested-chains"])
 def test_comparison_and_or_chains_evaluate_as_the_eval_reference(expr):
     # a chain is one node however long, so it stays inside the depth bound,
     # and its closure runs the terms in a loop, not by recursion
     env = {"r": 2}
     assert _value_or_error(_eval, expr, env) == _value_or_error(reference_eval, expr, env)
+
+
+class _CountingEnv(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == "r"
+        return super().get(key, default)
+
+
+def test_a_comparison_chain_runs_each_term_once():
+    # a middle term run once per test it is in would run 2^k times in k
+    # nested chains, each of them true
+    env = _CountingEnv({"r": 1})
+    assert _eval(_nested_chain(12), env) is True
+    assert env.reads == 1
 
 
 def test_a_parameter_named_range_or_list_shadows_the_builtin():

@@ -359,8 +359,12 @@ _ESCAPE = "len(().__class__.__base__.__subclasses__()) > 0 and 2 <= r"
     # parser (5000) or of a walk of the tree (1000)
     ("constraints", ["+".join(["1"] * 1000)], "nesting deeper than 100 levels is not allowed"),
     ("constraints", ["+".join(["1"] * 5000)], "nesting deeper than 100 levels is not allowed"),
+    # a call target too deep for ast.unparse, which names the refused call
+    ("constraints", ["(" + "+".join(["1"] * 500) + ")(0)"],
+     "nesting deeper than 100 levels is not allowed"),
 ], ids=["subclasses-escape", "attribute", "list-times-int", "long-range",
-        "long-comprehension", "builder-above-ceiling", "1000-terms", "5000-terms"])
+        "long-comprehension", "builder-above-ceiling", "1000-terms", "5000-terms",
+        "deep-call-target"])
 def test_catalog_expression_outside_the_grammar_or_its_bounds_exits_2(
         tmp_path, key, value, reason):
     path = _write_catalog(tmp_path / "bad.json",
