@@ -21,7 +21,7 @@ checks its factor count.
 import itertools
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from operator import sub
 
@@ -62,34 +62,14 @@ MAX_CATALOG_CHARS = 1_000_000
 # enumerate_records tries (2 max_rank + 1)^params value tuples
 MAX_PARAMS = 2
 
-@dataclass(frozen=True)
-class FamilyTemplate:
-    label: str
-    params: tuple
-    constraints: tuple
-    data: dict
+FamilyTemplate = namedtuple("FamilyTemplate", "label params constraints data")
+StoredColumns = namedtuple(
+    "StoredColumns", "gh restricted_type hc vmrt emb sigma_theta hermitian fano")
 
 
-@dataclass(frozen=True)
-class StoredColumns:
-    gh: str
-    restricted_type: str
-    hc: tuple
-    vmrt: tuple
-    emb: tuple
-    sigma_theta: bool
-    hermitian: object
-    fano: bool
-
-
-@dataclass(frozen=True)
-class SymmetricSpaceRecord:
-    label: str
-    params: dict
-    involution: object
-    restricted: object
-    kac: object
-    stored: StoredColumns
+class SymmetricSpaceRecord(namedtuple(
+        "SymmetricSpaceRecord", "label params involution restricted kac stored")):
+    """One catalog instance: its engine layers and its StoredColumns."""
 
     @property
     def root_system(self):
@@ -100,10 +80,7 @@ class SymmetricSpaceRecord:
         return self.root_system.rank
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    detail: str
+CheckResult = namedtuple("CheckResult", "name detail")
 
 
 class Catalog:

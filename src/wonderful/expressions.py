@@ -130,11 +130,13 @@ def _build(node, parent, depth):
     raise ValueError(f"{type(node).__name__} is not allowed")
 
 
-def _eval(expr, env):
-    """Evaluate a catalog expression of the grammar above; one outside it, or
-    one that fails to evaluate, is a data error (ValueError)."""
+def _eval(expr, env, convert=None):
+    """Evaluate a catalog expression of the grammar above, then convert its
+    value if convert is given; an expression outside the grammar, or one that
+    fails to evaluate or convert, is a data error (ValueError)."""
     try:
-        return _compile(expr)(env)
+        value = _compile(expr)(env)
+        return convert(value) if convert else value
     except (SyntaxError, ValueError, NameError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"catalog expression {expr!r}: {exc}") from None
 
@@ -148,5 +150,5 @@ def _pieces(template):
 
 def _fmt(template, env):
     out = list(_pieces(template))
-    out[1::2] = [str(_eval(expr, env)) for expr in out[1::2]]
+    out[1::2] = [_eval(expr, env, str) for expr in out[1::2]]
     return "".join(out)

@@ -29,8 +29,8 @@ def kappa_and_sigma(rrs):
     inv = rrs.involution
     rs = inv.root_system
     codes = root_codes(rs)[0]
-    npos = len(codes) // 2
-    kappa = sum(codes[k] for k in range(npos) if inv.sigma_perm[k] >= npos)
+    npos, perm = len(codes) // 2, inv.sigma_perm
+    kappa = sum(codes[k] for k in range(npos) if perm[k] >= npos)
     return unpack(kappa, rs.rank), tuple(map(sum, zip(*rrs.restricted_simple)))
 
 

@@ -7,7 +7,7 @@ generated by the black nodes and tau extends the arrow matching by the
 opposition involution of the black subdiagram.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 from .rootsystem import (
@@ -36,13 +36,11 @@ def _fail(detail):
     raise SatakeError(f"inconsistent Satake data: {detail}")
 
 
-@dataclass(frozen=True)
-class SatakeData:
-    root_system: object
-    black_nodes: tuple
-    diagram_involution: tuple
+class SatakeData(namedtuple("SatakeData", "root_system black_nodes diagram_involution")):
+    """A root system, its black nodes and the arrow matching of the white
+    nodes as a permutation of all nodes."""
 
-    @cached_property  # writes the instance __dict__, so it works when frozen
+    @cached_property  # kept in the instance __dict__, beside the read-only fields
     def white_nodes(self):
         black = set(self.black_nodes)
         return tuple(i for i in range(self.root_system.rank) if i not in black)
@@ -60,13 +58,11 @@ def make_satake(rs, black=(), arrows=()):
     return SatakeData(rs, black, tuple(perm))
 
 
-@dataclass(frozen=True)
-class Involution:
-    satake: object
-    tau: tuple  # the Satake involution sigma_bar on the white nodes
-    cases: tuple  # REAL, ORTHOGONAL or NONREDUCED per white node, None per black
-    # sigma as a permutation of the positions of root_codes
-    sigma_perm: tuple = field(compare=False, repr=False)
+class Involution(namedtuple("Involution", "satake tau cases sigma_perm")):
+    """The lattice involution of a Satake datum: tau is the Satake involution
+    sigma_bar on the white nodes; cases holds REAL, ORTHOGONAL or NONREDUCED
+    per white node and None per black one; sigma_perm is sigma as a
+    permutation of the positions of root_codes."""
 
     @property
     def root_system(self):
@@ -110,11 +106,11 @@ def _complete_tau(sd, black_iota):
     """Extend the arrow matching by -w_0 of the black nodes, which acts on
     each black component separately.  Both are involutions, the matching
     one of the white nodes, so tau is one."""
-    rs = sd.root_system
+    cartan = sd.root_system.cartan  # read once: a namedtuple field read is not cheap
     tau = tuple(black_iota.get(i, j) for i, j in enumerate(sd.diagram_involution))
-    for i in range(rs.rank):
-        for j in range(rs.rank):
-            if rs.cartan[tau[i]][tau[j]] != rs.cartan[i][j]:
+    for i in range(len(cartan)):
+        for j in range(len(cartan)):
+            if cartan[tau[i]][tau[j]] != cartan[i][j]:
                 _fail("completed diagram involution does not preserve the Cartan matrix")
     return tau
 

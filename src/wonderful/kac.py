@@ -11,7 +11,7 @@ multiple bonds (-1, -4), (-1, -2) and (-2, -1) that white_on does not draw.
 """
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, prod
 
@@ -29,10 +29,8 @@ from .rootsystem import (
 )
 
 
-@dataclass(frozen=True)
-class KacDiagram:
-    colors: tuple
-    edges: tuple
+class KacDiagram(namedtuple("KacDiagram", "colors edges")):
+    """Node colors, "w" or "b", and edges (i, j, a_ij, a_ji)."""
 
     @property
     def size(self):
@@ -55,10 +53,7 @@ class KacDiagram:
         return mat
 
 
-@dataclass(frozen=True)
-class HomogeneousSpaceDescriptor:
-    name: str
-    dim: int
+HomogeneousSpaceDescriptor = namedtuple("HomogeneousSpaceDescriptor", "name dim")
 
 
 def diagram_marks(kd):

@@ -6,7 +6,7 @@ simple system, its Cartan matrix read off pairings <alpha_i^vee, v>; the restric
 coroot of a restriction is its metric coroot 2v/(v,v) in ambient coroot coordinates.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -23,23 +23,18 @@ from .rootsystem import (
 )
 
 
-@dataclass(frozen=True)
-class RestrictedRootSystem:
-    involution: object
-    restricted_simple: tuple
-    node_fiber: tuple  # restricted index of each white node, None on a black one
-    restricted_codes: tuple  # packed restricted positive roots, restricted_simple first
-    multiplicities: tuple  # [k]: positive roots restricting to restricted_codes[k]
-    type_label: str
-    rank: int
-    doubled_index: object
-    cartan: tuple
-    theta_bar: tuple
-    # the first (i, tau(i)) with i nonreduced and moved, else None
-    exceptional_pair: object
-    # nonnegative integer coefficients of theta_bar_covector over the
-    # primitive coroots {ahat_vee}
-    theta_bar_expansion: tuple
+class RestrictedRootSystem(namedtuple(
+        "RestrictedRootSystem", "involution restricted_simple node_fiber restricted_codes "
+        "multiplicities type_label rank doubled_index cartan theta_bar exceptional_pair "
+        "theta_bar_expansion")):
+    """The restricted root system of an involution.  node_fiber is the
+    restricted index of each white node, None on a black one;
+    restricted_codes are the packed restricted positive roots,
+    restricted_simple first, and multiplicities[k] counts the positive roots
+    restricting to restricted_codes[k]; exceptional_pair is the first
+    (i, tau(i)) with i nonreduced and moved, else None; theta_bar_expansion
+    holds the nonnegative integer coefficients of theta_bar_covector over
+    the primitive coroots {ahat_vee}."""
 
     @property
     def root_system(self):

@@ -7,7 +7,7 @@ indices in this package are 0-based.
 """
 
 import struct
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
 from operator import mul
@@ -66,8 +66,9 @@ def _edges(typ, n):
 
 def memoised(f):
     """Memoise a pure f(obj, *args) in obj.__dict__, so the value lives
-    exactly as long as obj; works on frozen dataclasses.  Exceptions are not
-    cached, and the values must be immutable because every caller shares them."""
+    exactly as long as obj; works on a namedtuple subclass that declares no
+    __slots__.  Exceptions are not cached, and the values must be immutable
+    because every caller shares them."""
     @wraps(f)
     def wrapper(obj, *args):
         memo = obj.__dict__.setdefault("_memo", {})
@@ -104,13 +105,11 @@ def cartan_matrix(typ, n):
     return a
 
 
-@dataclass(frozen=True)
-class RootSystem:
-    components: tuple
-    cartan: tuple
-    # integer symmetrised form 6 * d_i * a_ij, i.e. six times (alpha_i, alpha_j);
-    # the diagonal holds the root lengths, 12 on a long simple root
-    gram6: tuple = field(compare=False, repr=False)
+class RootSystem(namedtuple("RootSystem", "components cartan gram6")):
+    """A root system: its (type, rank) components and Cartan matrix; gram6
+    is the integer symmetrised form 6 d_i a_ij, i.e. six times
+    (alpha_i, alpha_j), whose diagonal holds the root lengths (12 on a long
+    simple root)."""
 
     def __hash__(self):
         # the components determine every other field, so equal systems

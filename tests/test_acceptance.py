@@ -6,7 +6,6 @@ curve-class identities instance by instance, pins three hand-verified
 anchors, and proves the validator actually catches corrupted fixtures.
 """
 
-import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -376,8 +375,7 @@ def test_negative_control_satake_bit():
     record = instantiate(CAT, "BDI", {"n": 9, "r": 3})
     assert record.involution.satake.black_nodes == (3,)
     corrupted = build_involution(make_satake(record.root_system, (), ()))
-    tampered = dataclasses.replace(
-        record, involution=corrupted, restricted=build_restricted(corrupted))
+    tampered = record._replace(involution=corrupted, restricted=build_restricted(corrupted))
     names = {f.name for f in validate(tampered)}
     assert "restricted-type" in names
 
@@ -387,8 +385,7 @@ def test_negative_control_kac_color():
     kd = record.kac
     flip = kd.blacks[0]
     colors = tuple("w" if k == flip else c for k, c in enumerate(kd.colors))
-    tampered = dataclasses.replace(
-        record, kac=dataclasses.replace(kd, colors=colors))
+    tampered = record._replace(kac=kd._replace(colors=colors))
     names = {f.name for f in validate(tampered)}
     assert names & {"kac-affine", "kac-white-count", "kac-descriptors"}
 

@@ -1,7 +1,6 @@
 """Catalog loading, instantiation, validation, and enumeration."""
 
 import ast
-import dataclasses
 import fnmatch
 import re
 import subprocess
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 import wonderful.catalog
 from wonderful.catalog import (
     ALL_CHECKS,
+    CheckResult,
     build_report,
     enumerate_records,
     instantiate,
@@ -29,7 +29,7 @@ from wonderful.invariants import (
     nilpotent_orbit_dimension,
 )
 from wonderful.curves import build_colors, minimal_covering_classes
-from wonderful.expressions import _BRACE, _compile, _eval
+from wonderful.expressions import _BRACE, _compile, _eval, _fmt
 from wonderful.involution import build_involution
 from wonderful.kac import KAC_BUILDERS, affine_diagram, marked_diagrams
 from wonderful.restricted import build_restricted
@@ -216,8 +216,7 @@ def test_validate_clean(label, params):
 
 def test_validate_flags_wrong_fano():
     rec = instantiate(CAT, "BDII", {"n": 5})
-    tampered = dataclasses.replace(
-        rec, stored=dataclasses.replace(rec.stored, fano=False))
+    tampered = rec._replace(stored=rec.stored._replace(fano=False))
     names = {f.name for f in validate(tampered)}
     assert "fano" in names
 
@@ -225,14 +224,12 @@ def test_validate_flags_wrong_fano():
 def test_validate_flags_wrong_vmrt():
     # fully derived case: the engine recomputes the component itself
     rec = instantiate(CAT, "BDII", {"n": 5})
-    tampered = dataclasses.replace(
-        rec, stored=dataclasses.replace(rec.stored, vmrt=("P4",)))
+    tampered = rec._replace(stored=rec.stored._replace(vmrt=("P4",)))
     names = {f.name for f in validate(tampered)}
     assert "vmrt-components" in names
     # stored-name case: a name of the wrong dimension is still caught
     rec = instantiate(CAT, "AI", {"r": 3})
-    tampered = dataclasses.replace(
-        rec, stored=dataclasses.replace(rec.stored, vmrt=("Q4",)))
+    tampered = rec._replace(stored=rec.stored._replace(vmrt=("Q4",)))
     names = {f.name for f in validate(tampered)}
     assert "vmrt-components" in names
 
@@ -241,15 +238,14 @@ def test_validate_flags_wrong_vmrt():
 def test_validate_flags_wrong_sigma_theta(label, params):
     rec = instantiate(CAT, label, params)
     assert rec.stored.sigma_theta is True
-    tampered = dataclasses.replace(
-        rec, stored=dataclasses.replace(rec.stored, sigma_theta=False))
+    tampered = rec._replace(stored=rec.stored._replace(sigma_theta=False))
     assert _failures(tampered) == {("sigma-theta", "computed True, stored False")}
 
 
 def test_stored_name_above_the_rank_ceiling_fails_its_check():
     rec = instantiate(CAT, "GroupB", {"r": 2})
-    tampered = dataclasses.replace(rec, stored=dataclasses.replace(
-        rec.stored, hc=("Gr(2,120)",), vmrt=("Gr(2,120)",)))
+    tampered = rec._replace(stored=rec.stored._replace(
+        hc=("Gr(2,120)",), vmrt=("Gr(2,120)",)))
     failures = {f.name: f.detail for f in validate(tampered)}
     assert "above the ambient rank ceiling 100" in failures["vmrt-components"]
     assert "kac-descriptors" in failures
@@ -263,8 +259,7 @@ def test_stored_name_above_the_rank_ceiling_fails_its_check():
 def test_tampered_derived_column_fails_and_stays_out_of_the_report(field, value, check):
     rec = instantiate(CAT, "AI", {"r": 4})
     assert (rec.stored.vmrt, rec.stored.emb, rec.stored.hermitian) == (("P4",), (2,), None)
-    tampered = dataclasses.replace(
-        rec, stored=dataclasses.replace(rec.stored, **{field: value}))
+    tampered = rec._replace(stored=rec.stored._replace(**{field: value}))
     assert check in {f.name for f in validate(tampered)}
     report = build_report(tampered)
     assert report is not build_report(rec)
@@ -278,7 +273,7 @@ def test_validate_flags_flipped_kac_color():
     kd = rec.kac
     i = kd.blacks[0]
     colors = tuple("w" if k == i else c for k, c in enumerate(kd.colors))
-    tampered = dataclasses.replace(rec, kac=dataclasses.replace(kd, colors=colors))
+    tampered = rec._replace(kac=kd._replace(colors=colors))
     failed = {f.name for f in validate(tampered)}
     assert failed & {"kac-affine", "kac-white-count", "kac-descriptors"}
 
@@ -337,13 +332,12 @@ def test_tampered_copy_of_validated_record_is_checked_afresh():
     kd = rec.kac
     i = kd.blacks[0]
     colors = tuple("w" if k == i else c for k, c in enumerate(kd.colors))
-    tampered = dataclasses.replace(rec, kac=dataclasses.replace(kd, colors=colors))
+    tampered = rec._replace(kac=kd._replace(colors=colors))
     assert {"kac-descriptors", "vmrt-components"} <= {f.name for f in validate(tampered)}
 
     rec = instantiate(CAT, "AI", {"r": 3})
     assert validate(rec) == []
-    tampered = dataclasses.replace(
-        rec, stored=dataclasses.replace(rec.stored, vmrt=("Q4",)))
+    tampered = rec._replace(stored=rec.stored._replace(vmrt=("Q4",)))
     assert "vmrt-components" in {f.name for f in validate(tampered)}
     assert build_report(tampered) is not build_report(rec)
     # the VMRT of restricted type A is derived, so the stored name does not reach the report
@@ -545,6 +539,29 @@ def test_expression_is_bounded_when_it_runs(expr, reason):
     assert _eval("list(range(r, 101 + r))", {"r": 2}) == list(range(2, 103))
 
 
+def test_name_part_too_long_to_print_names_its_expression():
+    # str() of an int past Python's 4300-digit limit fails inside the
+    # expression's error wrapper, so the message names the expression
+    with pytest.raises(ValueError) as info:
+        _fmt("Gr({x},{r})", {"x": 10**5000, "r": 2})
+    assert str(info.value).startswith("catalog expression 'x': Exceeds the limit (4300 digits)")
+    assert _fmt("Gr({x},{r})", {"x": 10**4000, "r": 2}) == f"Gr({10**4000},2)"
+
+
+def test_every_record_is_immutable_and_rebuilt_from_its_fields():
+    record = instantiate(CAT, "AIII", {"n": 7, "r": 2})
+    inv = record.involution
+    records = [record, record.stored, record.kac, marked_diagrams(record.kac)[0], inv,
+               inv.satake, inv.root_system, record.restricted, CAT.by_label["AIII"],
+               CheckResult("fano", "forged")]
+    assert len({type(x) for x in records}) == 10
+    for x in records:
+        for name in x._fields:
+            with pytest.raises(AttributeError):
+                setattr(x, name, getattr(x, name))
+        assert type(x)(**{name: getattr(x, name) for name in x._fields}) == x
+
+
 def test_validate_and_report_build_no_fraction(monkeypatch):
     enumerate_records(CAT, 8)  # builds every root system they use
     records = enumerate_records(CAT, 8)
@@ -568,8 +585,7 @@ def test_validate_and_report_build_no_fraction(monkeypatch):
 
 
 def _with_theta_bar(record, theta_bar):
-    return dataclasses.replace(record, restricted=dataclasses.replace(
-        record.restricted, theta_bar=theta_bar))
+    return record._replace(restricted=record.restricted._replace(theta_bar=theta_bar))
 
 
 def _failures(record):
@@ -602,8 +618,8 @@ def test_wrong_theta_bar_expansion_fails_the_minimal_classes_check():
     # the enumeration reads theta_bar_expansion: BC1's (1,) read as (2,)
     # splits 2 over the two exceptional colors in 3 ways
     record = instantiate(CAT, "AIII", {"n": 4, "r": 1})
-    forged = dataclasses.replace(record, restricted=dataclasses.replace(
-        record.restricted, theta_bar_expansion=(2,)))
+    forged = record._replace(restricted=record.restricted._replace(
+        theta_bar_expansion=(2,)))
     assert ("minimal-classes", "expected 2 minimal classes, found 3") in _failures(forged)
 
 
@@ -611,8 +627,7 @@ def test_missing_exceptional_pair_fails_the_picard_rank():
     # AIII n=5 r=2 is exceptional: its three colors are one more than its
     # restricted rank, which a non-exceptional system must equal
     record = instantiate(CAT, "AIII", {"n": 5, "r": 2})
-    forged = dataclasses.replace(record, restricted=dataclasses.replace(
-        record.restricted, exceptional_pair=None))
+    forged = record._replace(restricted=record.restricted._replace(exceptional_pair=None))
     failures = _failures(forged)
     assert ("picard-rank", "Picard rank 3, expected 2") in failures
     assert {name for name, _ in failures} == {
@@ -652,4 +667,4 @@ def test_wrong_sigma_theta_fails_strong_orthogonality(image, message):
     perm = list(range(len(index)))
     perm[index[pack((2, 2, 1))]] = index[pack(image)]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        check_strong_orthogonality(dataclasses.replace(inv, sigma_perm=tuple(perm)))
+        check_strong_orthogonality(inv._replace(sigma_perm=tuple(perm)))

@@ -1,6 +1,5 @@
 """Dimension formulas, orbit types and the report invariants."""
 
-import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -176,7 +175,7 @@ def test_strong_orthogonality_agrees_with_the_scan_on_every_forged_image():
         for j in range(len(index)):
             perm = list(inv.sigma_perm)
             perm[k] = j
-            forged = dataclasses.replace(inv, sigma_perm=tuple(perm))
+            forged = inv._replace(sigma_perm=tuple(perm))
             got = _outcome(check_strong_orthogonality, forged)
             assert got == _outcome(strong_orthogonality_by_scan, forged), (inv.satake, j)
             outcomes.add(got)
@@ -287,8 +286,8 @@ def test_type_a_vmrt_from_the_multiplicity(components, black, arrows, vmrt):
 
 def test_type_a_vmrt_rejects_multiplicities_without_a_rule():
     rrs = _setup((("A", 3),))[1]
-    for bad in (dataclasses.replace(rrs, multiplicities=(3,) * 6),
-                dataclasses.replace(rrs, multiplicities=(1, 1, 1, 1, 1, 2)),
-                dataclasses.replace(rrs, multiplicities=(8,) * 6)):
+    for bad in (rrs._replace(multiplicities=(3,) * 6),
+                rrs._replace(multiplicities=(1, 1, 1, 1, 1, 2)),
+                rrs._replace(multiplicities=(8,) * 6)):
         with pytest.raises(ValueError):
             type_a_vmrt(bad)

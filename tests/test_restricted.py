@@ -1,6 +1,5 @@
 """Restricted root systems: simple restrictions, coroots, types."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -379,7 +378,7 @@ def test_build_restricted_rejects_a_doubled_root_on_a_non_nonreduced_fiber():
     # doubled restricted root but not the nonreduced case
     inv = instantiate(load_catalog(), "AIII", {"n": 4, "r": 1}).involution
     assert inv.cases == (NONREDUCED, None, NONREDUCED)
-    forged = dataclasses.replace(inv, cases=(ORTHOGONAL, None, ORTHOGONAL))
+    forged = inv._replace(cases=(ORTHOGONAL, None, ORTHOGONAL))
     with pytest.raises(ValueError, match="^primitive coroot disagrees with the "
                                          "longest multiple$"):
         build_restricted(forged)

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -463,9 +463,8 @@ def test_coroot_pairing_is_a_ratio_of_integer_forms(typ, rank):
             == pair_coweight(rs, coroot(rs, u), w)
 
 
-@dataclass(frozen=True)
-class _Box:
-    x: int
+class _Box(namedtuple("_Box", "x")):
+    """A record like the engine's: a namedtuple subclass, so it has a __dict__."""
 
 
 def test_memoised_is_per_object_and_does_not_cache_errors():

@@ -1,6 +1,6 @@
 """Source hygiene that no installed linter checks: unused imports,
-top-level definitions that nothing in the package reads, and calls of the
-builtins that run code from a string."""
+top-level definitions that nothing in the package reads, calls of the
+builtins that run code from a string, and dataclasses."""
 
 import ast
 from pathlib import Path
@@ -48,6 +48,17 @@ def _builtin_code_calls(source):
             and node.func.id in {"eval", "exec", "compile", "__import__"}]
 
 
+def _dataclasses(source):
+    """The classes in source decorated with dataclass, called or not, by
+    name or as dataclasses.dataclass."""
+    def name(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(name(d) == "dataclass" for d in node.decorator_list)]
+
+
 def test_the_unused_import_finder():
     assert _unused_imports("import os.path\nfrom a import b as c, d\nimport e\nc(os, e.f)") == ["d"]
 
@@ -61,6 +72,13 @@ def test_the_unread_definition_finder():
 def test_the_builtin_code_call_finder():
     source = "eval('1')\nre.compile('x')\nexec(c)\nf(compile, x.eval())\n__import__('os')"
     assert _builtin_code_calls(source) == ["eval", "exec", "__import__"]
+
+
+def test_the_dataclass_finder():
+    source = ("@dataclass\nclass A: pass\n@dataclasses.dataclass(frozen=True)\nclass B: pass\n"
+              "@property\nclass C(namedtuple('C', 'x')): pass\ndef f():\n"
+              "    @dataclass(eq=False)\n    class D: pass")
+    assert _dataclasses(source) == ["A", "B", "D"]
 
 
 def _modules():
@@ -85,3 +103,12 @@ def test_every_definition_is_read_in_the_package_or_exported():
 def test_no_module_runs_code_from_a_string():
     for path in sorted(SRC.glob("*.py")):
         assert _builtin_code_calls(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_vmrt_report_is_the_only_dataclass():
+    # each dataclass compiles its generated methods with exec at every
+    # interpreter start (six on a frozen one); a namedtuple record needs none.
+    # VmrtReport stays one because perfbench digests it with dataclasses.asdict
+    found = [name for path in sorted(SRC.glob("*.py"))
+             for name in _dataclasses(path.read_text(encoding="utf-8"))]
+    assert found == ["VmrtReport"], found
