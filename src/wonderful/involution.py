@@ -106,7 +106,7 @@ def _complete_tau(sd, black_iota):
     """Extend the arrow matching by -w_0 of the black nodes, which acts on
     each black component separately.  Both are involutions, the matching
     one of the white nodes, so tau is one."""
-    cartan = sd.root_system.cartan  # read once: a namedtuple field read is not cheap
+    cartan = sd.root_system.cartan  # bound once: 3.11 does not specialise namedtuple reads
     tau = tuple(black_iota.get(i, j) for i, j in enumerate(sd.diagram_involution))
     for i in range(len(cartan)):
         for j in range(len(cartan)):
