@@ -117,9 +117,12 @@ def _check_family(index, entry):
         if value is not None and item and any(type(x) is not item for x in value):
             raise ValueError(f"catalog {where}: field {key!r} must be a list of "
                              f"{item.__name__}")
-    if len(entry.get("params") or ()) > MAX_PARAMS:
+    params = entry.get("params") or []
+    if len(params) > MAX_PARAMS:
         raise ValueError(f"catalog {where}: field 'params' lists "
-                         f"{len(entry['params'])} parameters, more than {MAX_PARAMS}")
+                         f"{len(params)} parameters, more than {MAX_PARAMS}")
+    if twins := [p for k, p in enumerate(params) if p in params[:k]]:  # else instances recur
+        raise ValueError(f"catalog {where}: field 'params' names {twins[0]!r} twice")
     if entry.get("hermitian") not in (None, "e", "ne"):
         raise ValueError(f"catalog {where}: field 'hermitian' must be null, 'e' or 'ne'")
 

@@ -11,7 +11,7 @@ import re
 from functools import lru_cache
 
 from .kac import KAC_BUILDERS
-from .rootsystem import MAX_AMBIENT_RANK
+from .rootsystem import MAX_AMBIENT_RANK, MAX_CACHED
 
 _BRACE = re.compile(r"\{([^{}]+)\}")
 
@@ -44,7 +44,7 @@ def _refusal(node, parent):
     return None
 
 
-@lru_cache(maxsize=4096)  # each distinct expression once
+@lru_cache(maxsize=MAX_CACHED)  # each distinct expression once
 def _compile(expr):
     """The closure f(env) that evaluates a catalog expression, checked."""
     try:  # too deep for the parser, or for ast.unparse of a refused call
@@ -141,7 +141,7 @@ def _eval(expr, env, convert=None):
         raise ValueError(f"catalog expression {expr!r}: {exc}") from None
 
 
-@lru_cache(maxsize=4096)  # each distinct name template once
+@lru_cache(maxsize=MAX_CACHED)  # each distinct name template once
 def _pieces(template):
     """A name template's literal text at even indices, between the
     expressions of its {...} parts at odd ones."""

@@ -1,13 +1,13 @@
 """Kac diagrams of the catalog families, their marks and marked-diagram spaces.
 
-A Kac diagram is a generalized affine Dynkin diagram with black and white nodes;
-edges store both Cartan pairings, and the marks are read from the leaves up.  Marking
-one white node determines a flag variety of the black subdiagram: its factors are the
-black components, crossed at the neighbors of the marked node.  A catalog draws each
-diagram with a KAC_BUILDERS call: affine_diagram (an untwisted affine diagram with
-the given nodes white), white_on (one white node joined by simple bonds to black
-Dynkin diagrams), or kac_sym2 and kac_tensor, which attach so_m arms by the
-multiple bonds (-1, -4), (-1, -2) and (-2, -1) that white_on does not draw.
+A Kac diagram is its node colors, "w" or "b", and its bonds (i, j, a_ij, a_ji), which
+cartan() reads into a matrix; the marks are read from the leaves up.  Marking one white
+node determines a flag variety of the black subdiagram: its factors are the black
+components, crossed at the neighbors of the marked node.  A catalog draws each diagram
+with a KAC_BUILDERS call: affine_diagram (an untwisted affine diagram with the given
+nodes white), white_on (one white node joined by simple bonds to black Dynkin
+diagrams), or kac_sym2 and kac_tensor (so_m arms joined by the multiple bonds (-1, -4),
+(-1, -2) and (-2, -1)).  Each appends a black arm as the bonds of rootsystem._edges.
 """
 
 import re
@@ -17,9 +17,12 @@ from math import gcd, prod
 
 from .rootsystem import (
     MAX_AMBIENT_RANK,
+    MAX_CACHED,
+    _edges,
     _form6,
     VALID_RANKS,
     build_root_system,
+    cartan_from_bonds,
     cartan_matrix,
     highest_roots,
     memoised,
@@ -45,12 +48,7 @@ class KacDiagram(namedtuple("KacDiagram", "colors edges")):
         return tuple(i for i, c in enumerate(self.colors) if c == "b")
 
     def cartan(self):
-        n = self.size
-        mat = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i, j, aij, aji in self.edges:
-            mat[i][j] = aij
-            mat[j][i] = aji
-        return mat
+        return cartan_from_bonds(self.size, self.edges)
 
 
 HomogeneousSpaceDescriptor = namedtuple("HomogeneousSpaceDescriptor", "name dim")
@@ -107,7 +105,7 @@ def _positive_count(typ, n):
             "E": {6: 36, 7: 63, 8: 120}.get(n), "F": 24, "G": 6}[typ]
 
 
-@lru_cache(maxsize=4096)  # bounded like _factors
+@lru_cache(maxsize=MAX_CACHED)
 def _factor_dim(typ, rank, crossed):
     """dim G/P = |Phi+| - |Phi+_L|, L the uncrossed nodes, from the counts
     of the diagram's type and of the type of each component of L."""
@@ -243,7 +241,7 @@ def _canonical(typ, rank, crossed):
     return typ, rank, crossed
 
 
-@lru_cache(maxsize=4096)  # bounded, so a long --catalog cannot grow it without end
+@lru_cache(maxsize=MAX_CACHED)
 def _factors(name):
     """Canonical crossed diagrams of the factors of a product name; each part
     is memoised as a name of its own, so each factor text is parsed once."""
@@ -252,7 +250,7 @@ def _factors(name):
         else tuple(_canonical(*d) for d in _parse_factor(name))
 
 
-@lru_cache(maxsize=4096)  # bounded like _factors
+@lru_cache(maxsize=MAX_CACHED)
 def normalize_name(name):
     """Canonical sorted factor tuple of a product name."""
     return tuple(sorted(_name_factor(*d) for d in _factors(name)))
@@ -272,107 +270,81 @@ def _require(kinds, what, **args):
             raise ValueError(f"{name} = {x!r} is not {what}")
 
 
-class _Builder:
-    def __init__(self):
-        self.colors = []
-        self.edges = []
+def _arm(colors, edges, typ, n):
+    """Append the black Dynkin diagram of typ_n after the nodes in colors, its
+    bonds those of _edges shifted by them; return its first node."""
+    _require((int,), "an int", rank=n)
+    # a letter outside A-G, or e.g. so_2 or sp_2 read as D1 or C1
+    if type(typ) is not str or typ not in VALID_RANKS or not VALID_RANKS[typ](n):
+        raise ValueError(f"invalid component {typ}{n}")
+    if (rank := colors.count("b") + n) > MAX_AMBIENT_RANK:  # with those so far
+        raise ValueError(f"rank {rank} is above the ambient rank ceiling {MAX_AMBIENT_RANK}")
+    first = len(colors)
+    colors += "b" * n
+    edges += [(first + i, first + j, aij, aji) for i, j, aij, aji in _edges(typ, n)]
+    return first
 
-    def node(self, color):
-        self.colors.append(color)
-        return len(self.colors) - 1
 
-    def edge(self, i, j, aij=-1, aji=-1):
-        self.edges.append((i, j, aij, aji))
-
-    def dynkin(self, typ, n):
-        """Add n black nodes in Bourbaki order, joined as in cartan_matrix."""
-        _require((int,), "an int", rank=n)
-        # a letter outside A-G, or e.g. so_2 or sp_2 read as D1 or C1
-        if type(typ) is not str or typ not in VALID_RANKS or not VALID_RANKS[typ](n):
-            raise ValueError(f"invalid component {typ}{n}")
-        if (rank := self.colors.count("b") + n) > MAX_AMBIENT_RANK:  # with those so far
-            raise ValueError(f"rank {rank} is above the ambient rank ceiling {MAX_AMBIENT_RANK}")
-        ids = [self.node("b") for _ in range(n)]
-        a = cartan_matrix(typ, n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if a[i][j]:
-                    self.edge(ids[i], ids[j], a[i][j], a[j][i])
-        return ids
-
-    def done(self):
-        return KacDiagram(tuple(self.colors), tuple(self.edges))
-
-    def so_arm(self, m, white, wedge):
-        """Attach the Dynkin diagram of so_m at its vector node(s)."""
+def _so_arms(*arms):
+    """White node 0 joined, for each (m, wedge) of arms, by the bond wedge to
+    the Dynkin diagram of so_m at its vector nodes: the short node of so_3 (so
+    a_j0 doubles), both nodes of so_4 = A1 x A1, else node 1 of B_{m//2} or D_{m//2}."""
+    colors, edges = ["w"], []
+    for m, (a, b) in arms:
         if m == 3:
-            b = self.node("b")
-            self.edge(white, b, wedge[0], wedge[1] * 2)
+            edges.append((0, _arm(colors, edges, "A", 1), a, 2 * b))
         elif m == 4:
-            for _ in range(2):
-                b = self.node("b")
-                self.edge(white, b, *wedge)
+            edges += [(0, _arm(colors, edges, "A", 1), a, b) for _ in range(2)]
         else:
-            self.edge(white, self.dynkin("B" if m % 2 else "D", m // 2)[0], *wedge)
+            edges.append((0, _arm(colors, edges, "B" if m % 2 else "D", m // 2), a, b))
+    return KacDiagram(tuple(colors), tuple(edges))
 
 
 def affine_diagram(typ, rank, *whites):
     """Untwisted affine diagram: the Dynkin diagram of typ_rank (nodes 1..rank)
     and the extending node 0, alpha_0 = -theta (Kac, Table Aff 1).  The given
     nodes are white; with none given, node 0 alone is."""
-    b = _Builder()
-    w = b.node("w")
-    ids = b.dynkin(typ, rank)  # checks typ and rank before they key a cache
+    edges = []
+    _arm(["w"], edges, typ, rank)  # checks typ and rank before they key a cache
     rs = build_root_system(((typ, rank),))
     theta = highest_roots(rs)[0]
-    for i, node in enumerate(ids):
-        a_i0 = -pairing(rs, i, theta)
-        if a_i0:
+    for i in range(rank):
+        if a_i0 := -pairing(rs, i, theta):
             # theta is long, so <theta^vee, alpha_i> = (theta, alpha_i), an integer
-            b.edge(w, node, -(_form6(rs, theta, unit_vector(rank, i)) // 6), a_i0)
+            edges.append((0, i + 1, -(_form6(rs, theta, unit_vector(rank, i)) // 6), a_i0))
     whites = whites or (0,)
     if not all(x in range(rank + 1) for x in whites):
         raise ValueError(f"white nodes {list(whites)} are not all among the {rank + 1} nodes")
-    return KacDiagram(tuple("w" if i in whites else "b" for i in range(rank + 1)), tuple(b.edges))
+    return KacDiagram(tuple("w" if i in whites else "b" for i in range(rank + 1)), tuple(edges))
 
 
 def white_on(components, attach):
     """White node 0, then the black Dynkin diagrams of the (type, rank)
     components in order; node 0 is joined to the given 1-based black nodes."""
     _require((list, tuple), "a list", components=components, attach=attach)
-    b = _Builder()
-    w = b.node("w")
+    colors, edges = ["w"], []
     for comp in components:
         if type(comp) is not tuple or len(comp) != 2:
             raise ValueError(f"component {comp!r} is not a (type, rank) pair")
-        b.dynkin(*comp)
+        _arm(colors, edges, *comp)
     for i in attach:  # black node i is node i of the diagram
-        if i not in range(1, len(b.colors)):
+        if i not in range(1, len(colors)):
             raise ValueError(f"attach node {i!r} is not among the black nodes "
-                             f"1..{len(b.colors) - 1}")
-        b.edge(w, i)
-    return b.done()
+                             f"1..{len(colors) - 1}")
+        edges.append((0, i, -1, -1))
+    return KacDiagram(tuple(colors), tuple(edges))
 
 
 def kac_sym2(r):
     """White node against so_{r+1}."""
     _require((int,), "an int", r=r)
-    b = _Builder()
-    b.so_arm(r + 1, b.node("w"), (-1, -2))
-    return b.done()
+    return _so_arms((r + 1, (-1, -2)))
 
 
 def kac_tensor(n, r):
     """White node against so_r x so_{n-r} at the vector nodes."""
     _require((int,), "an int", n=n, r=r)
-    b = _Builder()
-    w = b.node("w")
-    if r == 1:
-        b.so_arm(n - 1, w, (-2, -1))
-    else:
-        b.so_arm(r, w, (-1, -1))
-        b.so_arm(n - r, w, (-1, -1))
-    return b.done()
+    return _so_arms((n - 1, (-2, -1))) if r == 1 else _so_arms((r, (-1, -1)), (n - r, (-1, -1)))
 
 
 # the callables of a catalog's kac expressions

@@ -22,6 +22,9 @@ VALID_RANKS = {
     "G": lambda n: n == 2,
 }
 
+# the bound of each cache keyed by what a catalog names, so a long --catalog cannot grow one
+MAX_CACHED = 4096
+
 # largest rank build_root_system accepts; the root table grows like rank^3.
 # pack is injective on vectors of one length with coordinates in [-2^15,
 # 2^15).  The engine packs roots and sums of two or four of them (at most 24),
@@ -97,12 +100,16 @@ def unpack(code, n):
     return struct.unpack(f"<{n}h", ((code + half) ^ half).to_bytes(2 * n, "little"))
 
 
-def cartan_matrix(typ, n):
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j, aij, aji in _edges(typ, n):
-        a[i][j] = aij
-        a[j][i] = aji
+def cartan_from_bonds(n, bonds):
+    """The Cartan matrix of n nodes joined by the bonds (i, j, a_ij, a_ji)."""
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, aij, aji in bonds:
+        a[i][j], a[j][i] = aij, aji
     return a
+
+
+def cartan_matrix(typ, n):
+    return cartan_from_bonds(n, _edges(typ, n))
 
 
 class RootSystem(namedtuple("RootSystem", "components cartan gram6")):
@@ -137,19 +144,18 @@ def build_root_system(components):
     if total > MAX_AMBIENT_RANK:
         raise ValueError(f"rank {total} is above the ambient rank ceiling "
                          f"{MAX_AMBIENT_RANK}")
-    cartan = [[2 * (i == j) for j in range(total)] for i in range(total)]
-    scale = []  # 6 d_i, so 6 on a long root
+    bonds, scale = [], []  # scale is 6 d_i, so 6 on a long root
     for typ, n in components:
         offset = len(scale)
         d = [6] * n
         for i, j, aij, aji in _edges(typ, n):
-            cartan[offset + i][offset + j] = aij
-            cartan[offset + j][offset + i] = aji
+            bonds.append((offset + i, offset + j, aij, aji))
             # d_i a_ij = d_j a_ji exactly, so gram6 is symmetric: each near end
             # d_i is set before its bond, and is 6 where a_ji is -2 or -3
             d[j] = d[i] * aij // aji
         top = max(d)
         scale += [6 * x // top for x in d]
+    cartan = cartan_from_bonds(total, bonds)
     gram6 = tuple(tuple(scale[i] * cartan[i][j] for j in range(total)) for i in range(total))
     return RootSystem(
         components=tuple(components),
@@ -414,7 +420,7 @@ def identify_cartan(mat):
     return _identify(tuple(map(tuple, mat)))
 
 
-@lru_cache(maxsize=4096)  # bounded, so a long --catalog cannot grow it without end
+@lru_cache(maxsize=MAX_CACHED)
 def _identify(mat):
     n = len(mat)
     typ, order = _bourbaki_order(mat) or (None, None)

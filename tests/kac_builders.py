@@ -6,7 +6,7 @@ Helgason, Ch. X, Section 5).  These helpers name the same diagrams one
 family at a time, so the tests can compare the two.
 """
 
-from wonderful.kac import KacDiagram, _Builder, affine_diagram
+from wonderful.kac import KacDiagram, affine_diagram, white_on
 
 
 def with_whites(kd, whites):
@@ -17,14 +17,7 @@ def with_whites(kd, whites):
 def _white_on(typ, rank, *attach, extra=False):
     """White node 0 joined to the given Bourbaki nodes of a black typ_rank,
     and to one more black node if extra."""
-    b = _Builder()
-    w = b.node("w")
-    ids = b.dynkin(typ, rank)
-    for i in attach:
-        b.edge(w, ids[i - 1])
-    if extra:
-        b.edge(w, b.node("b"))
-    return b.done()
+    return white_on([(typ, rank)] + [("A", 1)] * extra, [*attach] + [rank + 1] * extra)
 
 
 def kac_hermitian_rank1():
@@ -33,10 +26,7 @@ def kac_hermitian_rank1():
 
 def kac_wedge2(r):
     """White node against sp_{2r+2} at its second node."""
-    b = _Builder()
-    w = b.node("w")
-    b.edge(w, b.dynkin("C", r + 1)[1])
-    return b.done()
+    return white_on([("C", r + 1)], [2])
 
 
 def kac_cycle(n, k):

@@ -210,8 +210,11 @@ def _set_field(key, value, label=None):
     (_set_field("emb", ["x"]), "catalog family 'GroupB': field 'emb' must be a list of int"),
     (_set_field("hermitian", "yes", label="CI"),
      "catalog family 'CI': field 'hermitian' must be null, 'e' or 'ne'"),
+    # enumerate_records would yield GroupB r=2 once per value of the second r
+    (_set_field("params", ["r", "r"], label="GroupB"),
+     "catalog family 'GroupB': field 'params' names 'r' twice"),
 ], ids=["no-ambient", "top-level-list", "no-label", "hc-not-str", "emb-not-int",
-        "hermitian-not-e-or-ne"])
+        "hermitian-not-e-or-ne", "param-named-twice"])
 def test_malformed_catalog_exits_2(capsys, tmp_path, corrupt, message):
     path = _write_catalog(tmp_path / "bad.json", corrupt(_shipped_catalog()))
     code, _, err = run(capsys, "check", "--max-rank", "3", "--catalog", path)

@@ -37,10 +37,12 @@ from wonderful.kac import (
     name_dimension,
     normalize_name,
     validate_diagram,
+    white_on,
 )
 from wonderful.rootsystem import (
     VALID_RANKS,
     build_root_system,
+    cartan_matrix,
     positive_roots,
 )
 from kac_builders import (
@@ -360,6 +362,15 @@ def test_catalog_diagrams_equal_the_reference_builders():
     assert {r.label for r in records} == set(REFERENCE_KAC)
     for record in records:
         assert record.kac == REFERENCE_KAC[record.label](**record.params), record.label
+
+
+@pytest.mark.parametrize("typ, n", [(t, n) for t in VALID_RANKS for n in range(1, 9)
+                                    if VALID_RANKS[t](n)])
+def test_builder_arms_carry_the_bonds_of_the_dynkin_diagram(typ, n):
+    # the black nodes 1..n of both builders are typ_n in Bourbaki order, so a
+    # dropped arm bond or one with its two entries swapped changes the block
+    for kd in (white_on([(typ, n)], [1]), affine_diagram(typ, n)):
+        assert [row[1:] for row in kd.cartan()[1:]] == cartan_matrix(typ, n)
 
 
 def test_evii_descriptor_names():
